@@ -55,6 +55,10 @@ class InvalidUniverse(RepcoreError):
     """Universe parameters are out of range (alphabet < 2, e-sums < 3, ...)."""
 
 
+class InvalidLimit(RepcoreError, ValueError):
+    """A result limit such as max_violations is below its minimum."""
+
+
 class UniverseTooLarge(RepcoreError):
     """Estimated verification work exceeds the configured cap."""
 

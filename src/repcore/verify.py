@@ -1,25 +1,30 @@
 """Exhaustive claim verification over small universes of interrupted repetitions.
 
-Each claim is a per-spec assertion evaluated by brute-force occurrence
-counting.  Gating claims are expected to hold (a failure fails the run);
-reported claims record their empirical status and never gate, because the
-straightforward readings of the occurrence-count side claims are false on
-small instances and the point is to say so with witnesses.
+Each claim is a per-spec assertion about how often the length-|x| (or, for
+note2, length-(|x|-1)) factors of W occur.  Every spec slices its windows
+once into a histogram that all claims read, and a table maps each claim to
+its evaluator.  Gating claims are expected to hold (a failure fails the
+run); reported claims record their empirical status and never gate, because
+the straightforward readings of the occurrence-count side claims are false
+on small instances and the point is to say so with witnesses.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import islice
 from typing import Iterable, Iterator
 
-from .errors import (
-    ClassificationFailure,
-    InvalidUniverse,
-    NotApplicable,
-    UniverseTooLarge,
-)
+from .errors import InvalidLimit, InvalidUniverse, NotApplicable, UniverseTooLarge
+
+# The claims read _SpecContext's histograms and call none of classify_window,
+# occurrences and cyclic_occurrences.  They stay importable from this module
+# because perfbench/tracing.py patches them here by name and its tests expect
+# every patched name to exist; a traced run reports zero calls to them.
 from .interrupts import (
     CoreReport,
     DeletionSplit,
@@ -179,103 +184,127 @@ def applies(claim: ClaimId, spec: InterruptSpec) -> bool:
 
 
 class _SpecContext:
-    """Shared per-spec intermediates so each claim does not recompute them."""
+    """One spec's core and window histograms, shared by every claim.
 
-    __slots__ = ("spec", "report", "n", "word", "anchors")
+    The length-|x| windows of W are sliced once; the anchored range comes
+    from anchor_windows and is exactly where classify_window answers
+    CoreAnchored.  The cyclic and the length-(|x|-1) histograms are built
+    on first use.
+    """
 
     def __init__(self, spec: InterruptSpec):
         self.spec = spec
         self.report: CoreReport = core(spec)
-        self.n = len(spec.split.x)
-        self.word = self.report.word
-        self.anchors = anchor_windows(spec, self.report)
+        self.n = n = len(spec.split.x)
+        self.word = word = self.report.word
+        self.windows = windows = [word[j : j + n] for j in range(len(word) - n + 1)]
+        self.hist = Counter(windows)
+        anchors = anchor_windows(spec, self.report)
+        lo, hi = anchors[0][0], anchors[-1][0] + 1
+        self.anchored = sorted(set(windows[lo:hi]))
+        self.non_anchored = sorted(set(windows[:lo]) | set(windows[hi:]))
+
+    @cached_property
+    def cyclic_hist(self) -> Counter:
+        """Windows of W read cyclically: the linear ones plus |x|-1 wraparounds."""
+        word, n = self.word, self.n
+        wrapped = word[len(word) - n + 1 :] + word[: n - 1]
+        return Counter(self.windows + [wrapped[j : j + n] for j in range(n - 1)])
+
+    @cached_property
+    def short_hist(self) -> Counter:
+        """Histogram of the length-(|x|-1) windows of W."""
+        word, m = self.word, self.n - 1
+        return Counter(word[j : j + m] for j in range(len(word) - m + 1))
 
 
-def _evaluate(claim: ClaimId, ctx: _SpecContext) -> tuple[int, list[Witness]]:
-    """(assertions evaluated, violations in factor-lexicographic order)."""
-    spec, rep, word, n = ctx.spec, ctx.report, ctx.word, ctx.n
-    e_total = spec.e1 + spec.e2
+# Each claim maps a spec context to (assertions evaluated, violations in
+# factor-lexicographic order).  The violations are a lazy iterator, so a
+# caller that keeps only the first few builds no other Witness; the
+# assertion count never depends on how many are taken.
+_Result = tuple[int, Iterator[Witness]]
 
-    if claim is ClaimId.DFT_BOUND:
-        actual = rep.p_len + rep.s_len
-        if actual > n - 2:
-            return 1, [Witness(spec, "", n - 2, actual)]
-        return 1, []
 
-    if claim in (ClaimId.THEOREM1, ClaimId.THEOREM1_DELETION):
-        bad = []
-        factors = sorted({f for _, f in ctx.anchors})
-        for f in factors:
-            count = len(occurrences(f, word))
-            if count != 1:
-                bad.append(Witness(spec, f, 1, count))
-        return len(factors), bad
+def _mismatches(
+    spec: InterruptSpec, factors: Iterable[str], hist: Counter, expected: int
+) -> Iterator[Witness]:
+    for f in factors:
+        actual = hist[f]
+        if actual != expected:
+            yield Witness(spec, f, expected, actual)
 
-    if claim is ClaimId.DICHOTOMY:
-        windows = len(word) - n + 1
-        bad_factors = set()
-        for j in range(windows):
-            try:
-                classify_window(spec, j, rep)
-            except ClassificationFailure:
-                bad_factors.add(word[j : j + n])
-        return windows, [Witness(spec, f, 1, 0) for f in sorted(bad_factors)]
 
-    if claim is ClaimId.DISTINCT_COUNT:
-        distinct = len({word[j : j + n] for j in range(len(word) - n + 1)})
-        expected = 2 * n - rep.p_len - rep.s_len - 1
-        if distinct != expected:
-            return 1, [Witness(spec, "", expected, distinct)]
-        return 1, []
+def _single(
+    spec: InterruptSpec, fails: bool, expected: int, actual: int
+) -> Iterator[Witness]:
+    if fails:
+        yield Witness(spec, "", expected, actual)
 
-    if claim is ClaimId.CORE_CYCLIC_UNIQUE:
-        bad = []
-        factors = sorted({f for _, f in ctx.anchors})
-        for f in factors:
-            count = len(cyclic_occurrences(f, word))
-            if count != 1:
-                bad.append(Witness(spec, f, 1, count))
-        return len(factors), bad
 
-    if claim is ClaimId.NOTE2_LINEAR:
-        # Stated only for the boundary case lcp + lcs == |x| - 2.
-        if rep.p_len + rep.s_len != n - 2:
-            return 0, []
-        sp = rep.s_tilde[1:] + rep.p_tilde[:-1]
-        factors = sorted(
-            {word[j : j + n - 1] for j in range(len(word) - n + 2)}
-        )
-        bad = []
-        checked = 0
-        for f in factors:
-            if sp not in f:
-                continue
-            checked += 1
-            count = len(occurrences(f, word))
-            if count != e_total:
-                bad.append(Witness(spec, f, e_total, count))
-        return checked, bad
+def _dft_bound(ctx: _SpecContext) -> _Result:
+    rep, n = ctx.report, ctx.n
+    actual = rep.p_len + rep.s_len
+    return 1, _single(ctx.spec, actual > n - 2, n - 2, actual)
 
-    if claim in (ClaimId.NOTE3_LINEAR, ClaimId.NOTE3_CYCLIC):
-        anchored = {j for j, _ in ctx.anchors}
-        factors = sorted(
-            {
-                word[j : j + n]
-                for j in range(len(word) - n + 1)
-                if j not in anchored
-            }
-        )
-        counter = (
-            occurrences if claim is ClaimId.NOTE3_LINEAR else cyclic_occurrences
-        )
-        bad = []
-        for f in factors:
-            count = len(counter(f, word))
-            if count != e_total:
-                bad.append(Witness(spec, f, e_total, count))
-        return len(factors), bad
 
-    raise AssertionError(f"unhandled claim {claim}")
+def _theorem1(ctx: _SpecContext) -> _Result:
+    return len(ctx.anchored), _mismatches(ctx.spec, ctx.anchored, ctx.hist, 1)
+
+
+def _dichotomy(ctx: _SpecContext) -> _Result:
+    # A length-|x| factor is a rotation of x exactly when it occurs in x+x.
+    xx = ctx.spec.split.x * 2
+    bad = (Witness(ctx.spec, f, 1, 0) for f in ctx.non_anchored if f not in xx)
+    return len(ctx.windows), bad
+
+
+def _distinct_count(ctx: _SpecContext) -> _Result:
+    rep, n = ctx.report, ctx.n
+    distinct = len(ctx.hist)
+    expected = 2 * n - rep.p_len - rep.s_len - 1
+    return 1, _single(ctx.spec, distinct != expected, expected, distinct)
+
+
+def _core_cyclic_unique(ctx: _SpecContext) -> _Result:
+    return len(ctx.anchored), _mismatches(ctx.spec, ctx.anchored, ctx.cyclic_hist, 1)
+
+
+def _note2_linear(ctx: _SpecContext) -> _Result:
+    # Stated only for the boundary case lcp + lcs == |x| - 2.
+    rep, spec = ctx.report, ctx.spec
+    if rep.p_len + rep.s_len != ctx.n - 2:
+        return 0, iter(())
+    sp = rep.s_tilde[1:] + rep.p_tilde[:-1]
+    hist = ctx.short_hist
+    factors = [f for f in sorted(hist) if sp in f]
+    return len(factors), _mismatches(spec, factors, hist, spec.e1 + spec.e2)
+
+
+def _note3_linear(ctx: _SpecContext) -> _Result:
+    spec = ctx.spec
+    return len(ctx.non_anchored), _mismatches(
+        spec, ctx.non_anchored, ctx.hist, spec.e1 + spec.e2
+    )
+
+
+def _note3_cyclic(ctx: _SpecContext) -> _Result:
+    spec = ctx.spec
+    return len(ctx.non_anchored), _mismatches(
+        spec, ctx.non_anchored, ctx.cyclic_hist, spec.e1 + spec.e2
+    )
+
+
+_CLAIMS = {
+    ClaimId.DFT_BOUND: _dft_bound,
+    ClaimId.THEOREM1: _theorem1,
+    ClaimId.THEOREM1_DELETION: _theorem1,
+    ClaimId.DICHOTOMY: _dichotomy,
+    ClaimId.DISTINCT_COUNT: _distinct_count,
+    ClaimId.CORE_CYCLIC_UNIQUE: _core_cyclic_unique,
+    ClaimId.NOTE2_LINEAR: _note2_linear,
+    ClaimId.NOTE3_LINEAR: _note3_linear,
+    ClaimId.NOTE3_CYCLIC: _note3_cyclic,
+}
 
 
 def check_claim(claim: ClaimId, spec: InterruptSpec) -> SpecCheck:
@@ -287,23 +316,27 @@ def check_claim(claim: ClaimId, spec: InterruptSpec) -> SpecCheck:
     """
     if not applies(claim, spec):
         raise NotApplicable(f"{claim.value} does not apply to this split form")
-    checked, violations = _evaluate(claim, _SpecContext(spec))
+    checked, violations = _CLAIMS[claim](_SpecContext(spec))
     return SpecCheck(checked, tuple(violations))
 
 
-def _eval_chunk(args: tuple[list[InterruptSpec], list[ClaimId]]):
-    specs, claims = args
-    acc: dict[ClaimId, tuple[int, list[Witness]]] = {c: (0, []) for c in claims}
+def _eval_chunk(args: tuple[list[InterruptSpec], list[ClaimId], int]):
+    """Per claim: (assertions evaluated, the chunk's first max_violations witnesses)."""
+    specs, claims, max_violations = args
+    checked = dict.fromkeys(claims, 0)
+    kept: dict[ClaimId, list[Witness]] = {c: [] for c in claims}
+    by_form: dict[bool, list[ClaimId]] = {}  # applies() reads only the form
     for spec in specs:
         ctx = _SpecContext(spec)
-        for c in claims:
-            if not applies(c, spec):
-                continue
-            checked, violations = _evaluate(c, ctx)
-            old_checked, old_violations = acc[c]
-            old_violations.extend(violations)
-            acc[c] = (old_checked + checked, old_violations)
-    return acc
+        form = spec.split.is_prefix_form
+        if form not in by_form:
+            by_form[form] = [c for c in claims if applies(c, spec)]
+        for c in by_form[form]:
+            count, violations = _CLAIMS[c](ctx)
+            checked[c] += count
+            found = kept[c]
+            found.extend(islice(violations, max_violations - len(found)))
+    return {c: (checked[c], kept[c]) for c in claims}
 
 
 def run(
@@ -317,11 +350,14 @@ def run(
 
     Output is deterministic and identical for any job count: specs are
     enumerated canonically, every spec is evaluated (no early exit), and
-    chunk results merge in enumeration order.  Witness lists are truncated
-    to max_violations after the merge.
+    chunk results merge in enumeration order.  Each chunk keeps only its
+    first max_violations witnesses per claim and counts the rest of its
+    assertions, so memory is bounded by what is reported; because chunks
+    are contiguous in canonical order, the first max_violations of the
+    merged lists are the first of the whole universe.
     """
     if max_violations < 1:
-        raise ValueError("max_violations must be >= 1")
+        raise InvalidLimit(f"max_violations must be >= 1, got {max_violations}")
     if claims is None:
         claim_list = list(ClaimId)
     else:
@@ -331,12 +367,16 @@ def run(
         return []
     specs = list(enumerate_specs(universe, max_checks))
     if jobs <= 1 or len(specs) < 2:
-        merged = [_eval_chunk((specs, claim_list))]
+        merged = [_eval_chunk((specs, claim_list, max_violations))]
     else:
         size = max(1, (len(specs) + jobs * 8 - 1) // (jobs * 8))
         chunks = [specs[i : i + size] for i in range(0, len(specs), size)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            merged = list(pool.map(_eval_chunk, [(c, claim_list) for c in chunks]))
+            merged = list(
+                pool.map(
+                    _eval_chunk, [(c, claim_list, max_violations) for c in chunks]
+                )
+            )
 
     reports = []
     for c in claim_list:

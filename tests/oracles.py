@@ -4,7 +4,7 @@ Everything here recomputes results from first principles (plain slicing and
 full enumeration), deliberately ignoring the library's shortcuts.
 """
 
-from repcore import DeletionSplit, InterruptSpec, build
+from repcore import ClaimId, DeletionSplit, InterruptSpec, Witness, build
 from repcore.errors import InvalidSpec, InvalidSplit
 
 
@@ -124,6 +124,65 @@ def count_naive(factor, word):
     """Occurrences of factor in word, counted by comparing every slice."""
     m = len(factor)
     return sum(word[j : j + m] == factor for j in range(len(word) - m + 1))
+
+
+def evaluate_naive(claim, spec):
+    """(assertions evaluated, violations) for one claim on one spec, from scratch.
+
+    The claim statements read verbatim: the core comes from
+    core_by_continuation, every count compares slices of W (cyclic ones
+    slice a rotation of W), and a window is a rotation of x when it equals
+    one of the |x| rotations.  Violations are in factor-lexicographic order.
+    The form check (theorem1 vs theorem1_deletion) is left to the caller.
+    """
+    x = spec.split.x
+    n = len(x)
+    p, s, core, start, end, _ = core_by_continuation(spec)
+    w = build(spec)
+    e_total = spec.e1 + spec.e2
+
+    def mismatches(factors, pool, expected):
+        counts = [(f, pool.count(f)) for f in factors]
+        return [Witness(spec, f, expected, c) for f, c in counts if c != expected]
+
+    if claim is ClaimId.DFT_BOUND:
+        return 1, [Witness(spec, "", n - 2, p + s)] if p + s > n - 2 else []
+    if claim is ClaimId.NOTE2_LINEAR:
+        if p + s != n - 2:
+            return 0, []
+        short = [w[j : j + n - 1] for j in range(len(w) - n + 2)]
+        # The core minus its two outer symbols: s_tilde[1:] + p_tilde[:-1].
+        factors = [f for f in sorted(set(short)) if core[1:-1] in f]
+        return len(factors), mismatches(factors, short, e_total)
+
+    windows = [w[j : j + n] for j in range(len(w) - n + 1)]
+    if claim is ClaimId.DISTINCT_COUNT:
+        distinct, expected = len(set(windows)), 2 * n - p - s - 1
+        bad = distinct != expected
+        return 1, [Witness(spec, "", expected, distinct)] if bad else []
+    # The windows containing the core interval, as in anchored_windows_naive.
+    anchored = sorted(
+        {f for j, f in enumerate(windows) if j <= start and j + n >= end}
+    )
+    others = sorted(
+        {f for j, f in enumerate(windows) if not (j <= start and j + n >= end)}
+    )
+    if claim in (ClaimId.THEOREM1, ClaimId.THEOREM1_DELETION):
+        return len(anchored), mismatches(anchored, windows, 1)
+    if claim is ClaimId.DICHOTOMY:
+        rotations = {x[k:] + x[:k] for k in range(n)}
+        return len(windows), [
+            Witness(spec, f, 1, 0) for f in others if f not in rotations
+        ]
+    if claim is ClaimId.NOTE3_LINEAR:
+        return len(others), mismatches(others, windows, e_total)
+
+    cyclic = [(w[j:] + w[:j])[:n] for j in range(len(w))]
+    if claim is ClaimId.CORE_CYCLIC_UNIQUE:
+        return len(anchored), mismatches(anchored, cyclic, 1)
+    if claim is ClaimId.NOTE3_CYCLIC:
+        return len(others), mismatches(others, cyclic, e_total)
+    raise AssertionError(f"unhandled claim {claim}")
 
 
 def phase_segments_naive(text, x):

@@ -221,6 +221,18 @@ def test_domain_errors_exit_2(capsys):
     assert code == 2 and err.startswith("UniverseTooLarge:")
 
 
+def test_verify_max_violations_below_one_exits_2(capsys):
+    for value in ("0", "-1"):
+        code, out, err = run_cli(capsys, "verify", "--max-violations", value)
+        assert code == 2 and out == ""
+        assert err == f"InvalidLimit: max_violations must be >= 1, got {value}\n"
+    # the limit is checked before the universe is enumerated or sized
+    code, _, err = run_cli(
+        capsys, "verify", "--max-violations", "0", "--max-checks", "10"
+    )
+    assert code == 2 and err.startswith("InvalidLimit:")
+
+
 def test_console_entry_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "repcore", "build", "--x", "ab", "--cut", "1",

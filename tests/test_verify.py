@@ -13,8 +13,21 @@ from repcore import (
     run,
     verdict,
 )
-from repcore.errors import InvalidUniverse, NotApplicable, UniverseTooLarge
-from repcore.verify import estimated_checks, exponent_pairs, splits_count
+from repcore.errors import (
+    InvalidLimit,
+    InvalidUniverse,
+    NotApplicable,
+    UniverseTooLarge,
+)
+from repcore.verify import (
+    _eval_chunk,
+    applies,
+    estimated_checks,
+    exponent_pairs,
+    splits_count,
+)
+
+from oracles import evaluate_naive
 
 
 def prefix_spec(x, cut, e1, e2):
@@ -162,6 +175,90 @@ def test_run_max_violations_truncates():
     assert len(rep.counterexamples) == 3
     full = run(u, [ClaimId.NOTE3_LINEAR], max_violations=10**6)[0]
     assert list(full.counterexamples[:3]) == list(rep.counterexamples)
+
+
+def test_run_rejects_max_violations_below_one():
+    with pytest.raises(InvalidLimit):
+        run(Universe(2, 2, 3, (3,), "prefix"), max_violations=0)
+    # library callers that catch ValueError keep working
+    with pytest.raises(ValueError):
+        run(Universe(2, 2, 3, (3,), "prefix"), max_violations=-1)
+
+
+@pytest.mark.parametrize(
+    "universe",
+    [Universe(2, 1, 6, (3, 4, 5), "both"), Universe(3, 1, 4, (3, 4), "both")],
+    ids=["binary-x6", "ternary-x4"],
+)
+def test_check_claim_equals_naive_oracle(universe):
+    for spec in enumerate_specs(universe):
+        for claim in ClaimId:
+            if not applies(claim, spec):
+                with pytest.raises(NotApplicable):
+                    check_claim(claim, spec)
+                continue
+            got = check_claim(claim, spec)
+            want_checked, want_violations = evaluate_naive(claim, spec)
+            assert (got.checked, list(got.violations)) == (
+                want_checked,
+                want_violations,
+            ), (claim, spec)
+
+
+# theorem1_deletion first fails on spec 55 of this universe, after the first
+# chunk of a --jobs 2 run (45 specs); note3_linear fails on every spec.
+RETENTION_UNIVERSE = Universe(2, 2, 4, (3, 4), "both")
+
+
+@pytest.fixture(scope="module")
+def full():
+    """Per claim: (checked, every witness in canonical order), spec by spec."""
+    checked = dict.fromkeys(ClaimId, 0)
+    witnesses = {c: [] for c in ClaimId}
+    for spec in enumerate_specs(RETENTION_UNIVERSE):
+        for c in ClaimId:
+            if applies(c, spec):
+                sc = check_claim(c, spec)
+                checked[c] += sc.checked
+                witnesses[c].extend(sc.violations)
+    return {c: (checked[c], witnesses[c]) for c in ClaimId}
+
+
+def test_retention_universe_fails_late(full):
+    specs = list(enumerate_specs(RETENTION_UNIVERSE))
+    first_chunk = (len(specs) + 15) // 16  # run()'s chunk size at jobs=2
+    first = full[ClaimId.THEOREM1_DELETION][1][0]
+    assert specs.index(first.spec) >= first_chunk
+    head = _eval_chunk((specs[:first_chunk], list(ClaimId), 3))
+    tail = _eval_chunk((specs[first_chunk:], list(ClaimId), 3))
+    assert head[ClaimId.THEOREM1_DELETION][1] == []
+    assert tail[ClaimId.THEOREM1_DELETION][1][0] == first
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_eval_chunk_keeps_first_k_witnesses(full, k):
+    specs = list(enumerate_specs(RETENTION_UNIVERSE))
+    part = _eval_chunk((specs, list(ClaimId), k))
+    assert set(part) == set(ClaimId)
+    for c in ClaimId:
+        checked, kept = part[c]
+        assert len(kept) <= k
+        assert (checked, kept) == (full[c][0], full[c][1][:k]), c
+    assert len(full[ClaimId.NOTE3_LINEAR][1]) > 100 * k
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("k", [1, 3, 10**6])
+def test_run_reports_first_k_of_full_list(full, jobs, k):
+    reports = run(RETENTION_UNIVERSE, max_violations=k, jobs=jobs)
+    assert [r.claim for r in reports] == list(ClaimId)
+    for rep in reports:
+        checked, witnesses = full[rep.claim]
+        status = (
+            "not_applicable" if checked == 0 else "fails" if witnesses else "holds"
+        )
+        assert (rep.checked, rep.status) == (checked, status), rep.claim
+        assert rep.counterexamples == tuple(witnesses[:k]), rep.claim
 
 
 def test_run_deterministic_across_workers():
