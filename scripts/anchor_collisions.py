@@ -14,7 +14,9 @@ Example:
 import argparse
 from itertools import groupby
 
-from repcore import Universe, anchor_windows, core, enumerate_specs, occurrences
+from repcore import Universe, anchor_windows, core, occurrences
+from repcore.interrupts import FORMS
+from repcore.verify import enumerate_specs
 
 
 def longest_run(word):
@@ -27,7 +29,7 @@ def main():
     ap.add_argument("--alphabet", type=int, default=2)
     ap.add_argument("--max-x", type=int, default=5)
     ap.add_argument("--e-sums", default="3")
-    ap.add_argument("--forms", choices=("prefix", "deletion", "both"), default="both")
+    ap.add_argument("--forms", choices=FORMS, default="both")
     ap.add_argument("--limit", type=int, default=20, help="max offenders to print")
     args = ap.parse_args()
 
@@ -52,10 +54,9 @@ def main():
             continue
         shown += 1
         if shown <= args.limit:
-            s = spec.split
             print(
-                f"x={s.x} cut1={s.cut1} cut2={s.cut2} e1={spec.e1} e2={spec.e2}"
-                f"  W={rep.word}  core={rep.core}@[{rep.core_start},{rep.core_end})"
+                f"{spec}  W={rep.word}"
+                f"  core={rep.core}@[{rep.core_start},{rep.core_end})"
                 f"  longest run {longest_run(rep.word)}"
             )
             for j, f, occ in repeated:

@@ -4,110 +4,37 @@ Build W = x^e1 · x1 · x3 · x^e2 from a primitive period x with one deleted
 factor, compute the core of the interrupt around the junction, verify the
 uniqueness claim and its side claims exhaustively over small universes, and
 locate interrupts in raw words.
+
+The names below are the whole top-level API (the README's quick reference);
+everything else lives in the submodules words, interrupts, verify, locate,
+errors and cli.
 """
 
 from . import errors
-from .interrupts import (
-    Conjugate,
-    CoreAnchored,
-    CoreReport,
-    DeletionSplit,
-    InterruptSpec,
-    WindowClass,
-    anchor_windows,
-    build,
-    classify_window,
-    conjugate_pair,
-    core,
-    iter_splits,
-)
-from .locate import (
-    Ambiguous,
-    Parse,
-    PhaseJump,
-    Segment,
-    SegmentReport,
-    locate_anchor,
-    parses,
-    periodic_segments,
-)
-from .verify import (
-    GATING_CLAIMS,
-    REPORTED_CLAIMS,
-    ClaimId,
-    ClaimReport,
-    SpecCheck,
-    Universe,
-    Witness,
-    check_claim,
-    enumerate_specs,
-    run,
-    verdict,
-)
-from .words import (
-    cyclic_occurrences,
-    is_primitive,
-    is_primitive_by_square,
-    lcp,
-    lcs,
-    occurrences,
-    occurrences_naive,
-    parse_word,
-    power_prefix,
-    primitive_root,
-    primitive_words,
-    rotate,
-    smallest_period,
-    words_of_length,
-)
+from .interrupts import DeletionSplit, InterruptSpec, anchor_windows, build, core
+from .locate import locate_anchor, parses, periodic_segments
+from .verify import ClaimId, Universe, check_claim, run
+from .words import cyclic_occurrences, is_primitive, lcp, lcs, occurrences
 
 __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "lcp",
-    "lcs",
-    "smallest_period",
-    "is_primitive",
-    "is_primitive_by_square",
-    "primitive_root",
-    "rotate",
-    "occurrences",
-    "occurrences_naive",
-    "cyclic_occurrences",
-    "power_prefix",
-    "parse_word",
-    "words_of_length",
-    "primitive_words",
     "DeletionSplit",
     "InterruptSpec",
-    "CoreReport",
-    "CoreAnchored",
-    "Conjugate",
-    "WindowClass",
     "build",
-    "conjugate_pair",
     "core",
-    "classify_window",
     "anchor_windows",
-    "iter_splits",
     "Universe",
     "ClaimId",
-    "ClaimReport",
-    "SpecCheck",
-    "Witness",
-    "GATING_CLAIMS",
-    "REPORTED_CLAIMS",
-    "enumerate_specs",
-    "check_claim",
     "run",
-    "verdict",
-    "Parse",
-    "Ambiguous",
-    "Segment",
-    "PhaseJump",
-    "SegmentReport",
+    "check_claim",
     "parses",
     "locate_anchor",
     "periodic_segments",
+    "lcp",
+    "lcs",
+    "occurrences",
+    "cyclic_occurrences",
+    "is_primitive",
 ]

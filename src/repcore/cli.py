@@ -12,7 +12,7 @@ import json
 import sys
 
 from .errors import RepcoreError
-from .interrupts import CoreReport, DeletionSplit, InterruptSpec, build, core
+from .interrupts import FORMS, CoreReport, DeletionSplit, InterruptSpec, build, core
 from .locate import SegmentReport, parses, periodic_segments
 from .verify import (
     DEFAULT_MAX_CHECKS,
@@ -27,14 +27,21 @@ from .verify import (
 from .words import cyclic_occurrences, occurrences, parse_word
 
 
-def core_json(spec: InterruptSpec, report: CoreReport) -> dict:
-    """The flat core-report record; field names are part of the interface."""
+def spec_json(spec: InterruptSpec) -> dict:
+    """The five spec fields that core and witness records start with."""
     return {
         "x": spec.split.x,
         "cut1": spec.split.cut1,
         "cut2": spec.split.cut2,
         "e1": spec.e1,
         "e2": spec.e2,
+    }
+
+
+def core_json(spec: InterruptSpec, report: CoreReport) -> dict:
+    """The flat core-report record; field names are part of the interface."""
+    return {
+        **spec_json(spec),
         "word": report.word,
         "junction": report.junction,
         "lcp": report.p_len,
@@ -49,11 +56,7 @@ def core_json(spec: InterruptSpec, report: CoreReport) -> dict:
 
 def witness_json(w: Witness) -> dict:
     return {
-        "x": w.spec.split.x,
-        "cut1": w.spec.split.cut1,
-        "cut2": w.spec.split.cut2,
-        "e1": w.spec.e1,
-        "e2": w.spec.e2,
+        **spec_json(w.spec),
         "factor": w.factor,
         "expected": w.expected,
         "actual": w.actual,
@@ -128,11 +131,15 @@ def _add_text_source(sub: argparse.ArgumentParser) -> None:
     group.add_argument("--text-file", help="read the text from a file")
 
 
-def _text_from_args(args) -> str:
+def _text_from_args(args, parser: argparse.ArgumentParser) -> str:
     if args.text is not None:
         return parse_word(args.text)
-    with open(args.text_file, "r", encoding="ascii") as fh:
-        return parse_word(fh.read().removesuffix("\n"))
+    try:
+        with open(args.text_file, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        parser.error(f"--text-file {args.text_file!r}: {err}")
+    return parse_word(text.removesuffix("\n"))
 
 
 def _parse_claims(value: str, parser: argparse.ArgumentParser):
@@ -180,7 +187,7 @@ def _cmd_build(args, parser) -> int:
 
 def _cmd_occurrences(args, parser) -> int:
     pattern = parse_word(args.pattern)
-    text = _text_from_args(args)
+    text = _text_from_args(args, parser)
     finder = cyclic_occurrences if args.cyclic else occurrences
     positions = finder(pattern, text)
     if args.json:
@@ -215,33 +222,25 @@ def _cmd_verify(args, parser) -> int:
         for rep in reports:
             print(f"{rep.claim.value}: {rep.status} (checked {rep.checked})")
             for w in rep.counterexamples:
-                print(
-                    f"  x={w.spec.split.x} cut1={w.spec.split.cut1}"
-                    f" cut2={w.spec.split.cut2} e1={w.spec.e1} e2={w.spec.e2}"
-                    f" factor={w.factor!r} expected={w.expected} actual={w.actual}"
-                )
+                print(f"  {w}")
         print(f"verdict: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
 def _cmd_parse(args, parser) -> int:
     word = parse_word(args.word)
-    found = parses(word, forms=args.forms, min_e_sum=args.min_e_sum)
+    found = parses(word, forms=args.forms)
     if args.json:
         _emit({"word": word, "parses": [core_json(p.spec, p.core) for p in found]})
         return 0
     for p in found:
-        s = p.spec.split
-        print(
-            f"x={s.x} cut1={s.cut1} cut2={s.cut2} e1={p.spec.e1} e2={p.spec.e2}"
-            f" core={p.core.core} at [{p.core.core_start},{p.core.core_end})"
-        )
+        print(f"{p.spec} core={p.core.core} at [{p.core.core_start},{p.core.core_end})")
     return 0
 
 
 def _cmd_scan(args, parser) -> int:
     x = parse_word(args.x)
-    text = _text_from_args(args)
+    text = _text_from_args(args, parser)
     report = periodic_segments(text, x)
     if args.json:
         _emit(segments_json(x, report))
@@ -286,8 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--min-x", type=int, default=2)
     p_verify.add_argument("--max-x", type=int, default=8)
     p_verify.add_argument("--e-sums", default="3,4")
-    p_verify.add_argument("--forms", choices=("prefix", "deletion", "both"),
-                          default="prefix")
+    p_verify.add_argument("--forms", choices=FORMS, default="prefix")
     p_verify.add_argument("--claims", default="all")
     p_verify.add_argument("--max-violations", type=int,
                           default=DEFAULT_MAX_VIOLATIONS)
@@ -301,9 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_parse = subs.add_parser("parse", help="decompose a word into interrupts")
     p_parse.add_argument("--word", required=True)
-    p_parse.add_argument("--forms", choices=("prefix", "deletion", "both"),
-                         default="both")
-    p_parse.add_argument("--min-e-sum", type=int, default=3)
+    p_parse.add_argument("--forms", choices=FORMS, default="both")
     p_parse.add_argument("--json", action="store_true")
     p_parse.set_defaults(func=_cmd_parse)
 

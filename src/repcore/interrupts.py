@@ -31,6 +31,7 @@ from .errors import (
 from .words import is_primitive, lcp, lcs, rotate
 
 FORMS = ("prefix", "deletion", "both")
+MIN_E_SUM = 3  # e1 + e2: the smallest repetition the model admits
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,13 @@ class DeletionSplit:
 
 @dataclass(frozen=True)
 class InterruptSpec:
-    """An interrupted repetition: split plus exponents e1, e2 (e1+e2 >= 3)."""
+    """An interrupted repetition: split plus exponents e1, e2 (e1+e2 >= 3).
+
+    str() is the text form the CLI and the scripts print:
+
+    >>> print(InterruptSpec(DeletionSplit.prefix("ab", 1), 1, 2))
+    x=ab cut1=1 cut2=2 e1=1 e2=2
+    """
 
     split: DeletionSplit
     e1: int
@@ -91,8 +98,14 @@ class InterruptSpec:
     def __post_init__(self) -> None:
         if self.e1 < 1 or self.e2 < 1:
             raise InvalidSpec(f"exponents must be >= 1, got ({self.e1}, {self.e2})")
-        if self.e1 + self.e2 < 3:
-            raise InvalidSpec(f"e1 + e2 must be >= 3, got {self.e1 + self.e2}")
+        if self.e1 + self.e2 < MIN_E_SUM:
+            raise InvalidSpec(
+                f"e1 + e2 must be >= {MIN_E_SUM}, got {self.e1 + self.e2}"
+            )
+
+    def __str__(self) -> str:
+        s = self.split
+        return f"x={s.x} cut1={s.cut1} cut2={s.cut2} e1={self.e1} e2={self.e2}"
 
     def key(self) -> tuple[int, str, int, int, int, int]:
         """Canonical ordering key: (|x|, x, cut1, cut2, e1, e2)."""

@@ -13,6 +13,7 @@ from typing import Union
 
 from .errors import NonPrimitivePeriod, TextTooShort, WordTooShort
 from .interrupts import (
+    MIN_E_SUM,
     CoreReport,
     DeletionSplit,
     InterruptSpec,
@@ -66,17 +67,17 @@ class SegmentReport:
     jumps: tuple[PhaseJump, ...]
 
 
-def parses(word: str, forms: str = "both", min_e_sum: int = 3) -> list[Parse]:
+def parses(word: str, forms: str = "both") -> list[Parse]:
     """Every spec of the requested form with build(spec) == word, canonical order.
 
     Candidate periods are prefixes of the word (W starts with x), of length
-    at most |word| // min_e_sum; everything else is checked by rebuilding.
+    at most |word| // MIN_E_SUM; everything else is checked by rebuilding.
     """
     total = len(word)
     if total < 3:
         raise WordTooShort(f"|word| = {total} < 3")
     found = []
-    for n in range(1, total // min_e_sum + 1):
+    for n in range(1, total // MIN_E_SUM + 1):
         x = word[:n]
         if not is_primitive(x):
             continue
@@ -85,7 +86,7 @@ def parses(word: str, forms: str = "both", min_e_sum: int = 3) -> list[Parse]:
             if body % n:
                 continue
             e_sum = body // n
-            if e_sum < min_e_sum:
+            if e_sum < MIN_E_SUM:
                 continue
             for e1 in range(1, e_sum):
                 spec = InterruptSpec(DeletionSplit(x, cut1, cut2), e1, e_sum - e1)

@@ -26,6 +26,8 @@ from .errors import InvalidLimit, InvalidUniverse, NotApplicable, UniverseTooLar
 # because perfbench/tracing.py patches them here by name and its tests expect
 # every patched name to exist; a traced run reports zero calls to them.
 from .interrupts import (
+    FORMS,
+    MIN_E_SUM,
     CoreReport,
     DeletionSplit,
     InterruptSpec,
@@ -88,24 +90,34 @@ class Universe:
             raise InvalidUniverse(f"bad x length range [{self.min_x}, {self.max_x}]")
         if self.max_x > MAX_X_LEN:
             raise InvalidUniverse(f"max_x is capped at {MAX_X_LEN}")
-        if self.forms not in ("prefix", "deletion", "both"):
+        if self.forms not in FORMS:
             raise InvalidUniverse(f"unknown forms {self.forms!r}")
         sums = tuple(sorted(set(self.e_sums)))
         if not sums:
             raise InvalidUniverse("e_sums is empty")
-        if any(s < 3 for s in sums):
-            raise InvalidUniverse(f"every e1+e2 must be >= 3, got {sums}")
+        if any(s < MIN_E_SUM for s in sums):
+            raise InvalidUniverse(f"every e1+e2 must be >= {MIN_E_SUM}, got {sums}")
         object.__setattr__(self, "e_sums", sums)
 
 
 @dataclass(frozen=True)
 class Witness:
-    """A re-checkable counterexample: the spec, the factor, and both counts."""
+    """A re-checkable counterexample: the spec, the factor, and both counts.
+
+    str() is the text `repcore verify` prints: the spec's str(), then the
+    factor and both counts.
+    """
 
     spec: InterruptSpec
     factor: str
     expected: int
     actual: int
+
+    def __str__(self) -> str:
+        return (
+            f"{self.spec} factor={self.factor!r}"
+            f" expected={self.expected} actual={self.actual}"
+        )
 
 
 @dataclass(frozen=True)

@@ -122,16 +122,6 @@ def is_primitive(w: str) -> bool:
     return True
 
 
-def is_primitive_by_square(w: str) -> bool:
-    """Primitivity via the square test: w occurs in w+w only at 0 and |w|.
-
-    Independent of is_primitive; the two must agree on every word.
-    """
-    if not w:
-        raise EmptyWord("is_primitive_by_square of empty word")
-    return occurrences(w, w + w) == [0, len(w)]
-
-
 def primitive_root(w: str) -> tuple[str, int]:
     """The unique (u, k) with w == u*k and u primitive.
 
@@ -190,14 +180,6 @@ def occurrences(pattern: str, text: str) -> list[int]:
                 out.append(j - m + 1)
                 k = border[k - 1]
     return out
-
-
-def occurrences_naive(pattern: str, text: str) -> list[int]:
-    """Quadratic slice-comparison oracle for occurrences; used to cross-check."""
-    m = len(pattern)
-    if m == 0:
-        raise EmptyPattern("occurrences of empty pattern")
-    return [j for j in range(len(text) - m + 1) if text[j : j + m] == pattern]
 
 
 def cyclic_occurrences(pattern: str, text: str) -> list[int]:

@@ -4,8 +4,9 @@ Everything here recomputes results from first principles (plain slicing and
 full enumeration), deliberately ignoring the library's shortcuts.
 """
 
-from repcore import ClaimId, DeletionSplit, InterruptSpec, Witness, build
-from repcore.errors import InvalidSpec, InvalidSplit
+from repcore import ClaimId, DeletionSplit, InterruptSpec, build, occurrences
+from repcore.errors import EmptyPattern, EmptyWord, InvalidSpec, InvalidSplit
+from repcore.verify import Witness
 
 
 def lcp_naive(a, b):
@@ -31,6 +32,24 @@ def smallest_period_naive(w):
 def is_primitive_naive(w):
     n = len(w)
     return not any(n % p == 0 and w[:p] * (n // p) == w for p in range(1, n))
+
+
+def occurrences_naive(pattern, text):
+    """Quadratic slice-comparison oracle for occurrences; used to cross-check."""
+    m = len(pattern)
+    if m == 0:
+        raise EmptyPattern("occurrences of empty pattern")
+    return [j for j in range(len(text) - m + 1) if text[j : j + m] == pattern]
+
+
+def is_primitive_by_square(w):
+    """Primitivity via the square test: w occurs in w+w only at 0 and |w|.
+
+    Independent of is_primitive; the two must agree on every word.
+    """
+    if not w:
+        raise EmptyWord("is_primitive_by_square of empty word")
+    return occurrences(w, w + w) == [0, len(w)]
 
 
 def core_by_definition(x, cut, e1, e2):
@@ -71,12 +90,13 @@ def core_by_continuation(spec):
     return p, s, w[junction - s - 1 : junction + p + 1], junction - s - 1, junction + p + 1, junction
 
 
-def parses_bruteforce(word, forms="both", min_e_sum=3):
+def parses_bruteforce(word, forms="both"):
     """All spec tuples rebuilding the word, by dumb enumeration.
 
     Since W = x^e1 x1 x3 x^e2 with e1 >= 1, x must be a prefix of the word;
     beyond that, every (cut1, cut2, e1) combination is tried and checked by
-    rebuilding the full string.
+    rebuilding the full string.  Exponent sums below the model's minimum are
+    left to InterruptSpec to reject.
     """
     total = len(word)
     out = []
@@ -92,8 +112,6 @@ def parses_bruteforce(word, forms="both", min_e_sum=3):
                 if body < 0 or body % n:
                     continue
                 e_sum = body // n
-                if e_sum < min_e_sum:
-                    continue
                 for e1 in range(1, e_sum):
                     try:
                         spec = InterruptSpec(

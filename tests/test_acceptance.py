@@ -31,31 +31,29 @@ from contextlib import contextmanager
 
 from repcore import (
     ClaimId,
+    DeletionSplit,
+    InterruptSpec,
     Universe,
-    Witness,
     anchor_windows,
     build,
     check_claim,
-    classify_window,
     core,
-    enumerate_specs,
     is_primitive,
     lcp,
     lcs,
     occurrences,
-    occurrences_naive,
     parses,
     periodic_segments,
-    rotate,
     run,
-    words_of_length,
 )
-from repcore.interrupts import DeletionSplit, InterruptSpec
+from repcore.verify import Witness, enumerate_specs
+from repcore.words import words_of_length
 
 from oracles import (
     anchored_windows_naive,
     core_by_continuation,
     count_naive,
+    occurrences_naive,
     phase_segments_naive,
 )
 
@@ -72,15 +70,6 @@ def criterion(num, name):
     print(f"\ncriterion {num} ({name}): PASS", flush=True)
 
 
-def fmt(w: Witness) -> str:
-    s = w.spec
-    return (
-        f"x={s.split.x} cut1={s.split.cut1} cut2={s.split.cut2} "
-        f"e1={s.e1} e2={s.e2} factor={w.factor!r} "
-        f"expected={w.expected} actual={w.actual}"
-    )
-
-
 def test_criterion_1_theorem1_exhaustive_prefix():
     with criterion(1, "theorem1 exhaustive, prefix form"):
         assert len(list(enumerate_specs(UNIVERSE_1))) == 14380
@@ -93,7 +82,7 @@ def test_criterion_1_theorem1_exhaustive_prefix():
         # README: W = aabaaaabaab, both windows over the core [4,6) read aaa
         assert rep.counterexamples[0] == Witness(
             InterruptSpec(DeletionSplit("aab", 2, 3), 1, 2), "aaa", 1, 2
-        ), fmt(rep.counterexamples[0])
+        ), str(rep.counterexamples[0])
 
         oracle = []
         oracle_checked = 0
@@ -123,10 +112,10 @@ def test_criterion_2_theorem1_deletion_with_fallback():
         assert rep.status == "fails" and rep.counterexamples
         for w in rep.counterexamples:
             again = check_claim(ClaimId.THEOREM1_DELETION, w.spec)
-            assert w in again.violations, f"witness does not re-check: {fmt(w)}"
+            assert w in again.violations, f"witness does not re-check: {w}"
         print(
             f"\n  (deletion-form uniqueness fails too; {len(rep.counterexamples)} "
-            f"re-checkable witnesses reported, first: {fmt(rep.counterexamples[0])})"
+            f"re-checkable witnesses reported, first: {rep.counterexamples[0]})"
         )
 
 
@@ -166,7 +155,7 @@ def test_criterion_4_dichotomy_and_distinct_count():
         # aba, baa and aaa
         assert distinct.counterexamples[0] == Witness(
             InterruptSpec(DeletionSplit("aab", 2, 3), 1, 2), "", 5, 4
-        ), fmt(distinct.counterexamples[0])
+        ), str(distinct.counterexamples[0])
 
         anchor_count_bad = []
         identity_bad = []
@@ -242,7 +231,7 @@ def test_criterion_8_locator_roundtrip_and_segments():
         for spec in enumerate_specs(Universe(2, 2, 6, (3,), "both")):
             x, word = spec.split.x, build(spec)
             n = len(x)
-            found = parses(word, "both", 3)
+            found = parses(word, "both")
             if spec not in [p.spec for p in found] or any(
                 build(p.spec) != word for p in found
             ):

@@ -189,6 +189,7 @@ def test_usage_errors_exit_2():
         ["verify", "--claims", "bogus_claim"],
         ["verify", "--e-sums", "three"],
         ["verify", "--forms", "sideways"],
+        ["parse", "--word", "abaabab", "--min-e-sum", "0"],  # the bound is fixed
         ["bogus"],
         ["core", "--x", "ab", "--cut", "1", "--e1", "1", "--e2", "2", "--bogus"],
         [],
@@ -196,6 +197,25 @@ def test_usage_errors_exit_2():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+def test_text_file_errors_exit_2(tmp_path, capsys):
+    non_ascii = tmp_path / "non_ascii.txt"
+    non_ascii.write_text("aba\u00e4bab\n", encoding="utf-8")
+    cases = (
+        (tmp_path / "missing.txt", "No such file or directory"),
+        (non_ascii, "'ascii' codec can't decode"),
+    )
+    for argv in (["occurrences", "--pattern", "aa"], ["scan", "--x", "ab"]):
+        for path, reason in cases:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--text-file", str(path)])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            last = captured.err.splitlines()[-1]
+            assert last.startswith(f"repcore: error: --text-file {str(path)!r}: ")
+            assert reason in last
 
 
 def test_domain_errors_exit_2(capsys):

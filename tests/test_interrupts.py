@@ -2,21 +2,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repcore import (
-    Conjugate,
-    CoreAnchored,
     DeletionSplit,
     InterruptSpec,
     Universe,
     anchor_windows,
     build,
+    core,
+    occurrences,
+)
+from repcore.interrupts import (
+    Conjugate,
+    CoreAnchored,
     classify_window,
     conjugate_pair,
-    core,
-    enumerate_specs,
     iter_splits,
-    occurrences,
-    rotate,
 )
+from repcore.verify import enumerate_specs
+from repcore.words import rotate
 from repcore.errors import IndexOutOfRange, InvalidSpec, InvalidSplit
 
 from oracles import core_by_continuation, core_by_definition

@@ -4,20 +4,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repcore import (
-    Ambiguous,
     DeletionSplit,
     InterruptSpec,
-    PhaseJump,
-    Segment,
     Universe,
     build,
     core,
-    enumerate_specs,
     locate_anchor,
     parses,
     periodic_segments,
-    power_prefix,
 )
+from repcore.locate import Ambiguous, PhaseJump, Segment
+from repcore.verify import enumerate_specs
+from repcore.words import power_prefix
 from repcore.errors import (
     EmptyPattern,
     NonPrimitivePeriod,

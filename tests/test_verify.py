@@ -1,17 +1,12 @@
 import pytest
 
 from repcore import (
-    GATING_CLAIMS,
-    REPORTED_CLAIMS,
     ClaimId,
     DeletionSplit,
     InterruptSpec,
     Universe,
-    Witness,
     check_claim,
-    enumerate_specs,
     run,
-    verdict,
 )
 from repcore.errors import (
     InvalidLimit,
@@ -20,11 +15,16 @@ from repcore.errors import (
     UniverseTooLarge,
 )
 from repcore.verify import (
+    GATING_CLAIMS,
+    REPORTED_CLAIMS,
+    Witness,
     _eval_chunk,
     applies,
+    enumerate_specs,
     estimated_checks,
     exponent_pairs,
     splits_count,
+    verdict,
 )
 
 from oracles import evaluate_naive

@@ -1,14 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repcore import (
-    cyclic_occurrences,
-    is_primitive,
-    is_primitive_by_square,
-    lcp,
-    lcs,
-    occurrences,
-    occurrences_naive,
+from repcore import cyclic_occurrences, is_primitive, lcp, lcs, occurrences
+from repcore.words import (
     parse_word,
     power_prefix,
     primitive_root,
@@ -23,7 +17,13 @@ from repcore.errors import (
     PatternLongerThanText,
 )
 
-from oracles import lcp_naive, lcs_naive, smallest_period_naive
+from oracles import (
+    is_primitive_by_square,
+    lcp_naive,
+    lcs_naive,
+    occurrences_naive,
+    smallest_period_naive,
+)
 
 words = st.text(alphabet="abc", max_size=24)
 nonempty_words = st.text(alphabet="abc", min_size=1, max_size=24)
