@@ -2,7 +2,9 @@
 
 Exit codes: 0 success (for verify: all gating claims hold), 1 a gating claim
 fails (with --strict-notes: any claim fails), 2 usage or domain error.
-JSON mode emits exactly one document on stdout; diagnostics go to stderr.
+Each subcommand computes its result once and returns (exit code, JSON
+document, text lines); main prints the document (--json) or the lines on
+stdout.  Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -10,21 +12,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .errors import RepcoreError
 from .interrupts import FORMS, CoreReport, DeletionSplit, InterruptSpec, build, core
-from .locate import SegmentReport, parses, periodic_segments
+from .locate import parses, periodic_segments
 from .verify import (
     DEFAULT_MAX_CHECKS,
     DEFAULT_MAX_VIOLATIONS,
     ClaimId,
-    ClaimReport,
     Universe,
     Witness,
     run,
     verdict,
 )
 from .words import cyclic_occurrences, occurrences, parse_word
+
+# What a subcommand returns: exit code, JSON document, text lines.
+_Result = tuple[int, dict, list[str]]
 
 
 def spec_json(spec: InterruptSpec) -> dict:
@@ -61,46 +66,6 @@ def witness_json(w: Witness) -> dict:
         "expected": w.expected,
         "actual": w.actual,
     }
-
-
-def verify_json(universe: Universe, reports: list[ClaimReport]) -> dict:
-    return {
-        "universe": {
-            "alphabet_size": universe.alphabet_size,
-            "min_x": universe.min_x,
-            "max_x": universe.max_x,
-            "e_sums": list(universe.e_sums),
-            "forms": universe.forms,
-        },
-        "claims": [
-            {
-                "id": rep.claim.value,
-                "status": rep.status,
-                "checked": rep.checked,
-                "counterexamples": [witness_json(w) for w in rep.counterexamples],
-            }
-            for rep in reports
-        ],
-    }
-
-
-def segments_json(x: str, report: SegmentReport) -> dict:
-    return {
-        "x": x,
-        "segments": [
-            {"start": s.start, "end": s.end, "phase": s.phase}
-            for s in report.segments
-        ],
-        "jumps": [
-            {"left_end": j.left_end, "right_start": j.right_start,
-             "deleted_mod": j.deleted_mod}
-            for j in report.jumps
-        ],
-    }
-
-
-def _emit(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True))
 
 
 def _add_spec_flags(sub: argparse.ArgumentParser) -> None:
@@ -162,44 +127,29 @@ def _parse_e_sums(value: str, parser: argparse.ArgumentParser) -> tuple[int, ...
         parser.error(f"--e-sums expects a comma-separated integer list, got {value!r}")
 
 
-def _cmd_core(args, parser) -> int:
+def _cmd_core(args, parser) -> _Result:
     spec = _spec_from_args(args, parser)
     report = core(spec)
-    if args.json:
-        _emit(core_json(spec, report))
-        return 0
-    for key, value in core_json(spec, report).items():
-        print(f"{key}: {value}")
-    print(f"u: {report.u}")
-    print(f"v: {report.v}")
-    return 0
+    doc = core_json(spec, report)
+    lines = [f"{key}: {value}" for key, value in doc.items()]
+    return 0, doc, [*lines, f"u: {report.u}", f"v: {report.v}"]
 
 
-def _cmd_build(args, parser) -> int:
-    spec = _spec_from_args(args, parser)
-    word = build(spec)
-    if args.json:
-        _emit({"word": word})
-    else:
-        print(word)
-    return 0
+def _cmd_build(args, parser) -> _Result:
+    word = build(_spec_from_args(args, parser))
+    return 0, {"word": word}, [word]
 
 
-def _cmd_occurrences(args, parser) -> int:
+def _cmd_occurrences(args, parser) -> _Result:
     pattern = parse_word(args.pattern)
     text = _text_from_args(args, parser)
     finder = cyclic_occurrences if args.cyclic else occurrences
     positions = finder(pattern, text)
-    if args.json:
-        _emit({"pattern": pattern, "cyclic": bool(args.cyclic),
-               "positions": positions})
-    else:
-        for pos in positions:
-            print(pos)
-    return 0
+    doc = {"pattern": pattern, "cyclic": bool(args.cyclic), "positions": positions}
+    return 0, doc, [str(pos) for pos in positions]
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args, parser) -> _Result:
     universe = Universe(
         alphabet_size=args.alphabet,
         min_x=args.min_x,
@@ -216,43 +166,48 @@ def _cmd_verify(args, parser) -> int:
         max_checks=args.max_checks,
     )
     ok = verdict(reports, strict_notes=args.strict_notes)
-    if args.json:
-        _emit(verify_json(universe, reports))
-    else:
-        for rep in reports:
-            print(f"{rep.claim.value}: {rep.status} (checked {rep.checked})")
-            for w in rep.counterexamples:
-                print(f"  {w}")
-        print(f"verdict: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    doc = {
+        "universe": asdict(universe),
+        "claims": [
+            {
+                "id": rep.claim.value,
+                "status": rep.status,
+                "checked": rep.checked,
+                "counterexamples": [witness_json(w) for w in rep.counterexamples],
+            }
+            for rep in reports
+        ],
+    }
+    lines = []
+    for rep in reports:
+        lines.append(f"{rep.claim.value}: {rep.status} (checked {rep.checked})")
+        lines.extend(f"  {w}" for w in rep.counterexamples)
+    lines.append(f"verdict: {'PASS' if ok else 'FAIL'}")
+    return (0 if ok else 1), doc, lines
 
 
-def _cmd_parse(args, parser) -> int:
+def _cmd_parse(args, parser) -> _Result:
     word = parse_word(args.word)
     found = parses(word, forms=args.forms)
-    if args.json:
-        _emit({"word": word, "parses": [core_json(p.spec, p.core) for p in found]})
-        return 0
-    for p in found:
-        print(f"{p.spec} core={p.core.core} at [{p.core.core_start},{p.core.core_end})")
-    return 0
+    doc = {"word": word, "parses": [core_json(p.spec, p.core) for p in found]}
+    lines = [
+        f"{p.spec} core={p.core.core} at [{p.core.core_start},{p.core.core_end})"
+        for p in found
+    ]
+    return 0, doc, lines
 
 
-def _cmd_scan(args, parser) -> int:
+def _cmd_scan(args, parser) -> _Result:
     x = parse_word(args.x)
     text = _text_from_args(args, parser)
     report = periodic_segments(text, x)
-    if args.json:
-        _emit(segments_json(x, report))
-        return 0
-    for s in report.segments:
-        print(f"segment {s.start} {s.end} phase={s.phase}")
-    for j in report.jumps:
-        print(
-            f"jump left_end={j.left_end} right_start={j.right_start}"
-            f" deleted_mod={j.deleted_mod}"
-        )
-    return 0
+    lines = [f"segment {s.start} {s.end} phase={s.phase}" for s in report.segments]
+    lines.extend(
+        f"jump left_end={j.left_end} right_start={j.right_start}"
+        f" deleted_mod={j.deleted_mod}"
+        for j in report.jumps
+    )
+    return 0, {"x": x, **asdict(report)}, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,12 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_core = subs.add_parser("core", help="compute the core of the interrupt")
     _add_spec_flags(p_core)
-    p_core.add_argument("--json", action="store_true")
     p_core.set_defaults(func=_cmd_core)
 
     p_build = subs.add_parser("build", help="build the word W")
     _add_spec_flags(p_build)
-    p_build.add_argument("--json", action="store_true")
     p_build.set_defaults(func=_cmd_build)
 
     p_occ = subs.add_parser("occurrences", help="occurrence positions of a pattern")
@@ -277,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_text_source(p_occ)
     p_occ.add_argument("--cyclic", action="store_true",
                        help="count with wraparound")
-    p_occ.add_argument("--json", action="store_true")
     p_occ.set_defaults(func=_cmd_occurrences)
 
     p_verify = subs.add_parser("verify", help="exhaustively check claims")
@@ -294,21 +246,21 @@ def build_parser() -> argparse.ArgumentParser:
                           help="fail the process on reported-claim violations too")
     p_verify.add_argument("--max-checks", type=int, default=DEFAULT_MAX_CHECKS,
                           help="cap on estimated window checks")
-    p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_parse = subs.add_parser("parse", help="decompose a word into interrupts")
     p_parse.add_argument("--word", required=True)
     p_parse.add_argument("--forms", choices=FORMS, default="both")
-    p_parse.add_argument("--json", action="store_true")
     p_parse.set_defaults(func=_cmd_parse)
 
     p_scan = subs.add_parser("scan", help="maximal periodic segments and jumps")
     p_scan.add_argument("--x", required=True, help="the period word")
     _add_text_source(p_scan)
-    p_scan.add_argument("--json", action="store_true")
     p_scan.set_defaults(func=_cmd_scan)
 
+    # Added last, so every subcommand's usage line ends with [--json].
+    for sub in subs.choices.values():
+        sub.add_argument("--json", action="store_true")
     return parser
 
 
@@ -316,10 +268,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        code, doc, lines = args.func(args, parser)
     except RepcoreError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 2
+    if args.json:
+        print(json.dumps(doc, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 def entry() -> None:

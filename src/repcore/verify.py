@@ -11,6 +11,7 @@ on small instances and the point is to say so with witnesses.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -147,21 +148,14 @@ def exponent_pairs(e_sums: Iterable[int]) -> list[tuple[int, int]]:
     return sorted((e1, s - e1) for s in set(e_sums) for e1 in range(1, s))
 
 
-def splits_count(n: int, forms: str) -> int:
-    if forms == "prefix":
-        return n - 1
-    if forms == "deletion":
-        return n * (n - 1) // 2
-    return (n + 1) * n // 2 - 1
-
-
 def estimated_checks(universe: Universe) -> int:
     """Upper bound on window checks, computed without enumerating words."""
     pairs = exponent_pairs(universe.e_sums)
     total = 0
     for n in range(universe.min_x, universe.max_x + 1):
         per_spec = sum((e1 + e2 + 1) * n for e1, e2 in pairs)
-        total += universe.alphabet_size**n * splits_count(n, universe.forms) * per_spec
+        splits = sum(1 for _ in iter_splits(n, universe.forms))
+        total += universe.alphabet_size**n * splits * per_spec
     return total
 
 
@@ -366,10 +360,13 @@ def run(
     first max_violations witnesses per claim and counts the rest of its
     assertions, so memory is bounded by what is reported; because chunks
     are contiguous in canonical order, the first max_violations of the
-    merged lists are the first of the whole universe.
+    merged lists are the first of the whole universe.  The pool starts at
+    most one worker per CPU, whatever jobs asks for.
     """
     if max_violations < 1:
         raise InvalidLimit(f"max_violations must be >= 1, got {max_violations}")
+    if jobs < 1:
+        raise InvalidLimit(f"jobs must be >= 1, got {jobs}")
     if claims is None:
         claim_list = list(ClaimId)
     else:
@@ -378,12 +375,13 @@ def run(
     if not claim_list:
         return []
     specs = list(enumerate_specs(universe, max_checks))
-    if jobs <= 1 or len(specs) < 2:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers == 1 or len(specs) < 2:
         merged = [_eval_chunk((specs, claim_list, max_violations))]
     else:
-        size = max(1, (len(specs) + jobs * 8 - 1) // (jobs * 8))
+        size = max(1, (len(specs) + workers * 8 - 1) // (workers * 8))
         chunks = [specs[i : i + size] for i in range(0, len(specs), size)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             merged = list(
                 pool.map(
                     _eval_chunk, [(c, claim_list, max_violations) for c in chunks]

@@ -264,15 +264,19 @@ def test_criterion_8_locator_roundtrip_and_segments():
         assert [(s.start, s.end) for s in segments] == [(0, 6), (3, 8), (5, 19)]
 
 
-def test_criterion_9_verify_output_deterministic_across_jobs():
+def test_criterion_9_verify_output_deterministic_across_jobs(child_env):
     with criterion(9, "verify --jobs 1 and --jobs 4 byte-identical"):
         argv = [
             sys.executable, "-m", "repcore", "verify",
             "--alphabet", "2", "--min-x", "2", "--max-x", "8",
             "--e-sums", "3,4", "--forms", "prefix", "--json",
         ]
-        one = subprocess.run(argv + ["--jobs", "1"], capture_output=True)
-        four = subprocess.run(argv + ["--jobs", "4"], capture_output=True)
+        one = subprocess.run(
+            argv + ["--jobs", "1"], capture_output=True, env=child_env
+        )
+        four = subprocess.run(
+            argv + ["--jobs", "4"], capture_output=True, env=child_env
+        )
         assert one.stdout and one.stdout == four.stdout
         assert one.returncode == four.returncode
         json.loads(one.stdout)

@@ -6,6 +6,16 @@ import pytest
 
 from repcore.cli import main
 
+# One successful invocation of each subcommand.
+SUBCOMMANDS = {
+    "build": ["build", "--x", "ab", "--cut", "1", "--e1", "1", "--e2", "2"],
+    "core": ["core", "--x", "ab", "--cut", "1", "--e1", "1", "--e2", "2"],
+    "occurrences": ["occurrences", "--pattern", "ab", "--text", "abaabab"],
+    "verify": ["verify", "--max-x", "2", "--e-sums", "3", "--claims", "dft_bound"],
+    "parse": ["parse", "--word", "abaabab"],
+    "scan": ["scan", "--x", "ab", "--text", "abaabab"],
+}
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -35,6 +45,40 @@ def test_core_json(capsys):
         "core_start": 2,
         "core_end": 4,
     }
+
+
+def test_core_text(capsys):
+    code, out, _ = run_cli(
+        capsys, "core", "--x", "aabab", "--cut", "3", "--e1", "1", "--e2", "2"
+    )
+    assert code == 0
+    assert out == (
+        "x: aabab\n"
+        "cut1: 3\n"
+        "cut2: 5\n"
+        "e1: 1\n"
+        "e2: 2\n"
+        "word: aababaabaababaabab\n"
+        "junction: 8\n"
+        "lcp: 1\n"
+        "lcs: 2\n"
+        "p_tilde: aa\n"
+        "s_tilde: aab\n"
+        "core: aabaa\n"
+        "core_start: 5\n"
+        "core_end: 10\n"
+        "u: abaab\n"
+        "v: aabab\n"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_every_subcommand_takes_json(capsys, name):
+    code, out, err = run_cli(capsys, *SUBCOMMANDS[name], "--json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert isinstance(doc, dict)
+    assert out == json.dumps(doc, sort_keys=True) + "\n"
 
 
 def test_core_cut_pair_flags(capsys):
@@ -100,12 +144,14 @@ def test_scan_text_and_json(capsys):
     assert code == 0
     assert out == "segment 0 3 phase=0\nsegment 3 7 phase=0\njump left_end=3 right_start=3 deleted_mod=1\n"
     code, out, _ = run_cli(capsys, "scan", "--x", "ab", "--text", "abbabab", "--json")
-    doc = json.loads(out)
-    assert doc["segments"] == [
-        {"start": 0, "end": 2, "phase": 0},
-        {"start": 2, "end": 7, "phase": 1},
-    ]
-    assert doc["jumps"] == [{"left_end": 2, "right_start": 2, "deleted_mod": 1}]
+    assert json.loads(out) == {
+        "x": "ab",
+        "segments": [
+            {"start": 0, "end": 2, "phase": 0},
+            {"start": 2, "end": 7, "phase": 1},
+        ],
+        "jumps": [{"left_end": 2, "right_start": 2, "deleted_mod": 1}],
+    }
 
 
 def test_verify_small_json_and_exit_codes(capsys):
@@ -253,10 +299,17 @@ def test_verify_max_violations_below_one_exits_2(capsys):
     assert code == 2 and err.startswith("InvalidLimit:")
 
 
-def test_console_entry_subprocess():
+def test_verify_jobs_below_one_exits_2(capsys):
+    for value in ("0", "-3"):
+        code, out, err = run_cli(capsys, "verify", "--jobs", value)
+        assert code == 2 and out == ""
+        assert err == f"InvalidLimit: jobs must be >= 1, got {value}\n"
+
+
+def test_console_entry_subprocess(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "repcore", "build", "--x", "ab", "--cut", "1",
          "--e1", "1", "--e2", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env,
     )
     assert proc.returncode == 0 and proc.stdout == "abaabab\n"

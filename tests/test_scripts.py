@@ -8,10 +8,10 @@ from repcore.verify import applies, enumerate_specs
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def test_anchor_collisions_counts_the_uniqueness_failures():
+def test_anchor_collisions_counts_the_uniqueness_failures(child_env):
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "anchor_collisions.py"), "--max-x", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env,
     )
     assert proc.returncode == 0, proc.stderr
     # the script's defaults: alphabet 2, e1 + e2 = 3, both forms

@@ -1,5 +1,9 @@
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+
 import pytest
 
+import repcore.verify
 from repcore import (
     ClaimId,
     DeletionSplit,
@@ -23,7 +27,6 @@ from repcore.verify import (
     enumerate_specs,
     estimated_checks,
     exponent_pairs,
-    splits_count,
     verdict,
 )
 
@@ -73,10 +76,22 @@ def test_exponent_pairs_order():
     assert exponent_pairs({3, 4}) == [(1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
 
 
-def test_splits_count():
-    assert splits_count(3, "prefix") == 2
-    assert splits_count(3, "deletion") == 3
-    assert splits_count(3, "both") == 5
+@pytest.mark.parametrize(
+    "universe, expected",
+    [
+        # from the closed-form split counts n-1, n(n-1)/2 and n(n+1)/2-1
+        (Universe(2, 2, 8, (3, 4)), (517_960, 1_931_632, 2_449_592)),
+        # |x| = 1 has no split in any form
+        (Universe(3, 1, 4, (3, 4, 5)), (54_144, 103_635, 157_779)),
+    ],
+    ids=["binary-x8", "ternary-x4"],
+)
+def test_estimated_checks(universe, expected):
+    estimates = tuple(
+        estimated_checks(replace(universe, forms=forms))
+        for forms in ("prefix", "deletion", "both")
+    )
+    assert estimates == expected
 
 
 def test_enumerate_smallest_universe():
@@ -226,7 +241,7 @@ def full():
 
 def test_retention_universe_fails_late(full):
     specs = list(enumerate_specs(RETENTION_UNIVERSE))
-    first_chunk = (len(specs) + 15) // 16  # run()'s chunk size at jobs=2
+    first_chunk = (len(specs) + 15) // 16  # run()'s chunk size with 2 workers
     first = full[ClaimId.THEOREM1_DELETION][1][0]
     assert specs.index(first.spec) >= first_chunk
     head = _eval_chunk((specs[:first_chunk], list(ClaimId), 3))
@@ -249,7 +264,9 @@ def test_eval_chunk_keeps_first_k_witnesses(full, k):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("k", [1, 3, 10**6])
-def test_run_reports_first_k_of_full_list(full, jobs, k):
+def test_run_reports_first_k_of_full_list(full, jobs, k, monkeypatch):
+    # jobs=2 gets its 2 workers even on a single-CPU machine
+    monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 2)
     reports = run(RETENTION_UNIVERSE, max_violations=k, jobs=jobs)
     assert [r.claim for r in reports] == list(ClaimId)
     for rep in reports:
@@ -259,6 +276,60 @@ def test_run_reports_first_k_of_full_list(full, jobs, k):
         )
         assert (rep.checked, rep.status) == (checked, status), rep.claim
         assert rep.counterexamples == tuple(witnesses[:k]), rep.claim
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records the worker count and the
+    chunks it is asked for, and maps them in this process."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.chunks = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        self.chunks = list(tasks)
+        return map(fn, self.chunks)
+
+
+def test_run_starts_at_most_one_worker_per_cpu(monkeypatch):
+    pools = []
+
+    def inline_pool(max_workers):
+        pools.append(InlinePool(max_workers))
+        return pools[-1]
+
+    assert repcore.verify.ProcessPoolExecutor is ProcessPoolExecutor
+    monkeypatch.setattr(repcore.verify, "ProcessPoolExecutor", inline_pool)
+    monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 3)
+    u = Universe(2, 2, 4, (3, 4), "both")
+    n_specs = len(list(enumerate_specs(u)))
+    one = run(u, jobs=1)
+    assert pools == []  # one job evaluates in process
+    assert run(u, jobs=10**6) == one
+    [pool] = pools
+    assert pool.max_workers == 3
+    # the chunk size follows the 3 workers, not the 10**6 jobs asked for
+    assert n_specs > 24 and len(pool.chunks) <= 3 * 8
+    assert sum(len(specs) for specs, _, _ in pool.chunks) == n_specs
+    # with no CPU count the run stays in process
+    monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: None)
+    assert run(u, jobs=10**6) == one
+    assert len(pools) == 1
+
+
+def test_run_rejects_jobs_below_one():
+    for jobs in (0, -3):
+        with pytest.raises(InvalidLimit, match=f"jobs must be >= 1, got {jobs}"):
+            run(Universe(2, 2, 3, (3,), "prefix"), jobs=jobs)
+    # checked before the universe is enumerated or sized
+    with pytest.raises(InvalidLimit):
+        run(Universe(2, 2, 8, (3, 4), "prefix"), jobs=0, max_checks=10)
 
 
 def test_run_deterministic_across_workers():
