@@ -45,11 +45,10 @@ def main():
     for spec in enumerate_specs(universe):
         checked += 1
         rep = core(spec)
-        repeated = [
-            (j, f, occurrences(f, rep.word))
-            for j, f in anchor_windows(spec, rep)
-            if len(occurrences(f, rep.word)) != 1
+        windows = [
+            (j, f, occurrences(f, rep.word)) for j, f in anchor_windows(spec, rep)
         ]
+        repeated = [(j, f, occ) for j, f, occ in windows if len(occ) != 1]
         if not repeated:
             continue
         shown += 1

@@ -9,9 +9,12 @@ follow some rotation of x, with the phase jump at each break.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Union
 
 from .errors import NonPrimitivePeriod, TextTooShort, WordTooShort
+# build and power_prefix are not called here; perfbench/tracing.py patches
+# them in this module by name, so they stay importable from it.
 from .interrupts import (
     MIN_E_SUM,
     CoreReport,
@@ -21,7 +24,7 @@ from .interrupts import (
     core,
     iter_splits,
 )
-from .words import is_primitive, occurrences, power_prefix
+from .words import is_primitive, lcp, lcs, occurrences, power_prefix
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,12 @@ class SegmentReport:
 def parses(word: str, forms: str = "both") -> list[Parse]:
     """Every spec of the requested form with build(spec) == word, canonical order.
 
-    Candidate periods are prefixes of the word (W starts with x), of length
-    at most |word| // MIN_E_SUM; everything else is checked by rebuilding.
+    W = x^e1 x1 x3 x^e2 starts and ends with x, so a candidate x is a
+    primitive border word[:n] with n <= |word| // MIN_E_SUM.  The left part
+    x^e1 x1 is a prefix with period n and the right part x3 x^e2 a suffix
+    with period n, so a spec parses exactly when its junction e1*n + cut1
+    lies in [|word| - tail, head], where head and tail are the lengths of
+    the longest period-n prefix and suffix.
     """
     total = len(word)
     if total < 3:
@@ -79,7 +86,11 @@ def parses(word: str, forms: str = "both") -> list[Parse]:
     found = []
     for n in range(1, total // MIN_E_SUM + 1):
         x = word[:n]
-        if not is_primitive(x):
+        if not word.endswith(x) or not is_primitive(x):
+            continue
+        head = n + lcp(word, word[n:])
+        tail = n + lcs(word, word[:-n])
+        if head + tail < total:
             continue
         for cut1, cut2 in iter_splits(n, forms):
             body = total - cut1 - (n - cut2)
@@ -89,8 +100,8 @@ def parses(word: str, forms: str = "both") -> list[Parse]:
             if e_sum < MIN_E_SUM:
                 continue
             for e1 in range(1, e_sum):
-                spec = InterruptSpec(DeletionSplit(x, cut1, cut2), e1, e_sum - e1)
-                if build(spec) == word:
+                if total - tail <= e1 * n + cut1 <= head:
+                    spec = InterruptSpec(DeletionSplit(x, cut1, cut2), e1, e_sum - e1)
                     found.append(Parse(spec, core(spec)))
     return found
 
@@ -113,8 +124,11 @@ def periodic_segments(text: str, x: str) -> SegmentReport:
     """All maximal intervals of length >= |x| matching some rotation phase of x.
 
     A position j inside a segment starting at s with phase f satisfies
-    text[j] == x[(f + j - s) mod |x|].  Segments are maximal per alignment,
-    sorted by start; consecutive pairs get a PhaseJump record.
+    text[j] == x[(f + j - s) mod |x|].  The maximal intervals with period
+    |x| lie between consecutive positions k with text[k] != text[k + |x|]
+    (and the two ends of the text); each is a segment exactly when its
+    first |x| symbols occur in x + x, at offset f.  Segments come out sorted
+    by start; consecutive pairs get a PhaseJump record.
     """
     n = len(x)
     if n == 0 or not is_primitive(x):
@@ -124,22 +138,14 @@ def periodic_segments(text: str, x: str) -> SegmentReport:
         raise TextTooShort(f"|text| = {total} < |x| = {n}")
 
     segments = []
-    # Alignment a: position j must equal x[(j + a) mod n]; a run starting at
-    # s then has phase (s + a) mod n.  Each maximal run shows up for exactly
-    # one alignment, so this scan is duplicate-free.
-    for a in range(n):
-        ref = power_prefix(x, a, total)
-        j = 0
-        while j < total:
-            if text[j] == ref[j]:
-                start = j
-                while j < total and text[j] == ref[j]:
-                    j += 1
-                if j - start >= n:
-                    segments.append(Segment(start, j, (start + a) % n))
-            else:
-                j += 1
-    segments.sort(key=lambda s: s.start)
+    rotations = x + x
+    ends = (k + n for k, (a, b) in enumerate(zip(text, text[n:])) if a != b)
+    start = 0
+    for end in chain(ends, [total]):
+        phase = rotations.find(text[start : start + n])
+        if phase >= 0:
+            segments.append(Segment(start, end, phase))
+        start = end - n + 1
 
     jumps = [
         PhaseJump(

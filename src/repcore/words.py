@@ -122,23 +122,6 @@ def is_primitive(w: str) -> bool:
     return True
 
 
-def primitive_root(w: str) -> tuple[str, int]:
-    """The unique (u, k) with w == u*k and u primitive.
-
-    >>> primitive_root("ababab")
-    ('ab', 3)
-    >>> primitive_root("aabab")
-    ('aabab', 1)
-    """
-    n = len(w)
-    if n == 0:
-        raise EmptyWord("primitive_root of empty word")
-    for p in range(1, n + 1):
-        if n % p == 0 and w[:p] * (n // p) == w:
-            return w[:p], n // p
-    raise AssertionError("unreachable: w is its own power")
-
-
 def rotate(w: str, k: int) -> str:
     """The rotation w[k:] + w[:k], with k taken mod |w|.
 

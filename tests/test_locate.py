@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,7 +24,7 @@ from repcore.errors import (
     WordTooShort,
 )
 
-from oracles import parses_bruteforce
+from oracles import is_primitive_naive, parses_bruteforce, phase_segments_naive
 
 
 def spec_tuple(s):
@@ -65,13 +66,40 @@ def test_parses_equals_bruteforce_exhaustive_binary():
             assert [p.spec for p in parses(word)] == parses_bruteforce(word), word
 
 
-def test_parses_equals_bruteforce_randomized():
+@pytest.mark.parametrize("forms", ["both", "prefix", "deletion"])
+def test_parses_equals_bruteforce_randomized(forms):
     rng = random.Random(20260810)
     for _ in range(10_000):
         length = rng.randint(3, 24)
         sigma = rng.choice("23")
         word = "".join(rng.choice("abc"[: int(sigma)]) for _ in range(length))
-        assert [p.spec for p in parses(word)] == parses_bruteforce(word), word
+        found = [p.spec for p in parses(word, forms)]
+        assert found == parses_bruteforce(word, forms), (word, forms)
+
+
+def test_parses_ladder_word_within_budget():
+    # the 16,005-symbol word of the benchmark's parse ladder: |x| = 16,
+    # prefix form with cut 5, e1 = e2 = 500
+    rng = random.Random(16005)
+    x = "".join(rng.choice("ab") for _ in range(16))
+    while not is_primitive_naive(x):
+        x = "".join(rng.choice("ab") for _ in range(16))
+    planted = InterruptSpec(DeletionSplit.prefix(x, 5), 500, 500)
+    word = build(planted)
+    assert len(word) == 16_005
+    start = time.perf_counter()
+    found = parses(word)
+    assert time.perf_counter() - start < 5.0
+    assert planted in [p.spec for p in found]
+    assert all(build(p.spec) == word == p.core.word for p in found)
+
+
+def test_parses_many_borders_none_parse_within_budget():
+    # every odd-length prefix (ab)^k a is a primitive border of the word,
+    # but no period-n prefix and suffix meet, so nothing parses
+    start = time.perf_counter()
+    assert parses("ab" * 4000 + "a") == []
+    assert time.perf_counter() - start < 5.0
 
 
 def test_locate_anchor_examples():
@@ -109,6 +137,20 @@ def test_periodic_segments_errors():
         periodic_segments("ababab", "")
     with pytest.raises(TextTooShort):
         periodic_segments("ab", "aba")
+
+
+def test_periodic_segments_equals_naive_on_random_texts():
+    rng = random.Random(20261018)
+    for _ in range(10_000):
+        letters = rng.choice(["ab", "abc"])
+        n = rng.randint(1, 8)
+        x = "".join(rng.choice(letters) for _ in range(n))
+        if not is_primitive_naive(x):
+            continue
+        text = "".join(rng.choice(letters) for _ in range(rng.randint(n, 60)))
+        rep = periodic_segments(text, x)
+        found = [(s.start, s.end, s.phase) for s in rep.segments]
+        assert found == phase_segments_naive(text, x), (text, x)
 
 
 @given(st.text(alphabet="ab", min_size=2, max_size=40), st.sampled_from(["ab", "ba", "aab", "aba", "abb"]))

@@ -5,7 +5,6 @@ from repcore import cyclic_occurrences, is_primitive, lcp, lcs, occurrences
 from repcore.words import (
     parse_word,
     power_prefix,
-    primitive_root,
     rotate,
     smallest_period,
     words_of_length,
@@ -84,19 +83,6 @@ def test_primitivity_implementations_agree_exhaustively():
                 assert is_primitive(w) == is_primitive_by_square(w), w
 
 
-def test_primitive_root_examples():
-    assert primitive_root("ababab") == ("ab", 3)
-    assert primitive_root("aabab") == ("aabab", 1)
-    assert primitive_root("aaaa") == ("a", 4)
-
-
-@given(nonempty_words)
-def test_primitive_root_recomposes(w):
-    u, k = primitive_root(w)
-    assert u * k == w
-    assert is_primitive(u)
-
-
 def test_rotate_examples():
     assert rotate("aabab", 1) == "ababa"
     assert rotate("ab", 1) == "ba"
@@ -159,7 +145,7 @@ def test_power_prefix_is_periodic(x, phase, n):
 
 
 def test_empty_word_errors():
-    for fn in (smallest_period, is_primitive, is_primitive_by_square, primitive_root):
+    for fn in (smallest_period, is_primitive, is_primitive_by_square):
         with pytest.raises(EmptyWord):
             fn("")
     with pytest.raises(EmptyWord):
