@@ -1,7 +1,8 @@
 """Command-line surface: build, core, occurrences, verify, parse, scan.
 
 Exit codes: 0 success (for verify: all gating claims hold), 1 a gating claim
-fails (with --strict-notes: any claim fails), 2 usage or domain error.
+fails (with --strict-notes: any claim fails) or parse finds no parse, 2 usage
+or domain error.
 Each subcommand computes its result once and returns (exit code, JSON
 document, text lines); main prints the document (--json) or the lines on
 stdout.  Diagnostics go to stderr.
@@ -194,7 +195,7 @@ def _cmd_parse(args, parser) -> _Result:
         f"{p.spec} core={p.core.core} at [{p.core.core_start},{p.core.core_end})"
         for p in found
     ]
-    return 0, doc, lines
+    return (0 if found else 1), doc, lines
 
 
 def _cmd_scan(args, parser) -> _Result:

@@ -16,15 +16,15 @@ from .errors import NonPrimitivePeriod, TextTooShort, WordTooShort
 # build and power_prefix are not called here; perfbench/tracing.py patches
 # them in this module by name, so they stay importable from it.
 from .interrupts import (
+    FORMS,
     MIN_E_SUM,
     CoreReport,
     DeletionSplit,
     InterruptSpec,
     build,
     core,
-    iter_splits,
 )
-from .words import is_primitive, lcp, lcs, occurrences, power_prefix
+from .words import border_table, is_primitive, lcp, lcs, occurrences, power_prefix
 
 
 @dataclass(frozen=True)
@@ -74,35 +74,47 @@ def parses(word: str, forms: str = "both") -> list[Parse]:
     """Every spec of the requested form with build(spec) == word, canonical order.
 
     W = x^e1 x1 x3 x^e2 starts and ends with x, so a candidate x is a
-    primitive border word[:n] with n <= |word| // MIN_E_SUM.  The left part
-    x^e1 x1 is a prefix with period n and the right part x3 x^e2 a suffix
-    with period n, so a spec parses exactly when its junction e1*n + cut1
-    lies in [|word| - tail, head], where head and tail are the lengths of
-    the longest period-n prefix and suffix.
+    border word[:n] with n <= |word| // MIN_E_SUM.  One border table gives
+    them all: the chain border[-1], border[b-1], ... lists every border, and
+    word[:n] is primitive unless p = n - border[n-1] is a proper divisor of
+    n.  Since |word| = (e1+e2+1)*n - |x2| with 0 < |x2| < n, |x2| is
+    -|word| mod n (n has no parse when that is 0) and e1 + e2 is
+    (|word| + |x2|) // n - 1; the splits are (cut1, cut1 + |x2|).  The left
+    part x^e1 x1 is a prefix with period n and the right part x3 x^e2 a
+    suffix with period n, so a spec parses exactly when its junction
+    e1*n + cut1 lies in [|word| - tail, head], where head and tail are the
+    lengths of the longest period-n prefix and suffix.
     """
+    if forms not in FORMS:
+        raise ValueError(f"forms must be one of {FORMS}, got {forms!r}")
     total = len(word)
     if total < 3:
         raise WordTooShort(f"|word| = {total} < 3")
+    border = border_table(word)
+    chain = [border[-1]]
+    while chain[-1]:
+        chain.append(border[chain[-1] - 1])
     found = []
-    for n in range(1, total // MIN_E_SUM + 1):
-        x = word[:n]
-        if not word.endswith(x) or not is_primitive(x):
+    for n in reversed(chain[:-1]):  # every border of the word, ascending
+        gap = -total % n  # |x2|
+        period = n - border[n - 1]
+        # skip x too long for e1 + e2 >= MIN_E_SUM, no room for x2, x a power
+        if n > total // MIN_E_SUM or not gap or (period < n and n % period == 0):
             continue
         head = n + lcp(word, word[n:])
         tail = n + lcs(word, word[:-n])
         if head + tail < total:
             continue
-        for cut1, cut2 in iter_splits(n, forms):
-            body = total - cut1 - (n - cut2)
-            if body % n:
-                continue
-            e_sum = body // n
-            if e_sum < MIN_E_SUM:
-                continue
-            for e1 in range(1, e_sum):
-                if total - tail <= e1 * n + cut1 <= head:
-                    spec = InterruptSpec(DeletionSplit(x, cut1, cut2), e1, e_sum - e1)
-                    found.append(Parse(spec, core(spec)))
+        x = word[:n]
+        e_sum = (total + gap) // n - 1
+        cuts = range(n - gap + 1)  # the cut1 values; the last is the prefix form
+        for cut1 in {"both": cuts, "prefix": cuts[-1:], "deletion": cuts[:-1]}[forms]:
+            # total - tail <= e1*n + cut1 <= head, and 1 <= e1 < e_sum
+            lo = max(1, -((cut1 + tail - total) // n))
+            hi = min(e_sum - 1, (head - cut1) // n)
+            for e1 in range(lo, hi + 1):
+                spec = InterruptSpec(DeletionSplit(x, cut1, cut1 + gap), e1, e_sum - e1)
+                found.append(Parse(spec, core(spec)))
     return found
 
 

@@ -194,8 +194,11 @@ class _SpecContext:
 
     The length-|x| windows of W are sliced once; the anchored range comes
     from anchor_windows and is exactly where classify_window answers
-    CoreAnchored.  The cyclic and the length-(|x|-1) histograms are built
-    on first use.
+    CoreAnchored.  W starts and ends with x, so its |x|-1 wraparound
+    windows are the rotations 1..|x|-1 of x, each once: read cyclically, a
+    factor f occurs hist[f] + (f in wraparound) times, with wraparound =
+    (x+x)[1:-1], and no second histogram is needed.  The length-(|x|-1)
+    histogram is built on first use.
     """
 
     def __init__(self, spec: InterruptSpec):
@@ -209,13 +212,7 @@ class _SpecContext:
         lo, hi = anchors[0][0], anchors[-1][0] + 1
         self.anchored = sorted(set(windows[lo:hi]))
         self.non_anchored = sorted(set(windows[:lo]) | set(windows[hi:]))
-
-    @cached_property
-    def cyclic_hist(self) -> Counter:
-        """Windows of W read cyclically: the linear ones plus |x|-1 wraparounds."""
-        word, n = self.word, self.n
-        wrapped = word[len(word) - n + 1 :] + word[: n - 1]
-        return Counter(self.windows + [wrapped[j : j + n] for j in range(n - 1)])
+        self.wraparound = (spec.split.x * 2)[1:-1]
 
     @cached_property
     def short_hist(self) -> Counter:
@@ -227,15 +224,21 @@ class _SpecContext:
 # Each claim maps a spec context to (assertions evaluated, violations in
 # factor-lexicographic order).  The violations are a lazy iterator, so a
 # caller that keeps only the first few builds no other Witness; the
-# assertion count never depends on how many are taken.
+# assertion count never depends on how many are taken.  A cyclic claim is
+# its linear twin with wraparound = ctx.wraparound: each factor that occurs
+# in it counts once more.
 _Result = tuple[int, Iterator[Witness]]
 
 
 def _mismatches(
-    spec: InterruptSpec, factors: Iterable[str], hist: Counter, expected: int
+    spec: InterruptSpec,
+    factors: Iterable[str],
+    hist: Counter,
+    expected: int,
+    wraparound: str = "",
 ) -> Iterator[Witness]:
     for f in factors:
-        actual = hist[f]
+        actual = hist[f] + (f in wraparound)
         if actual != expected:
             yield Witness(spec, f, expected, actual)
 
@@ -253,8 +256,10 @@ def _dft_bound(ctx: _SpecContext) -> _Result:
     return 1, _single(ctx.spec, actual > n - 2, n - 2, actual)
 
 
-def _theorem1(ctx: _SpecContext) -> _Result:
-    return len(ctx.anchored), _mismatches(ctx.spec, ctx.anchored, ctx.hist, 1)
+def _theorem1(ctx: _SpecContext, wraparound: str = "") -> _Result:
+    return len(ctx.anchored), _mismatches(
+        ctx.spec, ctx.anchored, ctx.hist, 1, wraparound
+    )
 
 
 def _dichotomy(ctx: _SpecContext) -> _Result:
@@ -271,10 +276,6 @@ def _distinct_count(ctx: _SpecContext) -> _Result:
     return 1, _single(ctx.spec, distinct != expected, expected, distinct)
 
 
-def _core_cyclic_unique(ctx: _SpecContext) -> _Result:
-    return len(ctx.anchored), _mismatches(ctx.spec, ctx.anchored, ctx.cyclic_hist, 1)
-
-
 def _note2_linear(ctx: _SpecContext) -> _Result:
     # Stated only for the boundary case lcp + lcs == |x| - 2.
     rep, spec = ctx.report, ctx.spec
@@ -286,17 +287,10 @@ def _note2_linear(ctx: _SpecContext) -> _Result:
     return len(factors), _mismatches(spec, factors, hist, spec.e1 + spec.e2)
 
 
-def _note3_linear(ctx: _SpecContext) -> _Result:
+def _note3_linear(ctx: _SpecContext, wraparound: str = "") -> _Result:
     spec = ctx.spec
     return len(ctx.non_anchored), _mismatches(
-        spec, ctx.non_anchored, ctx.hist, spec.e1 + spec.e2
-    )
-
-
-def _note3_cyclic(ctx: _SpecContext) -> _Result:
-    spec = ctx.spec
-    return len(ctx.non_anchored), _mismatches(
-        spec, ctx.non_anchored, ctx.cyclic_hist, spec.e1 + spec.e2
+        spec, ctx.non_anchored, ctx.hist, spec.e1 + spec.e2, wraparound
     )
 
 
@@ -306,10 +300,10 @@ _CLAIMS = {
     ClaimId.THEOREM1_DELETION: _theorem1,
     ClaimId.DICHOTOMY: _dichotomy,
     ClaimId.DISTINCT_COUNT: _distinct_count,
-    ClaimId.CORE_CYCLIC_UNIQUE: _core_cyclic_unique,
+    ClaimId.CORE_CYCLIC_UNIQUE: lambda ctx: _theorem1(ctx, ctx.wraparound),
     ClaimId.NOTE2_LINEAR: _note2_linear,
     ClaimId.NOTE3_LINEAR: _note3_linear,
-    ClaimId.NOTE3_CYCLIC: _note3_cyclic,
+    ClaimId.NOTE3_CYCLIC: lambda ctx: _note3_linear(ctx, ctx.wraparound),
 }
 
 

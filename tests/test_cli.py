@@ -139,6 +139,15 @@ def test_parse_json(capsys):
     assert doc["parses"][0]["core"] == "aa"
 
 
+def test_parse_without_parse_exits_1(capsys):
+    # abababa is (ab)^3 a: no x, split and exponents rebuild it
+    code, out, err = run_cli(capsys, "parse", "--word", "abababa")
+    assert (code, out, err) == (1, "", "")
+    code, out, err = run_cli(capsys, "parse", "--word", "abababa", "--json")
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"word": "abababa", "parses": []}
+
+
 def test_scan_text_and_json(capsys):
     code, out, _ = run_cli(capsys, "scan", "--x", "ab", "--text", "abaabab")
     assert code == 0

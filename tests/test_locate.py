@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -100,6 +101,30 @@ def test_parses_many_borders_none_parse_within_budget():
     start = time.perf_counter()
     assert parses("ab" * 4000 + "a") == []
     assert time.perf_counter() - start < 5.0
+
+
+def test_parses_scales_to_millions_of_symbols():
+    # 3,300,005 symbols, |x| = 16, prefix cut 5, e1 = e2 = 103,125: every
+    # x^k is a border of the word, and one border table serves them all
+    rng = random.Random(3300005)
+    x = "".join(rng.choice("ab") for _ in range(16))
+    while not is_primitive_naive(x):
+        x = "".join(rng.choice("ab") for _ in range(16))
+    planted = InterruptSpec(DeletionSplit.prefix(x, 5), 103_125, 103_125)
+    word = build(planted)
+    assert len(word) == 3_300_005
+    start = time.perf_counter()
+    found = parses(word)
+    assert time.perf_counter() - start < 5.0
+    assert planted in [p.spec for p in found]
+
+
+@pytest.mark.parametrize("word", ["abc", "abaabab"])
+def test_parses_rejects_unknown_forms(word):
+    # checked before any work, whether or not the word has a candidate x
+    message = "forms must be one of ('prefix', 'deletion', 'both'), got 'bogus'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parses(word, "bogus")
 
 
 def test_locate_anchor_examples():

@@ -202,8 +202,12 @@ def test_run_rejects_max_violations_below_one():
 
 @pytest.mark.parametrize(
     "universe",
-    [Universe(2, 1, 6, (3, 4, 5), "both"), Universe(3, 1, 4, (3, 4), "both")],
-    ids=["binary-x6", "ternary-x4"],
+    [
+        Universe(2, 1, 6, (3, 4, 5), "both"),
+        Universe(3, 1, 4, (3, 4), "both"),
+        Universe(2, 1, 5, (7,), "both"),
+    ],
+    ids=["binary-x6", "ternary-x4", "binary-x5-e7"],
 )
 def test_check_claim_equals_naive_oracle(universe):
     for spec in enumerate_specs(universe):
