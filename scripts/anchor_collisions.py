@@ -9,12 +9,17 @@ the smallest offenders and the run that causes each.
 
 Example:
     python scripts/anchor_collisions.py --max-x 5 --forms prefix
+
+A universe the verifier would reject (for example --e-sums 2, --max-x 13 or
+--e-sums 3,x) ends in a one-line diagnostic on stderr and exit code 2.
 """
 
 import argparse
+import sys
 from itertools import groupby
 
 from repcore import Universe, anchor_windows, core, occurrences
+from repcore.errors import RepcoreError
 from repcore.interrupts import FORMS
 from repcore.verify import enumerate_specs
 
@@ -33,16 +38,27 @@ def main():
     ap.add_argument("--limit", type=int, default=20, help="max offenders to print")
     args = ap.parse_args()
 
-    universe = Universe(
-        alphabet_size=args.alphabet,
-        min_x=2,
-        max_x=args.max_x,
-        e_sums=tuple(int(s) for s in args.e_sums.split(",")),
-        forms=args.forms,
-    )
+    try:
+        e_sums = tuple(int(s) for s in args.e_sums.split(","))
+    except ValueError:
+        print(f"--e-sums expects a comma-separated integer list, got {args.e_sums!r}",
+              file=sys.stderr)
+        return 2
+    try:
+        universe = Universe(
+            alphabet_size=args.alphabet,
+            min_x=2,
+            max_x=args.max_x,
+            e_sums=e_sums,
+            forms=args.forms,
+        )
+        specs = list(enumerate_specs(universe))
+    except RepcoreError as err:
+        print(f"{type(err).__name__}: {err}", file=sys.stderr)
+        return 2
     shown = 0
     checked = 0
-    for spec in enumerate_specs(universe):
+    for spec in specs:
         checked += 1
         rep = core(spec)
         windows = [
@@ -61,7 +77,8 @@ def main():
             for j, f, occ in repeated:
                 print(f"    window {f!r} at {j} occurs at {occ}")
     print(f"\n{shown} offending specs out of {checked}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

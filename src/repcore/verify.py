@@ -1,12 +1,29 @@
 """Exhaustive claim verification over small universes of interrupted repetitions.
 
 Each claim is a per-spec assertion about how often the length-|x| (or, for
-note2, length-(|x|-1)) factors of W occur.  Every spec slices its windows
-once into a histogram that all claims read, and a table maps each claim to
-its evaluator.  Gating claims are expected to hold (a failure fails the
-run); reported claims record their empirical status and never gate, because
-the straightforward readings of the occurrence-count side claims are false
-on small instances and the point is to say so with witnesses.
+note2, length-(|x|-1)) factors of W occur.  The alteration is fixed by the
+split (x, cut1, cut2); the exponents only repeat x around it.  So every
+split is evaluated once, from its shortest word W0 = x·x1·x3·x·x (e1 = 1,
+e2 = MIN_E_SUM - 1), and a table maps each claim to its evaluator.
+
+Lemma: the length-|x| windows of W are those of W0 plus e1+e2-MIN_E_SUM
+more copies of each rotation of x, and the length-(|x|-1) windows are
+those of W0 plus as many copies of (x+x)[k:k+|x|-1] for each k < |x|.
+Why: W is x·x1·x3·x with e1+e2-2 copies of x added at its two ends.  A
+window that crosses the junction between an added copy and its neighbour
+lies inside one copy of x on each side, so it is a factor of x+x; each
+copy adds one window at each of its |x| offsets, the same ones at either
+end.  The anchored windows (those that contain the core) lie inside
+x·x1·x3·x and do not move, and W0 already holds every rotation of x
+outside them, so the anchored and non-anchored factor sets and the number
+of distinct windows do not depend on (e1, e2) either.
+test_check_claim_equals_naive_oracle checks this on every spec of four
+universes against the slicing oracle evaluate_naive in tests/oracles.py.
+
+Gating claims are expected to hold (a failure fails the run); reported
+claims record their empirical status and never gate, because the
+straightforward readings of the occurrence-count side claims are false on
+small instances and the point is to say so with witnesses.
 """
 
 from __future__ import annotations
@@ -17,12 +34,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import islice
+from itertools import groupby, islice
 from typing import Iterable, Iterator
 
 from .errors import InvalidLimit, InvalidUniverse, NotApplicable, UniverseTooLarge
 
-# The claims read _SpecContext's histograms and call none of classify_window,
+# The claims read _SplitContext's histograms and call none of classify_window,
 # occurrences and cyclic_occurrences.  They stay importable from this module
 # because perfbench/tracing.py patches them here by name and its tests expect
 # every patched name to exist; a traced run reports zero calls to them.
@@ -189,58 +206,63 @@ def applies(claim: ClaimId, spec: InterruptSpec) -> bool:
     return True
 
 
-class _SpecContext:
-    """One spec's core and window histograms, shared by every claim.
+class _SplitContext:
+    """One split's core and window histograms, shared by every claim and (e1, e2).
 
-    The length-|x| windows of W are sliced once; the anchored range comes
-    from anchor_windows and is exactly where classify_window answers
-    CoreAnchored.  W starts and ends with x, so its |x|-1 wraparound
-    windows are the rotations 1..|x|-1 of x, each once: read cyclically, a
-    factor f occurs hist[f] + (f in wraparound) times, with wraparound =
-    (x+x)[1:-1], and no second histogram is needed.  The length-(|x|-1)
-    histogram is built on first use.
+    Built once from W0 = x·x1·x3·x·x, the split's shortest word.  Each
+    histogram is a pair (base, copy): the windows of W0, and the windows
+    one more copy of x adds.  By the lemma in the module docstring, a spec
+    with e1+e2 = s has count(f) = base[f] + (s - MIN_E_SUM)·copy[f].  The
+    anchored range comes from anchor_windows and is exactly where
+    classify_window answers CoreAnchored.  W starts and ends with x, so its
+    |x|-1 wraparound windows are the rotations 1..|x|-1 of x, each once:
+    read cyclically, a factor f occurs once more when f is in wraparound =
+    (x+x)[1:-1].  The length-(|x|-1) pair is built on first use.
     """
 
-    def __init__(self, spec: InterruptSpec):
-        self.spec = spec
-        self.report: CoreReport = core(spec)
-        self.n = n = len(spec.split.x)
-        self.word = word = self.report.word
-        self.windows = windows = [word[j : j + n] for j in range(len(word) - n + 1)]
-        self.hist = Counter(windows)
-        anchors = anchor_windows(spec, self.report)
+    def __init__(self, split: DeletionSplit):
+        spec0 = InterruptSpec(split, 1, MIN_E_SUM - 1)
+        self.report: CoreReport = core(spec0)
+        self.n = n = len(split.x)
+        self.xx = xx = split.x * 2
+        word = self.report.word
+        windows = [word[j : j + n] for j in range(len(word) - n + 1)]
+        self.hist = Counter(windows), Counter(xx[k : k + n] for k in range(n))
+        anchors = anchor_windows(spec0, self.report)
         lo, hi = anchors[0][0], anchors[-1][0] + 1
         self.anchored = sorted(set(windows[lo:hi]))
         self.non_anchored = sorted(set(windows[:lo]) | set(windows[hi:]))
-        self.wraparound = (spec.split.x * 2)[1:-1]
+        self.wraparound = xx[1:-1]
 
     @cached_property
-    def short_hist(self) -> Counter:
-        """Histogram of the length-(|x|-1) windows of W."""
-        word, m = self.word, self.n - 1
-        return Counter(word[j : j + m] for j in range(len(word) - m + 1))
+    def short_hist(self) -> tuple[Counter, Counter]:
+        """The (base, copy) pair of the length-(|x|-1) windows."""
+        word, m = self.report.word, self.n - 1
+        base = Counter(word[j : j + m] for j in range(len(word) - m + 1))
+        return base, Counter(self.xx[k : k + m] for k in range(self.n))
 
 
-# Each claim maps a spec context to (assertions evaluated, violations in
-# factor-lexicographic order).  The violations are a lazy iterator, so a
-# caller that keeps only the first few builds no other Witness; the
-# assertion count never depends on how many are taken.  A cyclic claim is
-# its linear twin with wraparound = ctx.wraparound: each factor that occurs
-# in it counts once more.
+# Each claim maps a split context and one of its specs to (assertions
+# evaluated, violations in factor-lexicographic order).  The violations are
+# a lazy iterator, so a caller that keeps only the first few builds no other
+# Witness; the assertion count never depends on how many are taken.  A
+# cyclic claim is its linear twin with wraparound = ctx.wraparound: each
+# factor that occurs in it counts once more.
 _Result = tuple[int, Iterator[Witness]]
 
 
 def _mismatches(
     spec: InterruptSpec,
-    factors: Iterable[str],
-    hist: Counter,
+    factors: list[str],
+    hist: tuple[Counter, Counter],
     expected: int,
     wraparound: str = "",
-) -> Iterator[Witness]:
-    for f in factors:
-        actual = hist[f] + (f in wraparound)
-        if actual != expected:
-            yield Witness(spec, f, expected, actual)
+) -> _Result:
+    (base, copy), extra = hist, spec.e1 + spec.e2 - MIN_E_SUM
+    counts = ((f, base[f] + extra * copy[f] + (f in wraparound)) for f in factors)
+    return len(factors), (
+        Witness(spec, f, expected, actual) for f, actual in counts if actual != expected
+    )
 
 
 def _single(
@@ -250,48 +272,43 @@ def _single(
         yield Witness(spec, "", expected, actual)
 
 
-def _dft_bound(ctx: _SpecContext) -> _Result:
+def _dft_bound(ctx: _SplitContext, spec: InterruptSpec) -> _Result:
     rep, n = ctx.report, ctx.n
     actual = rep.p_len + rep.s_len
-    return 1, _single(ctx.spec, actual > n - 2, n - 2, actual)
+    return 1, _single(spec, actual > n - 2, n - 2, actual)
 
 
-def _theorem1(ctx: _SpecContext, wraparound: str = "") -> _Result:
-    return len(ctx.anchored), _mismatches(
-        ctx.spec, ctx.anchored, ctx.hist, 1, wraparound
-    )
+def _theorem1(ctx: _SplitContext, spec: InterruptSpec, wrap: str = "") -> _Result:
+    return _mismatches(spec, ctx.anchored, ctx.hist, 1, wrap)
 
 
-def _dichotomy(ctx: _SpecContext) -> _Result:
+def _dichotomy(ctx: _SplitContext, spec: InterruptSpec) -> _Result:
     # A length-|x| factor is a rotation of x exactly when it occurs in x+x.
-    xx = ctx.spec.split.x * 2
-    bad = (Witness(ctx.spec, f, 1, 0) for f in ctx.non_anchored if f not in xx)
-    return len(ctx.windows), bad
+    # Every window of W is one assertion: |W| - |x| + 1 of them.
+    bad = (Witness(spec, f, 1, 0) for f in ctx.non_anchored if f not in ctx.xx)
+    return (spec.e1 + spec.e2) * ctx.n - len(spec.split.x2) + 1, bad
 
 
-def _distinct_count(ctx: _SpecContext) -> _Result:
+def _distinct_count(ctx: _SplitContext, spec: InterruptSpec) -> _Result:
     rep, n = ctx.report, ctx.n
-    distinct = len(ctx.hist)
+    distinct = len(ctx.hist[0])
     expected = 2 * n - rep.p_len - rep.s_len - 1
-    return 1, _single(ctx.spec, distinct != expected, expected, distinct)
+    return 1, _single(spec, distinct != expected, expected, distinct)
 
 
-def _note2_linear(ctx: _SpecContext) -> _Result:
+def _note2_linear(ctx: _SplitContext, spec: InterruptSpec) -> _Result:
     # Stated only for the boundary case lcp + lcs == |x| - 2.
-    rep, spec = ctx.report, ctx.spec
+    rep = ctx.report
     if rep.p_len + rep.s_len != ctx.n - 2:
         return 0, iter(())
     sp = rep.s_tilde[1:] + rep.p_tilde[:-1]
     hist = ctx.short_hist
-    factors = [f for f in sorted(hist) if sp in f]
-    return len(factors), _mismatches(spec, factors, hist, spec.e1 + spec.e2)
+    factors = [f for f in sorted(hist[0]) if sp in f]
+    return _mismatches(spec, factors, hist, spec.e1 + spec.e2)
 
 
-def _note3_linear(ctx: _SpecContext, wraparound: str = "") -> _Result:
-    spec = ctx.spec
-    return len(ctx.non_anchored), _mismatches(
-        spec, ctx.non_anchored, ctx.hist, spec.e1 + spec.e2, wraparound
-    )
+def _note3_linear(ctx: _SplitContext, spec: InterruptSpec, wrap: str = "") -> _Result:
+    return _mismatches(spec, ctx.non_anchored, ctx.hist, spec.e1 + spec.e2, wrap)
 
 
 _CLAIMS = {
@@ -300,10 +317,10 @@ _CLAIMS = {
     ClaimId.THEOREM1_DELETION: _theorem1,
     ClaimId.DICHOTOMY: _dichotomy,
     ClaimId.DISTINCT_COUNT: _distinct_count,
-    ClaimId.CORE_CYCLIC_UNIQUE: lambda ctx: _theorem1(ctx, ctx.wraparound),
+    ClaimId.CORE_CYCLIC_UNIQUE: lambda ctx, spec: _theorem1(ctx, spec, ctx.wraparound),
     ClaimId.NOTE2_LINEAR: _note2_linear,
     ClaimId.NOTE3_LINEAR: _note3_linear,
-    ClaimId.NOTE3_CYCLIC: lambda ctx: _note3_linear(ctx, ctx.wraparound),
+    ClaimId.NOTE3_CYCLIC: lambda ctx, spec: _note3_linear(ctx, spec, ctx.wraparound),
 }
 
 
@@ -316,26 +333,29 @@ def check_claim(claim: ClaimId, spec: InterruptSpec) -> SpecCheck:
     """
     if not applies(claim, spec):
         raise NotApplicable(f"{claim.value} does not apply to this split form")
-    checked, violations = _CLAIMS[claim](_SpecContext(spec))
+    checked, violations = _CLAIMS[claim](_SplitContext(spec.split), spec)
     return SpecCheck(checked, tuple(violations))
 
 
 def _eval_chunk(args: tuple[list[InterruptSpec], list[ClaimId], int]):
-    """Per claim: (assertions evaluated, the chunk's first max_violations witnesses)."""
+    """Per claim: (assertions evaluated, the chunk's first max_violations witnesses).
+
+    Consecutive specs of one split share one context; a chunk may start or
+    end inside a split.
+    """
     specs, claims, max_violations = args
     checked = dict.fromkeys(claims, 0)
     kept: dict[ClaimId, list[Witness]] = {c: [] for c in claims}
-    by_form: dict[bool, list[ClaimId]] = {}  # applies() reads only the form
-    for spec in specs:
-        ctx = _SpecContext(spec)
-        form = spec.split.is_prefix_form
-        if form not in by_form:
-            by_form[form] = [c for c in claims if applies(c, spec)]
-        for c in by_form[form]:
-            count, violations = _CLAIMS[c](ctx)
-            checked[c] += count
+    for split, group in groupby(specs, key=lambda spec: spec.split):
+        ctx, group = _SplitContext(split), list(group)
+        for c in claims:
+            if not applies(c, group[0]):  # applies() reads only the form
+                continue
             found = kept[c]
-            found.extend(islice(violations, max_violations - len(found)))
+            for spec in group:
+                count, violations = _CLAIMS[c](ctx, spec)
+                checked[c] += count
+                found.extend(islice(violations, max_violations - len(found)))
     return {c: (checked[c], kept[c]) for c in claims}
 
 

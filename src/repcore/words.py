@@ -106,20 +106,19 @@ def smallest_period(w: str) -> int:
 
 
 def is_primitive(w: str) -> bool:
-    """True iff w is not u**k for any k >= 2 (divisor-period test).
+    """True iff w is not u**k for any k >= 2 (square test).
+
+    w = u**k with k >= 2 exactly when w occurs in w+w strictly inside, at
+    the shift |u| < |w|; otherwise its first occurrence after 0 is at |w|.
 
     >>> is_primitive("abab")
     False
     >>> is_primitive("aabab")
     True
     """
-    n = len(w)
-    if n == 0:
+    if not w:
         raise EmptyWord("is_primitive of empty word")
-    for p in range(1, n // 2 + 1):
-        if n % p == 0 and w[:p] * (n // p) == w:
-            return False
-    return True
+    return (w + w).find(w, 1) == len(w)
 
 
 def rotate(w: str, k: int) -> str:

@@ -2,6 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repcore import ClaimId, Universe, check_claim
 from repcore.verify import applies, enumerate_specs
 
@@ -27,3 +29,23 @@ def test_anchor_collisions_counts_the_uniqueness_failures(child_env):
     ]
     assert (len(offending), len(specs)) == (12, 68)
     assert proc.stdout.splitlines()[-1] == "12 offending specs out of 68"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--e-sums", "2"], "InvalidUniverse: every e1+e2 must be >= 3, got (2,)"),
+        (["--max-x", "13"], "InvalidUniverse: max_x is capped at 12"),
+        (
+            ["--e-sums", "3,x"],
+            "--e-sums expects a comma-separated integer list, got '3,x'",
+        ),
+    ],
+    ids=["e-sum-below-3", "max-x-13", "e-sums-not-integers"],
+)
+def test_anchor_collisions_rejects_bad_universe_in_one_line(child_env, argv, message):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "anchor_collisions.py"), *argv],
+        capture_output=True, text=True, env=child_env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message + "\n")

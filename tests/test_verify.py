@@ -206,10 +206,14 @@ def test_run_rejects_max_violations_below_one():
         Universe(2, 1, 6, (3, 4, 5), "both"),
         Universe(3, 1, 4, (3, 4), "both"),
         Universe(2, 1, 5, (7,), "both"),
+        Universe(3, 1, 3, (3, 4, 5, 7), "both"),
     ],
-    ids=["binary-x6", "ternary-x4", "binary-x5-e7"],
+    ids=["binary-x6", "ternary-x4", "binary-x5-e7", "ternary-x3-e3457"],
 )
 def test_check_claim_equals_naive_oracle(universe):
+    # check_claim evaluates each spec from its split's shortest word, so this
+    # compares the per-split lemma (module docstring of repcore.verify) with
+    # slicing every spec's own word.
     for spec in enumerate_specs(universe):
         for claim in ClaimId:
             if not applies(claim, spec):
@@ -252,6 +256,22 @@ def test_retention_universe_fails_late(full):
     tail = _eval_chunk((specs[first_chunk:], list(ClaimId), 3))
     assert head[ClaimId.THEOREM1_DELETION][1] == []
     assert tail[ClaimId.THEOREM1_DELETION][1][0] == first
+
+
+def test_eval_chunk_merges_at_every_cut():
+    # Nine (e1, e2) per split: most cuts fall inside a split, so the tail
+    # chunk starts at a spec other than the split's shortest word.
+    specs = list(enumerate_specs(Universe(2, 2, 3, (3, 4, 5), "both")))
+    claims, k = list(ClaimId), 10**6
+    whole = _eval_chunk((specs, claims, k))
+    assert any(len(whole[c][1]) > 100 for c in claims)
+    for cut in range(len(specs) + 1):
+        head = _eval_chunk((specs[:cut], claims, k))
+        tail = _eval_chunk((specs[cut:], claims, k))
+        merged = {
+            c: (head[c][0] + tail[c][0], head[c][1] + tail[c][1]) for c in claims
+        }
+        assert merged == whole, cut
 
 
 @pytest.mark.parametrize("k", [1, 3])
