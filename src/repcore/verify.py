@@ -2,9 +2,13 @@
 
 Each claim is a per-spec assertion about how often the length-|x| (or, for
 note2, length-(|x|-1)) factors of W occur.  The alteration is fixed by the
-split (x, cut1, cut2); the exponents only repeat x around it.  So every
-split is evaluated once, from its shortest word W0 = x·x1·x3·x·x (e1 = 1,
-e2 = MIN_E_SUM - 1), and a table maps each claim to its evaluator.
+split (x, cut1, cut2); the exponents only repeat x around it.  So the split
+is the unit of work: each is evaluated once, from its shortest word
+W0 = x·x1·x3·x·x (e1 = 1, e2 = MIN_E_SUM - 1), and a table maps each claim
+to an evaluator that takes all of the split's (e1, e2) at once.  Specs with
+the same e1+e2 have the same counts, so a claim lists its mismatches once
+per exponent sum.  A worker chunk is a range of split indices in canonical
+order; the worker enumerates those splits itself.
 
 Lemma: the length-|x| windows of W are those of W0 plus e1+e2-MIN_E_SUM
 more copies of each rotation of x, and the length-(|x|-1) windows are
@@ -34,8 +38,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import groupby, islice
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidLimit, InvalidUniverse, NotApplicable, UniverseTooLarge
 
@@ -176,6 +180,43 @@ def estimated_checks(universe: Universe) -> int:
     return total
 
 
+def _check_size(universe: Universe, max_checks: int) -> None:
+    """Reject a universe whose estimated_checks exceed max_checks."""
+    estimate = estimated_checks(universe)
+    if estimate > max_checks:
+        raise UniverseTooLarge(
+            f"estimated {estimate} window checks exceed the cap {max_checks}"
+        )
+
+
+def _split_count(universe: Universe) -> int:
+    """Number of splits (x, cut1, cut2) in the universe."""
+    return sum(
+        sum(1 for _ in primitive_words(n, universe.alphabet_size))
+        * sum(1 for _ in iter_splits(n, universe.forms))
+        for n in range(universe.min_x, universe.max_x + 1)
+    )
+
+
+def _splits(universe: Universe, lo: int, hi: int) -> Iterator[tuple[str, int, int]]:
+    """(x, cut1, cut2) for the split indices lo..hi-1, in canonical order.
+
+    Canonical order: (|x|, x lexicographic, cut1, cut2).  Every x of one
+    length has the same cuts, so a word whose splits all lie below lo is
+    skipped whole.
+    """
+    i = 0
+    for n in range(universe.min_x, universe.max_x + 1):
+        cuts = list(iter_splits(n, universe.forms))
+        for x in primitive_words(n, universe.alphabet_size):
+            if i >= hi:
+                return
+            if i + len(cuts) > lo:
+                for cut1, cut2 in cuts[max(lo - i, 0) : hi - i]:
+                    yield x, cut1, cut2
+            i += len(cuts)
+
+
 def enumerate_specs(
     universe: Universe, max_checks: int = DEFAULT_MAX_CHECKS
 ) -> Iterator[InterruptSpec]:
@@ -183,18 +224,12 @@ def enumerate_specs(
 
     Canonical order: (|x|, x lexicographic, cut1, cut2, e1, e2).
     """
-    estimate = estimated_checks(universe)
-    if estimate > max_checks:
-        raise UniverseTooLarge(
-            f"estimated {estimate} window checks exceed the cap {max_checks}"
-        )
+    _check_size(universe, max_checks)
     pairs = exponent_pairs(universe.e_sums)
-    for n in range(universe.min_x, universe.max_x + 1):
-        for x in primitive_words(n, universe.alphabet_size):
-            for cut1, cut2 in iter_splits(n, universe.forms):
-                split = DeletionSplit(x, cut1, cut2)
-                for e1, e2 in pairs:
-                    yield InterruptSpec(split, e1, e2)
+    for x, cut1, cut2 in _splits(universe, 0, _split_count(universe)):
+        split = DeletionSplit(x, cut1, cut2)
+        for e1, e2 in pairs:
+            yield InterruptSpec(split, e1, e2)
 
 
 def applies(claim: ClaimId, spec: InterruptSpec) -> bool:
@@ -209,11 +244,11 @@ def applies(claim: ClaimId, spec: InterruptSpec) -> bool:
 class _SplitContext:
     """One split's core and window histograms, shared by every claim and (e1, e2).
 
-    Built once from W0 = x·x1·x3·x·x, the split's shortest word.  Each
-    histogram is a pair (base, copy): the windows of W0, and the windows
-    one more copy of x adds.  By the lemma in the module docstring, a spec
-    with e1+e2 = s has count(f) = base[f] + (s - MIN_E_SUM)·copy[f].  The
-    anchored range comes from anchor_windows and is exactly where
+    Built once from W0 = x·x1·x3·x·x, the split's shortest word (spec0).
+    Each histogram is a pair (base, copy): the windows of W0, and the
+    windows one more copy of x adds.  By the lemma in the module docstring,
+    a spec with e1+e2 = s has count(f) = base[f] + (s - MIN_E_SUM)·copy[f].
+    The anchored range comes from anchor_windows and is exactly where
     classify_window answers CoreAnchored.  W starts and ends with x, so its
     |x|-1 wraparound windows are the rotations 1..|x|-1 of x, each once:
     read cyclically, a factor f occurs once more when f is in wraparound =
@@ -221,7 +256,8 @@ class _SplitContext:
     """
 
     def __init__(self, split: DeletionSplit):
-        spec0 = InterruptSpec(split, 1, MIN_E_SUM - 1)
+        self.split = split
+        self.spec0 = spec0 = InterruptSpec(split, 1, MIN_E_SUM - 1)
         self.report: CoreReport = core(spec0)
         self.n = n = len(split.x)
         self.xx = xx = split.x * 2
@@ -242,61 +278,92 @@ class _SplitContext:
         return base, Counter(self.xx[k : k + m] for k in range(self.n))
 
 
-# Each claim maps a split context and one of its specs to (assertions
-# evaluated, violations in factor-lexicographic order).  The violations are
-# a lazy iterator, so a caller that keeps only the first few builds no other
-# Witness; the assertion count never depends on how many are taken.  A
-# cyclic claim is its linear twin with wraparound = ctx.wraparound: each
-# factor that occurs in it counts once more.
+# Each claim maps a split context and the split's exponent pairs, in
+# canonical (e1, e2) order, to (assertions evaluated over all of them,
+# violations in spec-then-factor order).  The count is per-split
+# arithmetic.  The violations are a lazy iterator: a caller that keeps only
+# the first few builds no other Witness or InterruptSpec and does no
+# per-factor work for the specs after them.  A cyclic claim is its linear
+# twin with wraparound = ctx.wraparound: each factor that occurs in it
+# counts once more.
+_Pairs = Sequence[tuple[int, int]]
 _Result = tuple[int, Iterator[Witness]]
+_Violation = tuple[str, int, int]  # (factor, expected, actual)
 
 
 def _mismatches(
-    spec: InterruptSpec,
+    ctx: _SplitContext,
+    pairs: _Pairs,
     factors: list[str],
     hist: tuple[Counter, Counter],
-    expected: int,
+    expected: int | None = None,
     wraparound: str = "",
 ) -> _Result:
-    (base, copy), extra = hist, spec.e1 + spec.e2 - MIN_E_SUM
-    counts = ((f, base[f] + extra * copy[f] + (f in wraparound)) for f in factors)
-    return len(factors), (
-        Witness(spec, f, expected, actual) for f, actual in counts if actual != expected
-    )
+    """Factors whose count is not expected (None: e1+e2) in each spec.
+
+    Specs with the same e1+e2 share their counts, so the mismatches are
+    listed at most once per sum.
+    """
+
+    def witnesses() -> Iterator[Witness]:
+        base, copy = hist
+        by_sum: dict[int, list[_Violation]] = {}
+        for e1, e2 in pairs:
+            s = e1 + e2
+            if s not in by_sum:
+                want, extra = expected or s, s - MIN_E_SUM
+                counts = (
+                    (f, base[f] + extra * copy[f] + (f in wraparound)) for f in factors
+                )
+                by_sum[s] = [(f, want, a) for f, a in counts if a != want]
+            if by_sum[s]:
+                spec = InterruptSpec(ctx.split, e1, e2)
+                for f, want, actual in by_sum[s]:
+                    yield Witness(spec, f, want, actual)
+
+    return len(factors) * len(pairs), witnesses()
 
 
-def _single(
-    spec: InterruptSpec, fails: bool, expected: int, actual: int
+def _every_spec(
+    ctx: _SplitContext, pairs: _Pairs, violations: Iterable[_Violation]
 ) -> Iterator[Witness]:
-    if fails:
-        yield Witness(spec, "", expected, actual)
+    """The same violations, which do not depend on (e1, e2), for each spec."""
+    found = list(violations)
+    if found:
+        for e1, e2 in pairs:
+            spec = InterruptSpec(ctx.split, e1, e2)
+            for f, want, actual in found:
+                yield Witness(spec, f, want, actual)
 
 
-def _dft_bound(ctx: _SplitContext, spec: InterruptSpec) -> _Result:
+def _dft_bound(ctx: _SplitContext, pairs: _Pairs) -> _Result:
     rep, n = ctx.report, ctx.n
     actual = rep.p_len + rep.s_len
-    return 1, _single(spec, actual > n - 2, n - 2, actual)
+    fails = [("", n - 2, actual)] if actual > n - 2 else []
+    return len(pairs), _every_spec(ctx, pairs, fails)
 
 
-def _theorem1(ctx: _SplitContext, spec: InterruptSpec, wrap: str = "") -> _Result:
-    return _mismatches(spec, ctx.anchored, ctx.hist, 1, wrap)
+def _theorem1(ctx: _SplitContext, pairs: _Pairs, wrap: str = "") -> _Result:
+    return _mismatches(ctx, pairs, ctx.anchored, ctx.hist, 1, wrap)
 
 
-def _dichotomy(ctx: _SplitContext, spec: InterruptSpec) -> _Result:
+def _dichotomy(ctx: _SplitContext, pairs: _Pairs) -> _Result:
     # A length-|x| factor is a rotation of x exactly when it occurs in x+x.
-    # Every window of W is one assertion: |W| - |x| + 1 of them.
-    bad = (Witness(spec, f, 1, 0) for f in ctx.non_anchored if f not in ctx.xx)
-    return (spec.e1 + spec.e2) * ctx.n - len(spec.split.x2) + 1, bad
+    # Every window of W is one assertion: (e1+e2)·|x| - |x2| + 1 of them.
+    bad = ((f, 1, 0) for f in ctx.non_anchored if f not in ctx.xx)
+    windows = sum(e1 + e2 for e1, e2 in pairs) * ctx.n
+    return windows - len(pairs) * (len(ctx.split.x2) - 1), _every_spec(ctx, pairs, bad)
 
 
-def _distinct_count(ctx: _SplitContext, spec: InterruptSpec) -> _Result:
+def _distinct_count(ctx: _SplitContext, pairs: _Pairs) -> _Result:
     rep, n = ctx.report, ctx.n
     distinct = len(ctx.hist[0])
     expected = 2 * n - rep.p_len - rep.s_len - 1
-    return 1, _single(spec, distinct != expected, expected, distinct)
+    fails = [("", expected, distinct)] if distinct != expected else []
+    return len(pairs), _every_spec(ctx, pairs, fails)
 
 
-def _note2_linear(ctx: _SplitContext, spec: InterruptSpec) -> _Result:
+def _note2_linear(ctx: _SplitContext, pairs: _Pairs) -> _Result:
     # Stated only for the boundary case lcp + lcs == |x| - 2.
     rep = ctx.report
     if rep.p_len + rep.s_len != ctx.n - 2:
@@ -304,11 +371,11 @@ def _note2_linear(ctx: _SplitContext, spec: InterruptSpec) -> _Result:
     sp = rep.s_tilde[1:] + rep.p_tilde[:-1]
     hist = ctx.short_hist
     factors = [f for f in sorted(hist[0]) if sp in f]
-    return _mismatches(spec, factors, hist, spec.e1 + spec.e2)
+    return _mismatches(ctx, pairs, factors, hist)
 
 
-def _note3_linear(ctx: _SplitContext, spec: InterruptSpec, wrap: str = "") -> _Result:
-    return _mismatches(spec, ctx.non_anchored, ctx.hist, spec.e1 + spec.e2, wrap)
+def _note3_linear(ctx: _SplitContext, pairs: _Pairs, wrap: str = "") -> _Result:
+    return _mismatches(ctx, pairs, ctx.non_anchored, ctx.hist, None, wrap)
 
 
 _CLAIMS = {
@@ -317,10 +384,14 @@ _CLAIMS = {
     ClaimId.THEOREM1_DELETION: _theorem1,
     ClaimId.DICHOTOMY: _dichotomy,
     ClaimId.DISTINCT_COUNT: _distinct_count,
-    ClaimId.CORE_CYCLIC_UNIQUE: lambda ctx, spec: _theorem1(ctx, spec, ctx.wraparound),
+    ClaimId.CORE_CYCLIC_UNIQUE: (
+        lambda ctx, pairs: _theorem1(ctx, pairs, ctx.wraparound)
+    ),
     ClaimId.NOTE2_LINEAR: _note2_linear,
     ClaimId.NOTE3_LINEAR: _note3_linear,
-    ClaimId.NOTE3_CYCLIC: lambda ctx, spec: _note3_linear(ctx, spec, ctx.wraparound),
+    ClaimId.NOTE3_CYCLIC: (
+        lambda ctx, pairs: _note3_linear(ctx, pairs, ctx.wraparound)
+    ),
 }
 
 
@@ -333,28 +404,31 @@ def check_claim(claim: ClaimId, spec: InterruptSpec) -> SpecCheck:
     """
     if not applies(claim, spec):
         raise NotApplicable(f"{claim.value} does not apply to this split form")
-    checked, violations = _CLAIMS[claim](_SplitContext(spec.split), spec)
+    pairs = [(spec.e1, spec.e2)]
+    checked, violations = _CLAIMS[claim](_SplitContext(spec.split), pairs)
     return SpecCheck(checked, tuple(violations))
 
 
-def _eval_chunk(args: tuple[list[InterruptSpec], list[ClaimId], int]):
+def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]):
     """Per claim: (assertions evaluated, the chunk's first max_violations witnesses).
 
-    Consecutive specs of one split share one context; a chunk may start or
-    end inside a split.
+    The chunk is the splits with canonical indices lo..hi-1, each with every
+    (e1, e2) of the universe.  The worker enumerates them itself, and builds
+    an InterruptSpec only for a witness it keeps.
     """
-    specs, claims, max_violations = args
+    universe, lo, hi, claims, max_violations = args
+    pairs = exponent_pairs(universe.e_sums)
     checked = dict.fromkeys(claims, 0)
     kept: dict[ClaimId, list[Witness]] = {c: [] for c in claims}
-    for split, group in groupby(specs, key=lambda spec: spec.split):
-        ctx, group = _SplitContext(split), list(group)
+    for x, cut1, cut2 in _splits(universe, lo, hi):
+        ctx = _SplitContext(DeletionSplit(x, cut1, cut2))
         for c in claims:
-            if not applies(c, group[0]):  # applies() reads only the form
+            if not applies(c, ctx.spec0):
                 continue
+            count, violations = _CLAIMS[c](ctx, pairs)
+            checked[c] += count
             found = kept[c]
-            for spec in group:
-                count, violations = _CLAIMS[c](ctx, spec)
-                checked[c] += count
+            if len(found) < max_violations:
                 found.extend(islice(violations, max_violations - len(found)))
     return {c: (checked[c], kept[c]) for c in claims}
 
@@ -368,10 +442,11 @@ def run(
 ) -> list[ClaimReport]:
     """Evaluate claims over every spec of the universe.
 
-    Output is deterministic and identical for any job count: specs are
-    enumerated canonically, every spec is evaluated (no early exit), and
-    chunk results merge in enumeration order.  Each chunk keeps only its
-    first max_violations witnesses per claim and counts the rest of its
+    Output is deterministic and identical for any job count: every spec is
+    evaluated (no early exit), and chunk results merge in canonical order.
+    A chunk is a range of split indices, so the parent holds no spec and
+    sends each worker five small values.  Each chunk keeps only its first
+    max_violations witnesses per claim and counts the rest of its
     assertions, so memory is bounded by what is reported; because chunks
     are contiguous in canonical order, the first max_violations of the
     merged lists are the first of the whole universe.  The pool starts at
@@ -388,19 +463,19 @@ def run(
         claim_list = [c for c in ClaimId if c in wanted]
     if not claim_list:
         return []
-    specs = list(enumerate_specs(universe, max_checks))
+    _check_size(universe, max_checks)
+    splits = _split_count(universe)
     workers = min(jobs, os.cpu_count() or 1)
-    if workers == 1 or len(specs) < 2:
-        merged = [_eval_chunk((specs, claim_list, max_violations))]
+    if workers == 1 or splits < 2:
+        merged = [_eval_chunk((universe, 0, splits, claim_list, max_violations))]
     else:
-        size = max(1, (len(specs) + workers * 8 - 1) // (workers * 8))
-        chunks = [specs[i : i + size] for i in range(0, len(specs), size)]
+        size = -(-splits // (workers * 8))
+        tasks = [
+            (universe, lo, min(lo + size, splits), claim_list, max_violations)
+            for lo in range(0, splits, size)
+        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            merged = list(
-                pool.map(
-                    _eval_chunk, [(c, claim_list, max_violations) for c in chunks]
-                )
-            )
+            merged = list(pool.map(_eval_chunk, tasks))
 
     reports = []
     for c in claim_list:

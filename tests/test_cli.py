@@ -296,6 +296,27 @@ def test_domain_errors_exit_2(capsys):
     assert code == 2 and err.startswith("UniverseTooLarge:")
 
 
+def test_verify_cap_rejects_before_any_work(capsys, monkeypatch):
+    # --forms both --max-x 10 exceeds the default --max-checks: the run ends
+    # in one diagnostic line before a chunk is evaluated or a pool started.
+    import repcore.verify
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a rejected universe")
+
+    monkeypatch.setattr(repcore.verify, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(repcore.verify, "_eval_chunk", no_work)
+    for fmt in ([], ["--json"]):
+        code, out, err = run_cli(
+            capsys, "verify", "--forms", "both", "--max-x", "10", "--jobs", "2", *fmt
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "UniverseTooLarge: estimated 19830968 window checks"
+            " exceed the cap 10000000\n"
+        )
+
+
 def test_verify_max_violations_below_one_exits_2(capsys):
     for value in ("0", "-1"):
         code, out, err = run_cli(capsys, "verify", "--max-violations", value)

@@ -1,3 +1,4 @@
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -228,17 +229,22 @@ def test_check_claim_equals_naive_oracle(universe):
             ), (claim, spec)
 
 
-# theorem1_deletion first fails on spec 55 of this universe, after the first
-# chunk of a --jobs 2 run (45 specs); note3_linear fails on every spec.
+# theorem1_deletion first fails on spec 55 (split 11) of this universe, after
+# the first chunk of a --jobs 2 run (9 splits, 45 specs); note3_linear fails
+# on every spec.
 RETENTION_UNIVERSE = Universe(2, 2, 4, (3, 4), "both")
 
 
-@pytest.fixture(scope="module")
-def full():
-    """Per claim: (checked, every witness in canonical order), spec by spec."""
+def split_count(universe):
+    return len({spec.split for spec in enumerate_specs(universe)})
+
+
+def spec_by_spec(universe):
+    """Per claim: (checked, every witness in canonical order), one check_claim
+    call per spec."""
     checked = dict.fromkeys(ClaimId, 0)
     witnesses = {c: [] for c in ClaimId}
-    for spec in enumerate_specs(RETENTION_UNIVERSE):
+    for spec in enumerate_specs(universe):
         for c in ClaimId:
             if applies(c, spec):
                 sc = check_claim(c, spec)
@@ -247,43 +253,71 @@ def full():
     return {c: (checked[c], witnesses[c]) for c in ClaimId}
 
 
+@pytest.fixture(scope="module")
+def full():
+    return spec_by_spec(RETENTION_UNIVERSE)
+
+
 def test_retention_universe_fails_late(full):
-    specs = list(enumerate_specs(RETENTION_UNIVERSE))
-    first_chunk = (len(specs) + 15) // 16  # run()'s chunk size with 2 workers
+    u = RETENTION_UNIVERSE
+    specs, splits = list(enumerate_specs(u)), split_count(u)
+    n_pairs = len(specs) // splits
+    first_chunk = (splits + 15) // 16  # run()'s chunk size with 2 workers
     first = full[ClaimId.THEOREM1_DELETION][1][0]
-    assert specs.index(first.spec) >= first_chunk
-    head = _eval_chunk((specs[:first_chunk], list(ClaimId), 3))
-    tail = _eval_chunk((specs[first_chunk:], list(ClaimId), 3))
+    assert specs.index(first.spec) >= first_chunk * n_pairs
+    head = _eval_chunk((u, 0, first_chunk, list(ClaimId), 3))
+    tail = _eval_chunk((u, first_chunk, splits, list(ClaimId), 3))
     assert head[ClaimId.THEOREM1_DELETION][1] == []
     assert tail[ClaimId.THEOREM1_DELETION][1][0] == first
 
 
 def test_eval_chunk_merges_at_every_cut():
-    # Nine (e1, e2) per split: most cuts fall inside a split, so the tail
-    # chunk starts at a spec other than the split's shortest word.
-    specs = list(enumerate_specs(Universe(2, 2, 3, (3, 4, 5), "both")))
+    # Nine (e1, e2) per split; a chunk is a range of split indices, so it
+    # holds every (e1, e2) of its splits and a cut falls between two splits.
+    u = Universe(2, 2, 3, (3, 4, 5), "both")
+    assert len(exponent_pairs(u.e_sums)) == 9
+    splits = split_count(u)
     claims, k = list(ClaimId), 10**6
-    whole = _eval_chunk((specs, claims, k))
+    whole = _eval_chunk((u, 0, splits, claims, k))
     assert any(len(whole[c][1]) > 100 for c in claims)
-    for cut in range(len(specs) + 1):
-        head = _eval_chunk((specs[:cut], claims, k))
-        tail = _eval_chunk((specs[cut:], claims, k))
+    for cut in range(splits + 1):
+        head = _eval_chunk((u, 0, cut, claims, k))
+        tail = _eval_chunk((u, cut, splits, claims, k))
         merged = {
             c: (head[c][0] + tail[c][0], head[c][1] + tail[c][1]) for c in claims
         }
         assert merged == whole, cut
+    # one chunk per split, merged in order, gives the same
+    parts = [_eval_chunk((u, i, i + 1, claims, k)) for i in range(splits)]
+    assert {
+        c: (sum(p[c][0] for p in parts), [w for p in parts for w in p[c][1]])
+        for c in claims
+    } == whole
 
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_eval_chunk_keeps_first_k_witnesses(full, k):
-    specs = list(enumerate_specs(RETENTION_UNIVERSE))
-    part = _eval_chunk((specs, list(ClaimId), k))
+    u = RETENTION_UNIVERSE
+    part = _eval_chunk((u, 0, split_count(u), list(ClaimId), k))
     assert set(part) == set(ClaimId)
     for c in ClaimId:
         checked, kept = part[c]
         assert len(kept) <= k
         assert (checked, kept) == (full[c][0], full[c][1][:k]), c
     assert len(full[ClaimId.NOTE3_LINEAR][1]) > 100 * k
+
+
+@pytest.mark.parametrize(
+    "universe",
+    [Universe(3, 1, 3, (3, 4, 5, 7), "both"), Universe(2, 1, 6, (3, 4, 5), "both")],
+    ids=["ternary-x3-e3457", "binary-x6-e345"],
+)
+def test_eval_chunk_equals_check_claim_spec_by_spec(universe):
+    # A chunk evaluates each claim on a split's whole run of (e1, e2) and
+    # lists the mismatches once per e1+e2, shared by every spec with that
+    # sum; check_claim evaluates one spec at a time.
+    whole = _eval_chunk((universe, 0, split_count(universe), list(ClaimId), 10**6))
+    assert whole == spec_by_spec(universe)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -321,15 +355,21 @@ class InlinePool:
         return map(fn, self.chunks)
 
 
-def test_run_starts_at_most_one_worker_per_cpu(monkeypatch):
-    pools = []
+@pytest.fixture
+def pools(monkeypatch):
+    """Every InlinePool that run() starts, in order."""
+    started = []
 
     def inline_pool(max_workers):
-        pools.append(InlinePool(max_workers))
-        return pools[-1]
+        started.append(InlinePool(max_workers))
+        return started[-1]
 
     assert repcore.verify.ProcessPoolExecutor is ProcessPoolExecutor
     monkeypatch.setattr(repcore.verify, "ProcessPoolExecutor", inline_pool)
+    return started
+
+
+def test_run_starts_at_most_one_worker_per_cpu(pools, monkeypatch):
     monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 3)
     u = Universe(2, 2, 4, (3, 4), "both")
     n_specs = len(list(enumerate_specs(u)))
@@ -340,11 +380,34 @@ def test_run_starts_at_most_one_worker_per_cpu(monkeypatch):
     assert pool.max_workers == 3
     # the chunk size follows the 3 workers, not the 10**6 jobs asked for
     assert n_specs > 24 and len(pool.chunks) <= 3 * 8
-    assert sum(len(specs) for specs, _, _ in pool.chunks) == n_specs
+    # the chunks are contiguous split ranges that cover the universe
+    ranges = [(lo, hi) for _, lo, hi, _, _ in pool.chunks]
+    assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+    n_pairs = len(exponent_pairs(u.e_sums))
+    assert sum((hi - lo) * n_pairs for lo, hi in ranges) == n_specs
     # with no CPU count the run stays in process
     monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: None)
     assert run(u, jobs=10**6) == one
     assert len(pools) == 1
+
+
+def test_run_ships_small_chunks_and_holds_no_specs(pools, monkeypatch):
+    # Workers enumerate their own splits: each chunk is the universe, a split
+    # range, the claims and the witness limit, whatever the universe's size.
+    monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 2)
+    u = Universe(2, 2, 8, (3, 4), "both")
+    one = run(u, jobs=1)
+
+    def no_specs(*args, **kwargs):
+        raise AssertionError("run() enumerated specs")
+
+    monkeypatch.setattr(repcore.verify, "enumerate_specs", no_specs)
+    assert run(u, jobs=1) == one
+    assert run(u, jobs=2) == one
+    [pool] = pools
+    assert len(pool.chunks) > 1
+    for task in pool.chunks:
+        assert len(pickle.dumps(task, pickle.HIGHEST_PROTOCOL)) < 1000, task
 
 
 def test_run_rejects_jobs_below_one():
