@@ -10,19 +10,25 @@ the same e1+e2 have the same counts, so a claim lists its mismatches once
 per exponent sum.  A worker chunk is a range of split indices in canonical
 order; the worker enumerates those splits itself.
 
-Lemma: the length-|x| windows of W are those of W0 plus e1+e2-MIN_E_SUM
-more copies of each rotation of x, and the length-(|x|-1) windows are
-those of W0 plus as many copies of (x+x)[k:k+|x|-1] for each k < |x|.
+Count rule: a window f of length |x| or |x|-1 occurs
+count_W0(f) + (e1+e2-MIN_E_SUM)·(f in x+x) times in W.
 Why: W is x·x1·x3·x with e1+e2-2 copies of x added at its two ends.  A
 window that crosses the junction between an added copy and its neighbour
 lies inside one copy of x on each side, so it is a factor of x+x; each
 copy adds one window at each of its |x| offsets, the same ones at either
-end.  The anchored windows (those that contain the core) lie inside
-x·x1·x3·x and do not move, and W0 already holds every rotation of x
-outside them, so the anchored and non-anchored factor sets and the number
-of distinct windows do not depend on (e1, e2) either.
-test_check_claim_equals_naive_oracle checks this on every spec of four
-universes against the slicing oracle evaluate_naive in tests/oracles.py.
+end: the windows of x+x at offsets 0..|x|-1, which every later window of
+x+x repeats.  For primitive x these are distinct at both lengths, so each
+copy adds one occurrence of each window of x+x.  At length |x| they are
+the rotations of x, distinct because x is primitive.  At length |x|-1,
+two rotations whose first |x|-1 letters agree have the same letters in
+all, so their last letters agree too and they are the same rotation.
+The anchored windows (those that contain the core) lie inside x·x1·x3·x
+and do not move, and W0 already holds every rotation of x outside them,
+so the anchored and non-anchored factor sets and the number of distinct
+windows do not depend on (e1, e2) either.
+test_check_claim_equals_naive_oracle and
+test_check_claim_equals_naive_oracle_on_long_x check this against the
+slicing oracle evaluate_naive in tests/oracles.py.
 
 Gating claims are expected to hold (a failure fails the run); reported
 claims record their empirical status and never gate, because the
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidLimit, InvalidUniverse, NotApplicable, UniverseTooLarge
 
@@ -170,13 +176,17 @@ def exponent_pairs(e_sums: Iterable[int]) -> list[tuple[int, int]]:
 
 
 def estimated_checks(universe: Universe) -> int:
-    """Upper bound on window checks, computed without enumerating words."""
-    pairs = exponent_pairs(universe.e_sums)
+    """Upper bound on window checks, computed without enumerating words.
+
+    A spec with e1+e2 = s is charged (s+1)·|x| window checks, and s-1 specs
+    have that sum, so each split costs |x|·(s²-1) per sum.  No (e1, e2) is
+    built, so a universe is sized in time independent of its exponent sums.
+    """
+    per_split = sum(s * s - 1 for s in universe.e_sums)
     total = 0
     for n in range(universe.min_x, universe.max_x + 1):
-        per_spec = sum((e1 + e2 + 1) * n for e1, e2 in pairs)
         splits = sum(1 for _ in iter_splits(n, universe.forms))
-        total += universe.alphabet_size**n * splits * per_spec
+        total += universe.alphabet_size**n * splits * n * per_split
     return total
 
 
@@ -242,28 +252,30 @@ def applies(claim: ClaimId, spec: InterruptSpec) -> bool:
 
 
 class _SplitContext:
-    """One split's core and window histograms, shared by every claim and (e1, e2).
+    """One split's core, windows and specs, shared by every claim and (e1, e2).
 
-    Built once from W0 = x·x1·x3·x·x, the split's shortest word (spec0).
-    Each histogram is a pair (base, copy): the windows of W0, and the
-    windows one more copy of x adds.  By the lemma in the module docstring,
-    a spec with e1+e2 = s has count(f) = base[f] + (s - MIN_E_SUM)·copy[f].
-    The anchored range comes from anchor_windows and is exactly where
-    classify_window answers CoreAnchored.  W starts and ends with x, so its
-    |x|-1 wraparound windows are the rotations 1..|x|-1 of x, each once:
-    read cyclically, a factor f occurs once more when f is in wraparound =
-    (x+x)[1:-1].  The length-(|x|-1) pair is built on first use.
+    pairs are the split's (e1, e2) in canonical order, and specs holds one
+    InterruptSpec per pair, built on first use, so every claim that reports
+    a spec reports the same object.  The windows come from W0 = x·x1·x3·x·x,
+    the split's shortest word (spec0): hist counts its length-|x| windows,
+    short_hist (built on first use) its length-(|x|-1) ones.  By the count
+    rule in the module docstring, a window f of either length occurs
+    hist[f] + (s - MIN_E_SUM)·(f in xx) times in a spec with e1+e2 = s.
+    W starts and ends with x, so its |x|-1 wraparound windows are the
+    rotations 1..|x|-1 of x, each once: read cyclically, f occurs once more
+    when f is in wraparound = (x+x)[1:-1].
     """
 
-    def __init__(self, split: DeletionSplit):
+    def __init__(self, split: DeletionSplit, pairs: Sequence[tuple[int, int]]):
         self.split = split
+        self.pairs = pairs
         self.spec0 = spec0 = InterruptSpec(split, 1, MIN_E_SUM - 1)
         self.report: CoreReport = core(spec0)
         self.n = n = len(split.x)
         self.xx = xx = split.x * 2
         word = self.report.word
         windows = [word[j : j + n] for j in range(len(word) - n + 1)]
-        self.hist = Counter(windows), Counter(xx[k : k + n] for k in range(n))
+        self.hist = Counter(windows)
         anchors = anchor_windows(spec0, self.report)
         lo, hi = anchors[0][0], anchors[-1][0] + 1
         self.anchored = sorted(set(windows[lo:hi]))
@@ -271,126 +283,105 @@ class _SplitContext:
         self.wraparound = xx[1:-1]
 
     @cached_property
-    def short_hist(self) -> tuple[Counter, Counter]:
-        """The (base, copy) pair of the length-(|x|-1) windows."""
+    def specs(self) -> list[InterruptSpec]:
+        return [InterruptSpec(self.split, e1, e2) for e1, e2 in self.pairs]
+
+    @cached_property
+    def short_hist(self) -> Counter:
         word, m = self.report.word, self.n - 1
-        base = Counter(word[j : j + m] for j in range(len(word) - m + 1))
-        return base, Counter(self.xx[k : k + m] for k in range(self.n))
+        return Counter(word[j : j + m] for j in range(len(word) - m + 1))
 
 
-# Each claim maps a split context and the split's exponent pairs, in
-# canonical (e1, e2) order, to (assertions evaluated over all of them,
-# violations in spec-then-factor order).  The count is per-split
-# arithmetic.  The violations are a lazy iterator: a caller that keeps only
-# the first few builds no other Witness or InterruptSpec and does no
-# per-factor work for the specs after them.  A cyclic claim is its linear
-# twin with wraparound = ctx.wraparound: each factor that occurs in it
-# counts once more.
-_Pairs = Sequence[tuple[int, int]]
-_Result = tuple[int, Iterator[Witness]]
-_Violation = tuple[str, int, int]  # (factor, expected, actual)
+# Each claim maps a split context to (assertions evaluated over all of its
+# (e1, e2), per_sum), where per_sum(s) lists the (factor, expected, actual)
+# violations of a spec with e1+e2 = s.  The count is per-split arithmetic;
+# per_sum does the per-factor work, and only when _witnesses asks for it.
+# A cyclic claim is its linear twin with wraparound = ctx.wraparound.
+_PerSum = Callable[[int], list[tuple[str, int, int]]]
+_Result = tuple[int, _PerSum]
 
 
 def _mismatches(
     ctx: _SplitContext,
-    pairs: _Pairs,
     factors: list[str],
-    hist: tuple[Counter, Counter],
+    hist: Counter,
     expected: int | None = None,
     wraparound: str = "",
 ) -> _Result:
-    """Factors whose count is not expected (None: e1+e2) in each spec.
+    """Factors whose count is not expected (None: e1+e2) in each spec."""
 
-    Specs with the same e1+e2 share their counts, so the mismatches are
-    listed at most once per sum.
+    def per_sum(s: int) -> list[tuple[str, int, int]]:
+        want, extra = expected or s, s - MIN_E_SUM
+        counts = (
+            (f, hist[f] + extra * (f in ctx.xx) + (f in wraparound)) for f in factors
+        )
+        return [(f, want, a) for f, a in counts if a != want]
+
+    return len(factors) * len(ctx.pairs), per_sum
+
+
+def _witnesses(ctx: _SplitContext, per_sum: _PerSum) -> Iterator[Witness]:
+    """Every violation of the split's specs, in spec-then-factor order.
+
+    per_sum runs at most once per exponent sum, and only as far as the
+    caller reads, so a caller that keeps only the first few witnesses does
+    no per-factor work for the specs after them.
     """
-
-    def witnesses() -> Iterator[Witness]:
-        base, copy = hist
-        by_sum: dict[int, list[_Violation]] = {}
-        for e1, e2 in pairs:
-            s = e1 + e2
-            if s not in by_sum:
-                want, extra = expected or s, s - MIN_E_SUM
-                counts = (
-                    (f, base[f] + extra * copy[f] + (f in wraparound)) for f in factors
-                )
-                by_sum[s] = [(f, want, a) for f, a in counts if a != want]
-            if by_sum[s]:
-                spec = InterruptSpec(ctx.split, e1, e2)
-                for f, want, actual in by_sum[s]:
-                    yield Witness(spec, f, want, actual)
-
-    return len(factors) * len(pairs), witnesses()
+    by_sum = {}
+    for i, (e1, e2) in enumerate(ctx.pairs):
+        s = e1 + e2
+        if s not in by_sum:
+            by_sum[s] = per_sum(s)
+        for f, want, actual in by_sum[s]:
+            yield Witness(ctx.specs[i], f, want, actual)
 
 
-def _every_spec(
-    ctx: _SplitContext, pairs: _Pairs, violations: Iterable[_Violation]
-) -> Iterator[Witness]:
-    """The same violations, which do not depend on (e1, e2), for each spec."""
-    found = list(violations)
-    if found:
-        for e1, e2 in pairs:
-            spec = InterruptSpec(ctx.split, e1, e2)
-            for f, want, actual in found:
-                yield Witness(spec, f, want, actual)
-
-
-def _dft_bound(ctx: _SplitContext, pairs: _Pairs) -> _Result:
+def _dft_bound(ctx: _SplitContext) -> _Result:
     rep, n = ctx.report, ctx.n
     actual = rep.p_len + rep.s_len
     fails = [("", n - 2, actual)] if actual > n - 2 else []
-    return len(pairs), _every_spec(ctx, pairs, fails)
+    return len(ctx.pairs), lambda s: fails
 
 
-def _theorem1(ctx: _SplitContext, pairs: _Pairs, wrap: str = "") -> _Result:
-    return _mismatches(ctx, pairs, ctx.anchored, ctx.hist, 1, wrap)
-
-
-def _dichotomy(ctx: _SplitContext, pairs: _Pairs) -> _Result:
+def _dichotomy(ctx: _SplitContext) -> _Result:
     # A length-|x| factor is a rotation of x exactly when it occurs in x+x.
     # Every window of W is one assertion: (e1+e2)·|x| - |x2| + 1 of them.
-    bad = ((f, 1, 0) for f in ctx.non_anchored if f not in ctx.xx)
-    windows = sum(e1 + e2 for e1, e2 in pairs) * ctx.n
-    return windows - len(pairs) * (len(ctx.split.x2) - 1), _every_spec(ctx, pairs, bad)
+    windows = sum(e1 + e2 for e1, e2 in ctx.pairs) * ctx.n
+    checked = windows - len(ctx.pairs) * (len(ctx.split.x2) - 1)
+    return checked, lambda s: [(f, 1, 0) for f in ctx.non_anchored if f not in ctx.xx]
 
 
-def _distinct_count(ctx: _SplitContext, pairs: _Pairs) -> _Result:
+def _distinct_count(ctx: _SplitContext) -> _Result:
     rep, n = ctx.report, ctx.n
-    distinct = len(ctx.hist[0])
+    distinct = len(ctx.hist)
     expected = 2 * n - rep.p_len - rep.s_len - 1
     fails = [("", expected, distinct)] if distinct != expected else []
-    return len(pairs), _every_spec(ctx, pairs, fails)
+    return len(ctx.pairs), lambda s: fails
 
 
-def _note2_linear(ctx: _SplitContext, pairs: _Pairs) -> _Result:
+def _note2_linear(ctx: _SplitContext) -> _Result:
     # Stated only for the boundary case lcp + lcs == |x| - 2.
     rep = ctx.report
     if rep.p_len + rep.s_len != ctx.n - 2:
-        return 0, iter(())
+        return 0, lambda s: []
     sp = rep.s_tilde[1:] + rep.p_tilde[:-1]
     hist = ctx.short_hist
-    factors = [f for f in sorted(hist[0]) if sp in f]
-    return _mismatches(ctx, pairs, factors, hist)
+    return _mismatches(ctx, [f for f in sorted(hist) if sp in f], hist)
 
 
-def _note3_linear(ctx: _SplitContext, pairs: _Pairs, wrap: str = "") -> _Result:
-    return _mismatches(ctx, pairs, ctx.non_anchored, ctx.hist, None, wrap)
-
-
-_CLAIMS = {
+_CLAIMS: dict[ClaimId, Callable[[_SplitContext], _Result]] = {
     ClaimId.DFT_BOUND: _dft_bound,
-    ClaimId.THEOREM1: _theorem1,
-    ClaimId.THEOREM1_DELETION: _theorem1,
+    ClaimId.THEOREM1: lambda ctx: _mismatches(ctx, ctx.anchored, ctx.hist, 1),
+    ClaimId.THEOREM1_DELETION: lambda ctx: _mismatches(ctx, ctx.anchored, ctx.hist, 1),
     ClaimId.DICHOTOMY: _dichotomy,
     ClaimId.DISTINCT_COUNT: _distinct_count,
     ClaimId.CORE_CYCLIC_UNIQUE: (
-        lambda ctx, pairs: _theorem1(ctx, pairs, ctx.wraparound)
+        lambda ctx: _mismatches(ctx, ctx.anchored, ctx.hist, 1, ctx.wraparound)
     ),
     ClaimId.NOTE2_LINEAR: _note2_linear,
-    ClaimId.NOTE3_LINEAR: _note3_linear,
+    ClaimId.NOTE3_LINEAR: lambda ctx: _mismatches(ctx, ctx.non_anchored, ctx.hist),
     ClaimId.NOTE3_CYCLIC: (
-        lambda ctx, pairs: _note3_linear(ctx, pairs, ctx.wraparound)
+        lambda ctx: _mismatches(ctx, ctx.non_anchored, ctx.hist, None, ctx.wraparound)
     ),
 }
 
@@ -404,9 +395,9 @@ def check_claim(claim: ClaimId, spec: InterruptSpec) -> SpecCheck:
     """
     if not applies(claim, spec):
         raise NotApplicable(f"{claim.value} does not apply to this split form")
-    pairs = [(spec.e1, spec.e2)]
-    checked, violations = _CLAIMS[claim](_SplitContext(spec.split), pairs)
-    return SpecCheck(checked, tuple(violations))
+    ctx = _SplitContext(spec.split, [(spec.e1, spec.e2)])
+    checked, per_sum = _CLAIMS[claim](ctx)
+    return SpecCheck(checked, tuple(_witnesses(ctx, per_sum)))
 
 
 def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]):
@@ -414,22 +405,22 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]):
 
     The chunk is the splits with canonical indices lo..hi-1, each with every
     (e1, e2) of the universe.  The worker enumerates them itself, and builds
-    an InterruptSpec only for a witness it keeps.
+    a split's InterruptSpecs only when it keeps a witness of that split.
     """
     universe, lo, hi, claims, max_violations = args
     pairs = exponent_pairs(universe.e_sums)
     checked = dict.fromkeys(claims, 0)
     kept: dict[ClaimId, list[Witness]] = {c: [] for c in claims}
     for x, cut1, cut2 in _splits(universe, lo, hi):
-        ctx = _SplitContext(DeletionSplit(x, cut1, cut2))
+        ctx = _SplitContext(DeletionSplit(x, cut1, cut2), pairs)
         for c in claims:
             if not applies(c, ctx.spec0):
                 continue
-            count, violations = _CLAIMS[c](ctx, pairs)
+            count, per_sum = _CLAIMS[c](ctx)
             checked[c] += count
-            found = kept[c]
-            if len(found) < max_violations:
-                found.extend(islice(violations, max_violations - len(found)))
+            room = max_violations - len(kept[c])
+            if room > 0:
+                kept[c].extend(islice(_witnesses(ctx, per_sum), room))
     return {c: (checked[c], kept[c]) for c in claims}
 
 

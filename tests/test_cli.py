@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -222,6 +223,29 @@ def test_verify_jobs_identical_output(capsys):
     _, out1, _ = run_cli(capsys, *args, "--jobs", "1")
     _, out4, _ = run_cli(capsys, *args, "--jobs", "4")
     assert out1 == out4
+
+
+# stdout SHA-256 of verify runs whose witnesses interleave several exponent
+# sums within each split, pinning the canonical (e1, e2) order across sums.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "verify --forms both --max-x 7 --e-sums 3,4,5,7 --max-violations 50",
+            "e1146d164c89d6fddce105c39b95860d447823c4b6acdedeadf7bed40b31278e",
+        ),
+        (
+            "verify --alphabet 3 --max-x 5 --forms both --e-sums 3,6"
+            " --max-violations 30 --json",
+            "b176f6324c936f3a9e66814726520d01be3733e523f0ffed4c38b7366533bd72",
+        ),
+    ],
+    ids=["binary-x7-e3457", "ternary-x5-e36-json"],
+)
+def test_verify_multi_sum_stdout_digest(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_json_reserialization_is_stable(capsys):

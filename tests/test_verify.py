@@ -1,4 +1,5 @@
 import pickle
+import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from repcore.errors import (
     NotApplicable,
     UniverseTooLarge,
 )
+from repcore.interrupts import iter_splits
 from repcore.verify import (
     GATING_CLAIMS,
     REPORTED_CLAIMS,
@@ -30,6 +32,7 @@ from repcore.verify import (
     exponent_pairs,
     verdict,
 )
+from repcore.words import is_primitive
 
 from oracles import evaluate_naive
 
@@ -119,6 +122,17 @@ def test_enumerate_too_large():
     with pytest.raises(UniverseTooLarge):
         list(enumerate_specs(Universe(2, 2, 8, (3, 4), "prefix"), max_checks=100))
     assert estimated_checks(Universe(2, 2, 2, (3,), "prefix")) <= 200
+
+
+def test_cap_rejects_before_building_exponent_pairs(monkeypatch):
+    # A sum of 10**8 would need about 10**8 (e1, e2) pairs; the estimate is
+    # closed-form in the sums, so the cap rejects the universe without them.
+    def no_pairs(*args, **kwargs):
+        raise AssertionError("exponent pairs built before the cap check")
+
+    monkeypatch.setattr(repcore.verify, "exponent_pairs", no_pairs)
+    with pytest.raises(UniverseTooLarge):
+        run(Universe(2, 2, 2, (3, 10**8)))
 
 
 def test_check_claim_theorem1_ok():
@@ -229,6 +243,49 @@ def test_check_claim_equals_naive_oracle(universe):
             ), (claim, spec)
 
 
+def random_specs(count, seed):
+    """Specs with |x| 7-12 over 2-4 letters, both forms, e1+e2 3-9.  Every
+    second x is a run of one letter plus a random tail, the shape whose
+    anchored windows repeat (theorem1) and whose core sits at the boundary
+    lcp + lcs = |x| - 2 (note2_linear)."""
+    rng = random.Random(seed)
+    specs = []
+    while len(specs) < count:
+        n, letters = rng.randint(7, 12), "abcd"[: rng.randint(2, 4)]
+        if len(specs) % 2:
+            run_len = rng.randint(n - 4, n - 1)
+            x = letters[0] * run_len + "".join(
+                rng.choice(letters) for _ in range(n - run_len)
+            )
+        else:
+            x = "".join(rng.choice(letters) for _ in range(n))
+        if not is_primitive(x):
+            continue
+        cut1, cut2 = rng.choice(list(iter_splits(n, "both")))
+        s = rng.randint(3, 9)
+        e1 = rng.randint(1, s - 1)
+        specs.append(InterruptSpec(DeletionSplit(x, cut1, cut2), e1, s - e1))
+    return specs
+
+
+def test_check_claim_equals_naive_oracle_on_long_x():
+    # The universes above stop at |x| = 6; the verifier runs up to |x| = 12.
+    failing = set()
+    for spec in random_specs(300, seed=10):
+        for claim in ClaimId:
+            if not applies(claim, spec):
+                continue
+            got = check_claim(claim, spec)
+            want_checked, want_violations = evaluate_naive(claim, spec)
+            assert (got.checked, list(got.violations)) == (
+                want_checked,
+                want_violations,
+            ), (claim, spec)
+            if got.violations:
+                failing.add(claim)
+    assert {ClaimId.THEOREM1, ClaimId.NOTE2_LINEAR} <= failing
+
+
 # theorem1_deletion first fails on spec 55 (split 11) of this universe, after
 # the first chunk of a --jobs 2 run (9 splits, 45 specs); note3_linear fails
 # on every spec.
@@ -293,6 +350,19 @@ def test_eval_chunk_merges_at_every_cut():
         c: (sum(p[c][0] for p in parts), [w for p in parts for w in p[c][1]])
         for c in claims
     } == whole
+
+
+def test_eval_chunk_witnesses_share_their_spec():
+    # Witnesses of different claims for one spec hold the same InterruptSpec,
+    # so a chunk's result pickles each reported spec once.
+    u = RETENTION_UNIVERSE
+    part = _eval_chunk((u, 0, split_count(u), list(ClaimId), 10**6))
+    by_key, claims_of = {}, {}
+    for c, (_, kept) in part.items():
+        for w in kept:
+            assert by_key.setdefault(w.spec.key(), w.spec) is w.spec, (c, w)
+            claims_of.setdefault(w.spec.key(), set()).add(c)
+    assert any(len(claims) > 1 for claims in claims_of.values())
 
 
 @pytest.mark.parametrize("k", [1, 3])
