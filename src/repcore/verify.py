@@ -10,6 +10,16 @@ the same e1+e2 have the same counts, so a claim lists its mismatches once
 per exponent sum.  A worker chunk is a range of split indices in canonical
 order; the worker enumerates those splits itself.
 
+Renaming the letters of x injectively keeps every claim's status, count
+and factor pattern, since each claim reads only which positions of W hold
+equal letters.  So only one x per orbit is evaluated: the first-use word,
+whose letters first appear in the order a, b, c, ... (words.first_use_words),
+the smallest of its orbit.  Its counts are multiplied by the orbit size,
+and each of its witnesses stands for one witness of every renamed spec,
+with the factor renamed too.  Renaming moves witnesses out of canonical
+order, so each chunk keeps its first max_violations by (spec key, factor)
+in a sorted bounded list, and run() merges the chunks' lists by that key.
+
 Count rule: a window f of length |x| or |x|-1 occurs
 count_W0(f) + (e1+e2-MIN_E_SUM)·(f in x+x) times in W.
 Why: W is x·x1·x3·x with e1+e2-2 copies of x added at its two ends.  A
@@ -39,12 +49,15 @@ small instances and the point is to say so with witnesses.
 from __future__ import annotations
 
 import os
+from bisect import bisect
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from heapq import merge
 from itertools import islice
+from math import perm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidLimit, InvalidUniverse, NotApplicable, UniverseTooLarge
@@ -64,7 +77,14 @@ from .interrupts import (
     core,
     iter_splits,
 )
-from .words import cyclic_occurrences, occurrences, primitive_words
+from .words import (
+    count_first_use_words,
+    cyclic_occurrences,
+    first_use_words,
+    occurrences,
+    primitive_words,
+    renamings,
+)
 
 DEFAULT_MAX_CHECKS = 10_000_000
 DEFAULT_MAX_VIOLATIONS = 10
@@ -200,16 +220,16 @@ def _check_size(universe: Universe, max_checks: int) -> None:
 
 
 def _split_count(universe: Universe) -> int:
-    """Number of splits (x, cut1, cut2) in the universe."""
+    """Number of first-use splits (x, cut1, cut2) in the universe."""
     return sum(
-        sum(1 for _ in primitive_words(n, universe.alphabet_size))
+        count_first_use_words(n, universe.alphabet_size)
         * sum(1 for _ in iter_splits(n, universe.forms))
         for n in range(universe.min_x, universe.max_x + 1)
     )
 
 
 def _splits(universe: Universe, lo: int, hi: int) -> Iterator[tuple[str, int, int]]:
-    """(x, cut1, cut2) for the split indices lo..hi-1, in canonical order.
+    """(x, cut1, cut2) for the first-use split indices lo..hi-1, in canonical order.
 
     Canonical order: (|x|, x lexicographic, cut1, cut2).  Every x of one
     length has the same cuts, so a word whose splits all lie below lo is
@@ -218,7 +238,7 @@ def _splits(universe: Universe, lo: int, hi: int) -> Iterator[tuple[str, int, in
     i = 0
     for n in range(universe.min_x, universe.max_x + 1):
         cuts = list(iter_splits(n, universe.forms))
-        for x in primitive_words(n, universe.alphabet_size):
+        for x in first_use_words(n, universe.alphabet_size):
             if i >= hi:
                 return
             if i + len(cuts) > lo:
@@ -230,16 +250,19 @@ def _splits(universe: Universe, lo: int, hi: int) -> Iterator[tuple[str, int, in
 def enumerate_specs(
     universe: Universe, max_checks: int = DEFAULT_MAX_CHECKS
 ) -> Iterator[InterruptSpec]:
-    """Every spec of the universe exactly once, in canonical order.
+    """Every spec of the universe exactly once, every x of every orbit.
 
     Canonical order: (|x|, x lexicographic, cut1, cut2, e1, e2).
     """
     _check_size(universe, max_checks)
     pairs = exponent_pairs(universe.e_sums)
-    for x, cut1, cut2 in _splits(universe, 0, _split_count(universe)):
-        split = DeletionSplit(x, cut1, cut2)
-        for e1, e2 in pairs:
-            yield InterruptSpec(split, e1, e2)
+    for n in range(universe.min_x, universe.max_x + 1):
+        cuts = list(iter_splits(n, universe.forms))
+        for x in primitive_words(n, universe.alphabet_size):
+            for cut1, cut2 in cuts:
+                split = DeletionSplit(x, cut1, cut2)
+                for e1, e2 in pairs:
+                    yield InterruptSpec(split, e1, e2)
 
 
 def applies(claim: ClaimId, spec: InterruptSpec) -> bool:
@@ -251,12 +274,47 @@ def applies(claim: ClaimId, spec: InterruptSpec) -> bool:
     return True
 
 
+class _Orbit:
+    """The renamings of a first-use x (words.renamings), generated as far as
+    a claim reads them and kept for x's other splits and claims.
+
+    len() is the orbit size, k!/(k-m)! for m distinct letters.  An offer
+    that finds a violation reads at most max_violations + 1 renamings, so a
+    large alphabet costs no more than what is reported.
+    """
+
+    def __init__(self, x: str, alphabet_size: int):
+        self.x = x
+        self.size = perm(alphabet_size, len(set(x)))
+        self._rest = renamings(x, alphabet_size)
+        self._seen: list[tuple[str, dict[int, int]]] = []
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> tuple[str, dict[int, int]]:
+        return self._seen[i]
+
+    def __iter__(self) -> Iterator[tuple[str, dict[int, int]]]:
+        seen, i = self._seen, 0
+        while True:
+            if i == len(seen):
+                member = next(self._rest, None)
+                if member is None:
+                    return
+                seen.append(member)
+            yield seen[i]
+            i += 1
+
+
 class _SplitContext:
     """One split's core, windows and specs, shared by every claim and (e1, e2).
 
-    pairs are the split's (e1, e2) in canonical order, and specs holds one
-    InterruptSpec per pair, built on first use, so every claim that reports
-    a spec reports the same object.  The windows come from W0 = x·x1·x3·x·x,
+    pairs are the split's (e1, e2) in canonical order.  orbit holds
+    (σ(x), σ) for the renamings the split stands for, an _Orbit; by
+    default only x itself.  specs(i) holds one InterruptSpec per pair for
+    orbit member i, built on first use, so every claim that reports a spec
+    reports the same object.  The windows come from W0 = x·x1·x3·x·x,
     the split's shortest word (spec0): hist counts its length-|x| windows,
     short_hist (built on first use) its length-(|x|-1) ones.  By the count
     rule in the module docstring, a window f of either length occurs
@@ -266,9 +324,16 @@ class _SplitContext:
     when f is in wraparound = (x+x)[1:-1].
     """
 
-    def __init__(self, split: DeletionSplit, pairs: Sequence[tuple[int, int]]):
+    def __init__(
+        self,
+        split: DeletionSplit,
+        pairs: Sequence[tuple[int, int]],
+        orbit: _Orbit | None = None,
+    ):
         self.split = split
         self.pairs = pairs
+        self.orbit = [(split.x, {})] if orbit is None else orbit
+        self._specs: dict[int, list[InterruptSpec]] = {}
         self.spec0 = spec0 = InterruptSpec(split, 1, MIN_E_SUM - 1)
         self.report: CoreReport = core(spec0)
         self.n = n = len(split.x)
@@ -282,9 +347,13 @@ class _SplitContext:
         self.non_anchored = sorted(set(windows[:lo]) | set(windows[hi:]))
         self.wraparound = xx[1:-1]
 
-    @cached_property
-    def specs(self) -> list[InterruptSpec]:
-        return [InterruptSpec(self.split, e1, e2) for e1, e2 in self.pairs]
+    def specs(self, i: int) -> list[InterruptSpec]:
+        if i not in self._specs:
+            split = self.split
+            if i:
+                split = DeletionSplit(self.orbit[i][0], split.cut1, split.cut2)
+            self._specs[i] = [InterruptSpec(split, e1, e2) for e1, e2 in self.pairs]
+        return self._specs[i]
 
     @cached_property
     def short_hist(self) -> Counter:
@@ -295,7 +364,7 @@ class _SplitContext:
 # Each claim maps a split context to (assertions evaluated over all of its
 # (e1, e2), per_sum), where per_sum(s) lists the (factor, expected, actual)
 # violations of a spec with e1+e2 = s.  The count is per-split arithmetic;
-# per_sum does the per-factor work, and only when _witnesses asks for it.
+# per_sum does the per-factor work, and only when _Kept.offer asks for it.
 # A cyclic claim is its linear twin with wraparound = ctx.wraparound.
 _PerSum = Callable[[int], list[tuple[str, int, int]]]
 _Result = tuple[int, _PerSum]
@@ -320,20 +389,58 @@ def _mismatches(
     return len(factors) * len(ctx.pairs), per_sum
 
 
-def _witnesses(ctx: _SplitContext, per_sum: _PerSum) -> Iterator[Witness]:
-    """Every violation of the split's specs, in spec-then-factor order.
+def _witness_key(w: Witness) -> tuple:
+    """Canonical witness order: the spec's key, then the factor."""
+    return (*w.spec.key(), w.factor)
 
-    per_sum runs at most once per exponent sum, and only as far as the
-    caller reads, so a caller that keeps only the first few witnesses does
-    no per-factor work for the specs after them.
+
+class _Kept:
+    """The first `limit` (None: all) witnesses offered, by _witness_key.
+
+    keys[i] is the key of witnesses[i]; only witnesses leave the chunk.
     """
-    by_sum = {}
-    for i, (e1, e2) in enumerate(ctx.pairs):
-        s = e1 + e2
-        if s not in by_sum:
-            by_sum[s] = per_sum(s)
-        for f, want, actual in by_sum[s]:
-            yield Witness(ctx.specs[i], f, want, actual)
+
+    def __init__(self, limit: int | None):
+        self.limit = limit
+        self.keys: list[tuple] = []
+        self.witnesses: list[Witness] = []
+
+    def offer(self, ctx: _SplitContext, per_sum: _PerSum) -> None:
+        """Keep the violations of every orbit member's specs that rank high enough.
+
+        Orbit members come in σ(x) order and their specs and renamed factors
+        in key order, so once the list is full, the first member whose
+        (|x|, σ(x), cut1, cut2) is past the last kept key, or the first key
+        past it, ends the offer.  per_sum runs once per exponent sum, and
+        only when the split can still place a witness, so a full list costs
+        no per-factor work for the splits after it.
+        """
+        keys, witnesses, limit = self.keys, self.witnesses, self.limit
+        n, cut1, cut2 = ctx.n, ctx.split.cut1, ctx.split.cut2
+        found: dict[int, list[tuple[str, int, int]]] = {}
+        for i, (sx, table) in enumerate(ctx.orbit):
+            head = (n, sx, cut1, cut2)
+            if len(keys) == limit and head > keys[-1][:4]:
+                return
+            if not found:
+                found = {s: per_sum(s) for s in {e1 + e2 for e1, e2 in ctx.pairs}}
+                if not any(found.values()):
+                    return  # x has no violation, so no renaming of it has one
+            renamed = {
+                s: sorted((f.translate(table), want, got) for f, want, got in fs)
+                for s, fs in found.items()
+            }
+            for j, (e1, e2) in enumerate(ctx.pairs):
+                for f, want, actual in renamed[e1 + e2]:
+                    key = (*head, e1, e2, f)
+                    if len(keys) == limit:
+                        if key > keys[-1]:
+                            return
+                        keys.pop()
+                        witnesses.pop()
+                    at = bisect(keys, key)
+                    keys.insert(at, key)
+                    witnesses.insert(at, Witness(ctx.specs(i)[j], f, want, actual))
 
 
 def _dft_bound(ctx: _SplitContext) -> _Result:
@@ -397,31 +504,36 @@ def check_claim(claim: ClaimId, spec: InterruptSpec) -> SpecCheck:
         raise NotApplicable(f"{claim.value} does not apply to this split form")
     ctx = _SplitContext(spec.split, [(spec.e1, spec.e2)])
     checked, per_sum = _CLAIMS[claim](ctx)
-    return SpecCheck(checked, tuple(_witnesses(ctx, per_sum)))
+    kept = _Kept(None)
+    kept.offer(ctx, per_sum)
+    return SpecCheck(checked, tuple(kept.witnesses))
 
 
 def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]):
     """Per claim: (assertions evaluated, the chunk's first max_violations witnesses).
 
-    The chunk is the splits with canonical indices lo..hi-1, each with every
-    (e1, e2) of the universe.  The worker enumerates them itself, and builds
-    a split's InterruptSpecs only when it keeps a witness of that split.
+    The chunk is the first-use splits with canonical indices lo..hi-1, each
+    with every (e1, e2) of the universe, standing for every split of its
+    orbit.  The worker enumerates them itself, and builds a renamed split's
+    InterruptSpecs only when it keeps a witness of that split.  Witnesses
+    are in canonical order.
     """
     universe, lo, hi, claims, max_violations = args
     pairs = exponent_pairs(universe.e_sums)
     checked = dict.fromkeys(claims, 0)
-    kept: dict[ClaimId, list[Witness]] = {c: [] for c in claims}
+    kept = {c: _Kept(max_violations) for c in claims}
+    orbit = None
     for x, cut1, cut2 in _splits(universe, lo, hi):
-        ctx = _SplitContext(DeletionSplit(x, cut1, cut2), pairs)
+        if orbit is None or orbit.x != x:
+            orbit = _Orbit(x, universe.alphabet_size)
+        ctx = _SplitContext(DeletionSplit(x, cut1, cut2), pairs, orbit)
         for c in claims:
             if not applies(c, ctx.spec0):
                 continue
             count, per_sum = _CLAIMS[c](ctx)
-            checked[c] += count
-            room = max_violations - len(kept[c])
-            if room > 0:
-                kept[c].extend(islice(_witnesses(ctx, per_sum), room))
-    return {c: (checked[c], kept[c]) for c in claims}
+            checked[c] += count * len(orbit)
+            kept[c].offer(ctx, per_sum)
+    return {c: (checked[c], kept[c].witnesses) for c in claims}
 
 
 def run(
@@ -434,14 +546,16 @@ def run(
     """Evaluate claims over every spec of the universe.
 
     Output is deterministic and identical for any job count: every spec is
-    evaluated (no early exit), and chunk results merge in canonical order.
-    A chunk is a range of split indices, so the parent holds no spec and
-    sends each worker five small values.  Each chunk keeps only its first
-    max_violations witnesses per claim and counts the rest of its
-    assertions, so memory is bounded by what is reported; because chunks
-    are contiguous in canonical order, the first max_violations of the
-    merged lists are the first of the whole universe.  The pool starts at
-    most one worker per CPU, whatever jobs asks for.
+    evaluated (no early exit), through the first-use spec of its orbit, and
+    chunk results merge in canonical order.  A chunk is a range of
+    first-use split indices, so the parent holds no spec and sends each
+    worker five small values.  Each chunk keeps only its first
+    max_violations witnesses per claim, in canonical order, and counts the
+    rest of its assertions, so memory is bounded by what is reported.  A
+    renamed spec can sort before specs of earlier chunks, so the parent
+    merges the chunks' sorted lists by key; the first max_violations of the
+    merge are the first of the whole universe, for any chunking.  The pool
+    starts at most one worker per CPU, whatever jobs asks for.
     """
     if max_violations < 1:
         raise InvalidLimit(f"max_violations must be >= 1, got {max_violations}")
@@ -471,18 +585,15 @@ def run(
     reports = []
     for c in claim_list:
         checked = sum(part[c][0] for part in merged)
-        violations: list[Witness] = []
-        for part in merged:
-            violations.extend(part[c][1])
+        lists = [part[c][1] for part in merged]
+        violations = list(islice(merge(*lists, key=_witness_key), max_violations))
         if checked == 0:
             status = "not_applicable"
         elif violations:
             status = "fails"
         else:
             status = "holds"
-        reports.append(
-            ClaimReport(c, checked, status, tuple(violations[:max_violations]))
-        )
+        reports.append(ClaimReport(c, checked, status, tuple(violations)))
     return reports
 
 

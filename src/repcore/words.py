@@ -8,7 +8,7 @@ intervals half-open.  All functions are pure.
 from __future__ import annotations
 
 import string
-from itertools import product
+from itertools import permutations, product
 from typing import Iterator
 
 from .errors import EmptyPattern, EmptyWord, InvalidWord, PatternLongerThanText
@@ -40,6 +40,89 @@ def primitive_words(length: int, alphabet_size: int) -> Iterator[str]:
     for w in words_of_length(length, alphabet_size):
         if is_primitive(w):
             yield w
+
+
+def first_use_words(length: int, alphabet_size: int) -> Iterator[str]:
+    """Yield the primitive words whose letters first appear in the order a, b, c, ...
+
+    Renaming the letters of a word injectively keeps it primitive; these
+    words are one per renaming orbit, each the smallest of its orbit.
+    Lexicographic order.
+
+    >>> list(first_use_words(3, 3))
+    ['aab', 'aba', 'abb', 'abc']
+    """
+
+    def extend(prefix: str, used: int) -> Iterator[str]:
+        if len(prefix) == length:
+            yield prefix
+            return
+        for j in range(min(used + 1, alphabet_size)):
+            yield from extend(prefix + LETTERS[j], max(used, j + 1))
+
+    for w in extend("", 0):
+        if is_primitive(w):
+            yield w
+
+
+def count_first_use_words(length: int, alphabet_size: int) -> int:
+    """The number of words first_use_words yields, without enumerating them.
+
+    A word of length n whose m letters first appear in the order a, b, ...
+    is a partition of its positions into m blocks; there are S(n, m) of
+    them (Stirling numbers of the second kind).  Each is u^(n/d) for one
+    primitive u of the same kind with d | n, so by Möbius inversion
+    Σ_{d|n} μ(d)·Σ_{m≤k} S(n/d, m) of them are primitive.
+
+    >>> count_first_use_words(3, 3), count_first_use_words(6, 2)
+    (4, 27)
+    """
+    return sum(
+        _mobius(d) * _partitions(length // d, alphabet_size)
+        for d in range(1, length + 1)
+        if length % d == 0
+    )
+
+
+def renamings(x: str, alphabet_size: int) -> Iterator[tuple[str, dict[int, int]]]:
+    """Yield (σ(x), σ) for every injective renaming σ of the letters of x.
+
+    x is a first_use_words word; σ maps its letters into the first
+    alphabet_size letters, as a str.translate table.  The renamings come
+    lazily and in lexicographic order of σ(x), so x itself comes first.
+    There are k!/(k-m)! of them for m distinct letters, the size of x's
+    orbit.
+
+    >>> [y for y, _ in renamings("aab", 3)]
+    ['aab', 'aac', 'bba', 'bbc', 'cca', 'ccb']
+    """
+    used = LETTERS[: len(set(x))]
+    for image in permutations(LETTERS[:alphabet_size], len(used)):
+        table = str.maketrans(used, "".join(image))
+        yield x.translate(table), table
+
+
+def _mobius(n: int) -> int:
+    """μ(n): 0 if a square divides n, else (-1) to the number of prime factors."""
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def _partitions(n: int, k: int) -> int:
+    """Σ_{m≤k} S(n, m): partitions of n positions into at most k blocks."""
+    row = [1]  # S(i, m) for m = 0..i
+    for i in range(1, n + 1):
+        row = [0] + [
+            m * (row[m] if m < i else 0) + row[m - 1] for m in range(1, i + 1)
+        ]
+    return sum(row[: k + 1])
 
 
 def lcp(a: str, b: str) -> int:

@@ -6,7 +6,16 @@ full enumeration), deliberately ignoring the library's shortcuts.
 
 from repcore import ClaimId, DeletionSplit, InterruptSpec, build, occurrences
 from repcore.errors import EmptyPattern, EmptyWord, InvalidSpec, InvalidSplit
-from repcore.verify import Witness
+from repcore.interrupts import iter_splits
+from repcore.verify import (
+    _CLAIMS,
+    ClaimReport,
+    Witness,
+    _SplitContext,
+    applies,
+    exponent_pairs,
+)
+from repcore.words import primitive_words
 
 
 def lcp_naive(a, b):
@@ -222,3 +231,56 @@ def phase_segments_naive(text, x):
             if k - i >= n:
                 out.append((i, k, f))
     return out
+
+
+def run_full(universe, claims=None, max_violations=10, jobs=1, max_checks=None):
+    """repcore.verify.run by full enumeration: every primitive x, no orbits.
+
+    The splits of every primitive word, in canonical order, are cut into
+    contiguous chunks as run() cuts its splits (about 8 per job); each chunk
+    keeps its first max_violations witnesses per claim in spec-then-factor
+    order, and the chunks' lists are concatenated.  Claims are evaluated by
+    repcore.verify's per-split claim table on each word itself, so this
+    checks the orbit reduction, the renamed witnesses and the key merge;
+    evaluate_naive checks the claims.  max_checks is ignored.
+    """
+    wanted = set(ClaimId if claims is None else claims)
+    claim_list = [c for c in ClaimId if c in wanted]
+    pairs = exponent_pairs(universe.e_sums)
+    splits = [
+        DeletionSplit(x, cut1, cut2)
+        for n in range(universe.min_x, universe.max_x + 1)
+        for x in primitive_words(n, universe.alphabet_size)
+        for cut1, cut2 in iter_splits(n, universe.forms)
+    ]
+    size = max(1, -(-len(splits) // (jobs * 8)))
+    checked = dict.fromkeys(claim_list, 0)
+    witnesses = {c: [] for c in claim_list}
+    for lo in range(0, len(splits), size):
+        kept = {c: [] for c in claim_list}
+        for split in splits[lo : lo + size]:
+            ctx = _SplitContext(split, pairs)
+            specs = [InterruptSpec(split, e1, e2) for e1, e2 in pairs]
+            for c in claim_list:
+                if not applies(c, ctx.spec0):
+                    continue
+                count, per_sum = _CLAIMS[c](ctx)
+                checked[c] += count
+                for spec in specs:
+                    if len(kept[c]) >= max_violations:
+                        break
+                    kept[c].extend(
+                        Witness(spec, f, want, actual)
+                        for f, want, actual in per_sum(spec.e1 + spec.e2)
+                    )
+                del kept[c][max_violations:]
+        for c in claim_list:
+            witnesses[c].extend(kept[c])
+    reports = []
+    for c in claim_list:
+        found = witnesses[c]
+        status = "not_applicable" if not checked[c] else "fails" if found else "holds"
+        reports.append(
+            ClaimReport(c, checked[c], status, tuple(found[:max_violations]))
+        )
+    return reports

@@ -5,7 +5,11 @@ import sys
 
 import pytest
 
+import repcore.cli
+import repcore.verify
 from repcore.cli import main
+
+from oracles import run_full
 
 # One successful invocation of each subcommand.
 SUBCOMMANDS = {
@@ -339,6 +343,37 @@ def test_verify_cap_rejects_before_any_work(capsys, monkeypatch):
             "UniverseTooLarge: estimated 19830968 window checks"
             " exceed the cap 10000000\n"
         )
+
+
+# `repcore verify` evaluates one x per letter-renaming orbit and merges the
+# renamed witnesses by key; tests/oracles.py's run_full enumerates every x.
+ORBIT_UNIVERSES = {
+    "binary-x7-e3457": ["--forms", "both", "--max-x", "7", "--e-sums", "3,4,5,7",
+                        "--max-violations", "50"],
+    "ternary-x1-4": ["--alphabet", "3", "--min-x", "1", "--max-x", "4",
+                     "--max-violations", "1000"],
+    "ternary-x5-e36": ["--alphabet", "3", "--max-x", "5", "--e-sums", "3,6"],
+    "4-letter-x5": ["--alphabet", "4", "--max-x", "5", "--max-violations", "200"],
+    **{
+        f"ternary-both-x4-k{k}": ["--alphabet", "3", "--forms", "both", "--max-x",
+                                  "4", "--max-violations", str(k)]
+        for k in (1, 3, 10**6)
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("argv", ORBIT_UNIVERSES.values(), ids=ORBIT_UNIVERSES)
+def test_verify_stdout_equals_full_enumeration(capsys, monkeypatch, argv, jobs, fmt):
+    # jobs=2 gets its 2 workers even on a single-CPU machine
+    monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 2)
+    argv = ["verify", *argv, "--jobs", jobs, *fmt]
+    got = run_cli(capsys, *argv)
+    monkeypatch.setattr(repcore.cli, "run", run_full)
+    assert got == run_cli(capsys, *argv)
+    code, out, err = got
+    assert code == 1 and err == "" and "expected" in out
 
 
 def test_verify_max_violations_below_one_exits_2(capsys):

@@ -41,6 +41,33 @@ def prefix_spec(x, cut, e1, e2):
     return InterruptSpec(DeletionSplit.prefix(x, cut), e1, e2)
 
 
+def is_first_use(x):
+    """x's letters first appear in the order a, b, c, ..."""
+    return "".join(dict.fromkeys(x)) == "abcdefghijklmnopqrstuvwxyz"[: len(set(x))]
+
+
+def representative_specs(universe):
+    """The specs whose x is the first-use word of its orbit, in canonical order:
+    the specs run() evaluates, picked out of the full enumeration."""
+    return [s for s in enumerate_specs(universe) if is_first_use(s.split.x)]
+
+
+def witness_key(w):
+    return (*w.spec.key(), w.factor)
+
+
+def merged(parts, k):
+    """Chunk results merged as run() must: counts summed, witnesses sorted by
+    (spec key, factor) and cut to the first k."""
+    return {
+        c: (
+            sum(p[c][0] for p in parts),
+            sorted((w for p in parts for w in p[c][1]), key=witness_key)[:k],
+        )
+        for c in parts[0]
+    }
+
+
 def test_claim_ids_are_fixed():
     assert [c.value for c in ClaimId] == [
         "dft_bound",
@@ -286,14 +313,15 @@ def test_check_claim_equals_naive_oracle_on_long_x():
     assert {ClaimId.THEOREM1, ClaimId.NOTE2_LINEAR} <= failing
 
 
-# theorem1_deletion first fails on spec 55 (split 11) of this universe, after
-# the first chunk of a --jobs 2 run (9 splits, 45 specs); note3_linear fails
-# on every spec.
+# theorem1_deletion first fails on first-use spec 45 (split 9, x = aba) of
+# this universe, after the first chunk of a --jobs 2 run (5 of its 71
+# first-use splits, 25 specs); note3_linear fails on every spec.
 RETENTION_UNIVERSE = Universe(2, 2, 4, (3, 4), "both")
 
 
 def split_count(universe):
-    return len({spec.split for spec in enumerate_specs(universe)})
+    """First-use splits: the index space of _eval_chunk's chunks."""
+    return len({spec.split for spec in representative_specs(universe)})
 
 
 def spec_by_spec(universe):
@@ -317,7 +345,7 @@ def full():
 
 def test_retention_universe_fails_late(full):
     u = RETENTION_UNIVERSE
-    specs, splits = list(enumerate_specs(u)), split_count(u)
+    specs, splits = representative_specs(u), split_count(u)
     n_pairs = len(specs) // splits
     first_chunk = (splits + 15) // 16  # run()'s chunk size with 2 workers
     first = full[ClaimId.THEOREM1_DELETION][1][0]
@@ -328,33 +356,63 @@ def test_retention_universe_fails_late(full):
     assert tail[ClaimId.THEOREM1_DELETION][1][0] == first
 
 
-def test_eval_chunk_merges_at_every_cut():
-    # Nine (e1, e2) per split; a chunk is a range of split indices, so it
-    # holds every (e1, e2) of its splits and a cut falls between two splits.
-    u = Universe(2, 2, 3, (3, 4, 5), "both")
-    assert len(exponent_pairs(u.e_sums)) == 9
+def orbit_of(split):
+    """Which positions of x hold equal letters, and the cuts: the same for
+    every split of one letter-renaming orbit."""
+    return tuple(split.x.index(ch) for ch in split.x), split.cut1, split.cut2
+
+
+def check_merges_at_every_cut(u, k):
     splits = split_count(u)
-    claims, k = list(ClaimId), 10**6
+    claims = list(ClaimId)
+    every = spec_by_spec(u)
     whole = _eval_chunk((u, 0, splits, claims, k))
-    assert any(len(whole[c][1]) > 100 for c in claims)
+    assert whole == merged([every], k)
     for cut in range(splits + 1):
         head = _eval_chunk((u, 0, cut, claims, k))
         tail = _eval_chunk((u, cut, splits, claims, k))
-        merged = {
-            c: (head[c][0] + tail[c][0], head[c][1] + tail[c][1]) for c in claims
-        }
-        assert merged == whole, cut
-    # one chunk per split, merged in order, gives the same
+        assert merged([head, tail], k) == whole, cut
+    # one chunk per split, merged by key, gives the same, and each such
+    # chunk keeps the first k witnesses of its split's orbit
     parts = [_eval_chunk((u, i, i + 1, claims, k)) for i in range(splits)]
-    assert {
-        c: (sum(p[c][0] for p in parts), [w for p in parts for w in p[c][1]])
-        for c in claims
-    } == whole
+    assert merged(parts, k) == whole
+    reps = list(dict.fromkeys(s.split for s in representative_specs(u)))
+    for split, part in zip(reps, parts):
+        for c in claims:
+            orbit = [w for w in every[c][1] if orbit_of(w.spec.split) == orbit_of(split)]
+            assert part[c][1] == orbit[:k], (split, c)
+    if k > len(whole[ClaimId.NOTE3_LINEAR][1]):
+        # concatenation would not: a renamed witness of a later split sorts
+        # before a witness of an earlier one
+        note3 = [w for p in parts for w in p[ClaimId.NOTE3_LINEAR][1]]
+        assert note3 != sorted(note3, key=witness_key)
+    return whole
+
+
+def test_eval_chunk_merges_at_every_cut():
+    # Nine (e1, e2) per split; a chunk is a range of first-use split indices,
+    # so it holds every (e1, e2) of its splits and of their renamings, and a
+    # cut falls between two first-use splits.  Renamed witnesses of a later
+    # chunk can sort first, so the chunks merge by key, not by concatenation.
+    u = Universe(2, 2, 3, (3, 4, 5), "both")
+    assert len(exponent_pairs(u.e_sums)) == 9
+    whole = check_merges_at_every_cut(u, 10**6)
+    assert any(len(whole[c][1]) > 100 for c in ClaimId)
+
+
+@pytest.mark.parametrize("k", [1, 3, 16, 10**6])
+def test_eval_chunk_merges_ternary_orbits_at_every_cut(k):
+    # Six renamings per orbit, and with k below the witness count each chunk
+    # prunes renamed specs against its own last kept key.  At k = 16 the
+    # chunk of the split (x = abcb, cut 1) cuts its list inside a renamed
+    # spec whose factors the renaming reorders.
+    check_merges_at_every_cut(Universe(3, 2, 4, (3, 4), "prefix"), k)
 
 
 def test_eval_chunk_witnesses_share_their_spec():
     # Witnesses of different claims for one spec hold the same InterruptSpec,
     # so a chunk's result pickles each reported spec once.
+    # That holds for renamed specs too.
     u = RETENTION_UNIVERSE
     part = _eval_chunk((u, 0, split_count(u), list(ClaimId), 10**6))
     by_key, claims_of = {}, {}
@@ -362,7 +420,9 @@ def test_eval_chunk_witnesses_share_their_spec():
         for w in kept:
             assert by_key.setdefault(w.spec.key(), w.spec) is w.spec, (c, w)
             claims_of.setdefault(w.spec.key(), set()).add(c)
-    assert any(len(claims) > 1 for claims in claims_of.values())
+    shared = [key for key, claims in claims_of.items() if len(claims) > 1]
+    assert any(not is_first_use(x) for _, x, *_ in shared)
+    assert any(is_first_use(x) for _, x, *_ in shared)
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -383,9 +443,10 @@ def test_eval_chunk_keeps_first_k_witnesses(full, k):
     ids=["ternary-x3-e3457", "binary-x6-e345"],
 )
 def test_eval_chunk_equals_check_claim_spec_by_spec(universe):
-    # A chunk evaluates each claim on a split's whole run of (e1, e2) and
-    # lists the mismatches once per e1+e2, shared by every spec with that
-    # sum; check_claim evaluates one spec at a time.
+    # A chunk evaluates each claim on a split's whole run of (e1, e2), lists
+    # the mismatches once per e1+e2, shared by every spec with that sum, and
+    # renames them into every word of the split's orbit; check_claim
+    # evaluates one spec of one word at a time.
     whole = _eval_chunk((universe, 0, split_count(universe), list(ClaimId), 10**6))
     assert whole == spec_by_spec(universe)
 
@@ -442,7 +503,7 @@ def pools(monkeypatch):
 def test_run_starts_at_most_one_worker_per_cpu(pools, monkeypatch):
     monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 3)
     u = Universe(2, 2, 4, (3, 4), "both")
-    n_specs = len(list(enumerate_specs(u)))
+    n_specs = len(representative_specs(u))
     one = run(u, jobs=1)
     assert pools == []  # one job evaluates in process
     assert run(u, jobs=10**6) == one
@@ -450,7 +511,7 @@ def test_run_starts_at_most_one_worker_per_cpu(pools, monkeypatch):
     assert pool.max_workers == 3
     # the chunk size follows the 3 workers, not the 10**6 jobs asked for
     assert n_specs > 24 and len(pool.chunks) <= 3 * 8
-    # the chunks are contiguous split ranges that cover the universe
+    # the chunks are contiguous first-use split ranges that cover the universe
     ranges = [(lo, hi) for _, lo, hi, _, _ in pool.chunks]
     assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
     n_pairs = len(exponent_pairs(u.e_sums))

@@ -1,10 +1,17 @@
+from collections import Counter
+from math import factorial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repcore import cyclic_occurrences, is_primitive, lcp, lcs, occurrences
 from repcore.words import (
+    count_first_use_words,
+    first_use_words,
     parse_word,
     power_prefix,
+    primitive_words,
+    renamings,
     rotate,
     smallest_period,
     words_of_length,
@@ -81,6 +88,37 @@ def test_primitivity_implementations_agree_exhaustively():
         for n in range(1, 13):
             for w in words_of_length(n, sigma):
                 assert is_primitive(w) == is_primitive_by_square(w), w
+
+
+def test_first_use_words_are_one_per_renaming_orbit_exhaustively():
+    for k in range(1, 5):
+        for n in range(1, 9):
+            reps = list(first_use_words(n, k))
+            assert reps == sorted(set(reps))
+            assert count_first_use_words(n, k) == len(reps), (n, k)
+            # the orbits by brute force: primitive words grouped by which
+            # positions hold equal letters; each representative is the
+            # smallest word of its orbit
+            orbits = {}
+            for w in primitive_words(n, k):
+                orbits.setdefault(tuple(w.index(ch) for ch in w), []).append(w)
+            assert sorted(min(orbit) for orbit in orbits.values()) == reps
+            images = Counter()
+            for x in reps:
+                m = len(set(x))
+                orbit = list(renamings(x, k))
+                assert len(orbit) == factorial(k) // factorial(k - m)
+                ys = [y for y, _ in orbit]
+                assert ys == sorted(ys) and ys[0] == x
+                for y, table in orbit:
+                    assert len(table) == len(set(table.values())) == m  # injective
+                    assert y == x.translate(table)
+                images.update(ys)
+            # every primitive word is the image of exactly one representative
+            # under exactly one renaming, so the orbit sizes sum to their count
+            primitive = list(primitive_words(n, k))
+            assert images == Counter(primitive), (n, k)
+            assert sum(len(list(renamings(x, k))) for x in reps) == len(primitive)
 
 
 def test_rotate_examples():
