@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--strict-notes", action="store_true",
                           help="fail the process on reported-claim violations too")
     p_verify.add_argument("--max-checks", type=int, default=DEFAULT_MAX_CHECKS,
-                          help="cap on estimated window checks")
+                          help="cap on specs evaluated, one per letter-renaming orbit")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_parse = subs.add_parser("parse", help="decompose a word into interrupts")

@@ -196,18 +196,14 @@ def exponent_pairs(e_sums: Iterable[int]) -> list[tuple[int, int]]:
 
 
 def estimated_checks(universe: Universe) -> int:
-    """Upper bound on window checks, computed without enumerating words.
+    """Specs run() evaluates: first-use splits times (e1, e2) pairs.
 
-    A spec with e1+e2 = s is charged (s+1)·|x| window checks, and s-1 specs
-    have that sum, so each split costs |x|·(s²-1) per sum.  No (e1, e2) is
-    built, so a universe is sized in time independent of its exponent sums.
+    Closed form in the word lengths and the exponent sums: sum s has s-1
+    pairs, and count_first_use_words counts the words without enumerating
+    them, so a universe is sized before any work and in time independent
+    of its exponent sums.
     """
-    per_split = sum(s * s - 1 for s in universe.e_sums)
-    total = 0
-    for n in range(universe.min_x, universe.max_x + 1):
-        splits = sum(1 for _ in iter_splits(n, universe.forms))
-        total += universe.alphabet_size**n * splits * n * per_split
-    return total
+    return _split_count(universe) * sum(s - 1 for s in universe.e_sums)
 
 
 def _check_size(universe: Universe, max_checks: int) -> None:
@@ -215,7 +211,8 @@ def _check_size(universe: Universe, max_checks: int) -> None:
     estimate = estimated_checks(universe)
     if estimate > max_checks:
         raise UniverseTooLarge(
-            f"estimated {estimate} window checks exceed the cap {max_checks}"
+            f"{estimate} specs to evaluate (one per letter-renaming orbit)"
+            f" exceed the cap {max_checks}"
         )
 
 

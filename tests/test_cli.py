@@ -325,23 +325,24 @@ def test_domain_errors_exit_2(capsys):
 
 
 def test_verify_cap_rejects_before_any_work(capsys, monkeypatch):
-    # --forms both --max-x 10 exceeds the default --max-checks: the run ends
-    # in one diagnostic line before a chunk is evaluated or a pool started.
-    import repcore.verify
-
+    # 5 letters, --forms both --max-x 12 exceeds the default --max-checks:
+    # the run ends in one diagnostic line before a chunk is evaluated, a
+    # pool started or a word enumerated.
     def no_work(*args, **kwargs):
         raise AssertionError("work started on a rejected universe")
 
     monkeypatch.setattr(repcore.verify, "ProcessPoolExecutor", no_work)
     monkeypatch.setattr(repcore.verify, "_eval_chunk", no_work)
+    monkeypatch.setattr(repcore.verify, "first_use_words", no_work)
     for fmt in ([], ["--json"]):
         code, out, err = run_cli(
-            capsys, "verify", "--forms", "both", "--max-x", "10", "--jobs", "2", *fmt
+            capsys, "verify", "--alphabet", "5", "--forms", "both",
+            "--max-x", "12", "--jobs", "2", *fmt,
         )
         assert (code, out) == (2, "")
         assert err == (
-            "UniverseTooLarge: estimated 19830968 window checks"
-            " exceed the cap 10000000\n"
+            "UniverseTooLarge: 965768275 specs to evaluate (one per"
+            " letter-renaming orbit) exceed the cap 10000000\n"
         )
 
 

@@ -110,10 +110,10 @@ def test_exponent_pairs_order():
 @pytest.mark.parametrize(
     "universe, expected",
     [
-        # from the closed-form split counts n-1, n(n-1)/2 and n(n+1)/2-1
-        (Universe(2, 2, 8, (3, 4)), (517_960, 1_931_632, 2_449_592)),
+        # first-use splits times (e1, e2) pairs: 14,380 / 2 prefix-form specs
+        (Universe(2, 2, 8, (3, 4)), (7_190, 26_420, 33_610)),
         # |x| = 1 has no split in any form
-        (Universe(3, 1, 4, (3, 4, 5)), (54_144, 103_635, 157_779)),
+        (Universe(3, 1, 4, (3, 4, 5)), (405, 765, 1_170)),
     ],
     ids=["binary-x8", "ternary-x4"],
 )
@@ -123,6 +123,11 @@ def test_estimated_checks(universe, expected):
         for forms in ("prefix", "deletion", "both")
     )
     assert estimates == expected
+    # the closed form counts the first-use specs of the full enumeration
+    assert estimates == tuple(
+        len(representative_specs(replace(universe, forms=forms)))
+        for forms in ("prefix", "deletion", "both")
+    )
 
 
 def test_enumerate_smallest_universe():
