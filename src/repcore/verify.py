@@ -79,6 +79,7 @@ from .interrupts import (
 )
 from .words import (
     count_first_use_words,
+    count_primitive_words,
     cyclic_occurrences,
     first_use_words,
     occurrences,
@@ -206,20 +207,19 @@ def estimated_checks(universe: Universe) -> int:
     return _split_count(universe) * sum(s - 1 for s in universe.e_sums)
 
 
-def _check_size(universe: Universe, max_checks: int) -> None:
-    """Reject a universe whose estimated_checks exceed max_checks."""
-    estimate = estimated_checks(universe)
-    if estimate > max_checks:
-        raise UniverseTooLarge(
-            f"{estimate} specs to evaluate (one per letter-renaming orbit)"
-            f" exceed the cap {max_checks}"
-        )
+def _check_size(count: int, max_checks: int, what: str) -> None:
+    """Reject a universe whose count of specs exceeds max_checks."""
+    if count > max_checks:
+        raise UniverseTooLarge(f"{count} {what} exceed the cap {max_checks}")
 
 
-def _split_count(universe: Universe) -> int:
-    """Number of first-use splits (x, cut1, cut2) in the universe."""
+def _split_count(universe: Universe, count_words=count_first_use_words) -> int:
+    """Number of splits (x, cut1, cut2) in the universe, by default first-use ones.
+
+    count_words(n, k) counts the words x of length n.
+    """
     return sum(
-        count_first_use_words(n, universe.alphabet_size)
+        count_words(n, universe.alphabet_size)
         * sum(1 for _ in iter_splits(n, universe.forms))
         for n in range(universe.min_x, universe.max_x + 1)
     )
@@ -249,9 +249,11 @@ def enumerate_specs(
 ) -> Iterator[InterruptSpec]:
     """Every spec of the universe exactly once, every x of every orbit.
 
-    Canonical order: (|x|, x lexicographic, cut1, cut2, e1, e2).
+    Canonical order: (|x|, x lexicographic, cut1, cut2, e1, e2).  The cap
+    applies to the specs yielded, k!/(k-m)! per first-use spec.
     """
-    _check_size(universe, max_checks)
+    specs = _split_count(universe, count_primitive_words)
+    _check_size(specs * sum(s - 1 for s in universe.e_sums), max_checks, "specs")
     pairs = exponent_pairs(universe.e_sums)
     for n in range(universe.min_x, universe.max_x + 1):
         cuts = list(iter_splits(n, universe.forms))
@@ -565,7 +567,11 @@ def run(
         claim_list = [c for c in ClaimId if c in wanted]
     if not claim_list:
         return []
-    _check_size(universe, max_checks)
+    _check_size(
+        estimated_checks(universe),
+        max_checks,
+        "specs to evaluate (one per letter-renaming orbit)",
+    )
     splits = _split_count(universe)
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1 or splits < 2:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import string
 from itertools import permutations, product
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import EmptyPattern, EmptyWord, InvalidWord, PatternLongerThanText
 
@@ -65,23 +65,35 @@ def first_use_words(length: int, alphabet_size: int) -> Iterator[str]:
             yield w
 
 
+def count_primitive_words(length: int, alphabet_size: int) -> int:
+    """The number of words primitive_words yields, without enumerating them.
+
+    >>> count_primitive_words(6, 2)
+    54
+    """
+    return _primitive_count(length, lambda m: alphabet_size**m)
+
+
 def count_first_use_words(length: int, alphabet_size: int) -> int:
     """The number of words first_use_words yields, without enumerating them.
 
     A word of length n whose m letters first appear in the order a, b, ...
     is a partition of its positions into m blocks; there are S(n, m) of
-    them (Stirling numbers of the second kind).  Each is u^(n/d) for one
-    primitive u of the same kind with d | n, so by Möbius inversion
-    Σ_{d|n} μ(d)·Σ_{m≤k} S(n/d, m) of them are primitive.
+    them (Stirling numbers of the second kind).
 
     >>> count_first_use_words(3, 3), count_first_use_words(6, 2)
     (4, 27)
     """
-    return sum(
-        _mobius(d) * _partitions(length // d, alphabet_size)
-        for d in range(1, length + 1)
-        if length % d == 0
-    )
+    return _primitive_count(length, lambda m: _partitions(m, alphabet_size))
+
+
+def _primitive_count(n: int, words: Callable[[int], int]) -> int:
+    """The primitive words among words(n) of length n: Σ_{d|n} μ(d)·words(n/d).
+
+    Each counted word is u^(n/d) for one primitive u of the same kind, with
+    d | n, so words(n) = Σ_{d|n} primitive(d); Möbius inversion gives the sum.
+    """
+    return sum(_mobius(d) * words(n // d) for d in range(1, n + 1) if n % d == 0)
 
 
 def renamings(x: str, alphabet_size: int) -> Iterator[tuple[str, dict[int, int]]]:

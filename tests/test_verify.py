@@ -156,6 +156,20 @@ def test_enumerate_too_large():
     assert estimated_checks(Universe(2, 2, 2, (3,), "prefix")) <= 200
 
 
+def test_enumerate_caps_every_spec_it_yields():
+    # run() evaluates one x per orbit, enumerate_specs yields every x: 26
+    # letters and |x| <= 6 are 2,474 first-use specs but 3.2·10^9 specs.
+    u = Universe(26, 2, 6, (3,), "prefix")
+    assert estimated_checks(u) == 2_474
+    with pytest.raises(UniverseTooLarge, match="^3186835600 specs exceed the cap"):
+        next(enumerate_specs(u))
+    u = Universe(3, 1, 4, (3, 4, 5), "both")
+    n_specs = len(list(enumerate_specs(u)))
+    assert list(enumerate_specs(u, max_checks=n_specs))
+    with pytest.raises(UniverseTooLarge):
+        next(enumerate_specs(u, max_checks=n_specs - 1))
+
+
 def test_cap_rejects_before_building_exponent_pairs(monkeypatch):
     # A sum of 10**8 would need about 10**8 (e1, e2) pairs; the estimate is
     # closed-form in the sums, so the cap rejects the universe without them.
@@ -384,8 +398,8 @@ def check_merges_at_every_cut(u, k):
     reps = list(dict.fromkeys(s.split for s in representative_specs(u)))
     for split, part in zip(reps, parts):
         for c in claims:
-            orbit = [w for w in every[c][1] if orbit_of(w.spec.split) == orbit_of(split)]
-            assert part[c][1] == orbit[:k], (split, c)
+            mine = [w for w in every[c][1] if orbit_of(w.spec.split) == orbit_of(split)]
+            assert part[c][1] == mine[:k], (split, c)
     if k > len(whole[ClaimId.NOTE3_LINEAR][1]):
         # concatenation would not: a renamed witness of a later split sorts
         # before a witness of an earlier one

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repcore import cyclic_occurrences, is_primitive, lcp, lcs, occurrences
 from repcore.words import (
     count_first_use_words,
+    count_primitive_words,
     first_use_words,
     parse_word,
     power_prefix,
@@ -117,6 +118,7 @@ def test_first_use_words_are_one_per_renaming_orbit_exhaustively():
             # every primitive word is the image of exactly one representative
             # under exactly one renaming, so the orbit sizes sum to their count
             primitive = list(primitive_words(n, k))
+            assert count_primitive_words(n, k) == len(primitive)
             assert images == Counter(primitive), (n, k)
             assert sum(len(list(renamings(x, k))) for x in reps) == len(primitive)
 
