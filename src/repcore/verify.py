@@ -18,7 +18,8 @@ the smallest of its orbit.  Its counts are multiplied by the orbit size,
 and each of its witnesses stands for one witness of every renamed spec,
 with the factor renamed too.  Renaming moves witnesses out of canonical
 order, so each chunk keeps its first max_violations by (spec key, factor)
-in a sorted bounded list, and run() merges the chunks' lists by that key.
+in a bounded list that it sorts as it goes, and run() merges the chunks'
+lists by that key.
 
 Count rule: a window f of length |x| or |x|-1 occurs
 count_W0(f) + (e1+e2-MIN_E_SUM)·(f in x+x) times in W.
@@ -49,7 +50,6 @@ small instances and the point is to say so with witnesses.
 from __future__ import annotations
 
 import os
-from bisect import bisect
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -58,6 +58,7 @@ from functools import cached_property
 from heapq import merge
 from itertools import islice
 from math import perm
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidLimit, InvalidUniverse, NotApplicable, UniverseTooLarge
@@ -396,30 +397,43 @@ def _witness_key(w: Witness) -> tuple:
 class _Kept:
     """The first `limit` (None: all) witnesses offered, by _witness_key.
 
-    keys[i] is the key of witnesses[i]; only witnesses leave the chunk.
+    Witnesses gather unsorted beside their keys.  Whenever limit more have
+    come, the list is sorted and cut back to limit, and the last key kept
+    becomes the bound: a later witness past it cannot be among the first
+    limit.  So keeping costs O(log limit) per witness in any arrival order,
+    and the list never holds more than 2·limit.
     """
 
     def __init__(self, limit: int | None):
         self.limit = limit
-        self.keys: list[tuple] = []
-        self.witnesses: list[Witness] = []
+        self.bound: tuple | None = None
+        self._kept: list[tuple[tuple, Witness]] = []
+
+    def _cut(self) -> None:
+        self._kept.sort(key=itemgetter(0))
+        if self.limit is not None:
+            del self._kept[self.limit :]
+
+    def witnesses(self) -> list[Witness]:
+        """The witnesses kept, in canonical order."""
+        self._cut()
+        return [w for _, w in self._kept]
 
     def offer(self, ctx: _SplitContext, per_sum: _PerSum) -> None:
-        """Keep the violations of every orbit member's specs that rank high enough.
+        """Keep the violations of every orbit member's specs that can rank.
 
         Orbit members come in σ(x) order and their specs and renamed factors
-        in key order, so once the list is full, the first member whose
-        (|x|, σ(x), cut1, cut2) is past the last kept key, or the first key
-        past it, ends the offer.  per_sum runs once per exponent sum, and
-        only when the split can still place a witness, so a full list costs
-        no per-factor work for the splits after it.
+        in key order, so the first member whose (|x|, σ(x), cut1, cut2) is
+        past the bound, or the first key past it, ends the offer.  per_sum
+        runs once per exponent sum, and only when the split can still place
+        a witness, so once the bound is set low, the splits after it cost
+        no per-factor work.
         """
-        keys, witnesses, limit = self.keys, self.witnesses, self.limit
-        n, cut1, cut2 = ctx.n, ctx.split.cut1, ctx.split.cut2
+        kept, n, cut1, cut2 = self._kept, ctx.n, ctx.split.cut1, ctx.split.cut2
         found: dict[int, list[tuple[str, int, int]]] = {}
         for i, (sx, table) in enumerate(ctx.orbit):
             head = (n, sx, cut1, cut2)
-            if len(keys) == limit and head > keys[-1][:4]:
+            if self.bound is not None and head > self.bound[:4]:
                 return
             if not found:
                 found = {s: per_sum(s) for s in {e1 + e2 for e1, e2 in ctx.pairs}}
@@ -432,14 +446,12 @@ class _Kept:
             for j, (e1, e2) in enumerate(ctx.pairs):
                 for f, want, actual in renamed[e1 + e2]:
                     key = (*head, e1, e2, f)
-                    if len(keys) == limit:
-                        if key > keys[-1]:
-                            return
-                        keys.pop()
-                        witnesses.pop()
-                    at = bisect(keys, key)
-                    keys.insert(at, key)
-                    witnesses.insert(at, Witness(ctx.specs(i)[j], f, want, actual))
+                    if self.bound is not None and key > self.bound:
+                        return
+                    kept.append((key, Witness(ctx.specs(i)[j], f, want, actual)))
+                    if self.limit is not None and len(kept) == 2 * self.limit:
+                        self._cut()
+                        self.bound = kept[-1][0]
 
 
 def _dft_bound(ctx: _SplitContext) -> _Result:
@@ -505,7 +517,7 @@ def check_claim(claim: ClaimId, spec: InterruptSpec) -> SpecCheck:
     checked, per_sum = _CLAIMS[claim](ctx)
     kept = _Kept(None)
     kept.offer(ctx, per_sum)
-    return SpecCheck(checked, tuple(kept.witnesses))
+    return SpecCheck(checked, tuple(kept.witnesses()))
 
 
 def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]):
@@ -532,7 +544,7 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]):
             count, per_sum = _CLAIMS[c](ctx)
             checked[c] += count * len(orbit)
             kept[c].offer(ctx, per_sum)
-    return {c: (checked[c], kept[c].witnesses) for c in claims}
+    return {c: (checked[c], kept[c].witnesses()) for c in claims}
 
 
 def run(
