@@ -422,9 +422,9 @@ def test_eval_chunk_merges_at_every_cut():
 @pytest.mark.parametrize("k", [1, 3, 16, 10**6])
 def test_eval_chunk_merges_ternary_orbits_at_every_cut(k):
     # Six renamings per orbit, and with k below the witness count each chunk
-    # prunes renamed specs against its own last kept key.  At k = 16 the
-    # chunk of the split (x = abcb, cut 1) cuts its list inside a renamed
-    # spec whose factors the renaming reorders.
+    # prunes renamed specs against its bound.  At k = 16 the note3_linear
+    # list of the split (x = abcb, cut 1) ends inside the renamed spec
+    # x = acbc, whose factors the renaming reorders.
     check_merges_at_every_cut(Universe(3, 2, 4, (3, 4), "prefix"), k)
 
 
