@@ -10,13 +10,15 @@ the smallest offenders and the run that causes each.
 Example:
     python scripts/anchor_collisions.py --max-x 5 --forms prefix
 
-A universe the verifier would reject (for example --e-sums 2, --max-x 13 or
---e-sums 3,x) ends in a one-line diagnostic on stderr and exit code 2.
+A universe the verifier would reject (for example --e-sums 2, --max-x 13,
+--e-sums 3,x or more specs than the cap) ends in a one-line diagnostic on
+stderr and exit code 2.  The specs are streamed, so memory does not grow
+with the universe.
 """
 
 import argparse
 import sys
-from itertools import groupby
+from itertools import chain, groupby
 
 from repcore import Universe, anchor_windows, core, occurrences
 from repcore.errors import RepcoreError
@@ -52,13 +54,14 @@ def main():
             e_sums=e_sums,
             forms=args.forms,
         )
-        specs = list(enumerate_specs(universe))
+        specs = enumerate_specs(universe)
+        first = next(specs)  # the size check runs on the first spec
     except RepcoreError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 2
     shown = 0
     checked = 0
-    for spec in specs:
+    for spec in chain([first], specs):
         checked += 1
         rep = core(spec)
         windows = [

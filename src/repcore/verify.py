@@ -15,11 +15,14 @@ and factor pattern, since each claim reads only which positions of W hold
 equal letters.  So only one x per orbit is evaluated: the first-use word,
 whose letters first appear in the order a, b, c, ... (words.first_use_words),
 the smallest of its orbit.  Its counts are multiplied by the orbit size,
-and each of its witnesses stands for one witness of every renamed spec,
-with the factor renamed too.  Renaming moves witnesses out of canonical
-order, so each chunk keeps its first max_violations by (spec key, factor)
-in a bounded list that it sorts as it goes, and run() merges the chunks'
-lists by that key.
+and each of its violations stands for one violation of every renamed
+spec, with the factor renamed too.  Inside a chunk a violation is a row
+(|x|, σ(x), cut1, cut2, e1, e2, factor, expected, actual), whose plain
+tuple order is canonical witness order, since a factor occurs at most once
+per spec and claim.  Renaming moves rows out of that order, so each chunk
+keeps its first max_violations rows in a bounded list that it sorts as it
+goes, builds a Witness only for those, and run() merges the chunks' lists
+by the same key.
 
 Count rule: a window f of length |x| or |x|-1 occurs
 count_W0(f) + (e1+e2-MIN_E_SUM)·(f in x+x) times in W.
@@ -54,11 +57,10 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from heapq import merge
 from itertools import islice
 from math import perm
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidLimit, InvalidUniverse, NotApplicable, UniverseTooLarge
@@ -275,10 +277,10 @@ def applies(claim: ClaimId, spec: InterruptSpec) -> bool:
 
 
 class _Orbit:
-    """The renamings of a first-use x (words.renamings), generated as far as
-    a claim reads them and kept for x's other splits and claims.
+    """The renamings (σ(x), σ) of a first-use x (words.renamings), generated
+    as far as an offer reads them and kept for x's other splits and claims.
 
-    len() is the orbit size, k!/(k-m)! for m distinct letters.  An offer
+    size is the orbit size, k!/(k-m)! for m distinct letters.  An offer
     that finds a violation reads at most max_violations + 1 renamings, so a
     large alphabet costs no more than what is reported.
     """
@@ -288,12 +290,6 @@ class _Orbit:
         self.size = perm(alphabet_size, len(set(x)))
         self._rest = renamings(x, alphabet_size)
         self._seen: list[tuple[str, dict[int, int]]] = []
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, i: int) -> tuple[str, dict[int, int]]:
-        return self._seen[i]
 
     def __iter__(self) -> Iterator[tuple[str, dict[int, int]]]:
         seen, i = self._seen, 0
@@ -308,32 +304,23 @@ class _Orbit:
 
 
 class _SplitContext:
-    """One split's core, windows and specs, shared by every claim and (e1, e2).
+    """One split's core and windows, shared by every claim and (e1, e2).
 
-    pairs are the split's (e1, e2) in canonical order.  orbit holds
-    (σ(x), σ) for the renamings the split stands for, an _Orbit; by
-    default only x itself.  specs(i) holds one InterruptSpec per pair for
-    orbit member i, built on first use, so every claim that reports a spec
-    reports the same object.  The windows come from W0 = x·x1·x3·x·x,
-    the split's shortest word (spec0): hist counts its length-|x| windows,
-    short_hist (built on first use) its length-(|x|-1) ones.  By the count
-    rule in the module docstring, a window f of either length occurs
-    hist[f] + (s - MIN_E_SUM)·(f in xx) times in a spec with e1+e2 = s.
-    W starts and ends with x, so its |x|-1 wraparound windows are the
-    rotations 1..|x|-1 of x, each once: read cyclically, f occurs once more
-    when f is in wraparound = (x+x)[1:-1].
+    pairs are the split's (e1, e2) in canonical order.  A claim reads the
+    context and lists its violations as plain (factor, expected, actual)
+    values, which _Kept turns into rows.  The windows come from
+    W0 = x·x1·x3·x·x, the split's shortest word (spec0): hist counts its
+    length-|x| windows, short_hist (built on first use) its length-(|x|-1)
+    ones.  By the count rule in the module docstring, a window f of either
+    length occurs hist[f] + (s - MIN_E_SUM)·(f in xx) times in a spec with
+    e1+e2 = s.  W starts and ends with x, so its |x|-1 wraparound windows
+    are the rotations 1..|x|-1 of x, each once: read cyclically, f occurs
+    once more when f is in wraparound = (x+x)[1:-1].
     """
 
-    def __init__(
-        self,
-        split: DeletionSplit,
-        pairs: Sequence[tuple[int, int]],
-        orbit: _Orbit | None = None,
-    ):
+    def __init__(self, split: DeletionSplit, pairs: Sequence[tuple[int, int]]):
         self.split = split
         self.pairs = pairs
-        self.orbit = [(split.x, {})] if orbit is None else orbit
-        self._specs: dict[int, list[InterruptSpec]] = {}
         self.spec0 = spec0 = InterruptSpec(split, 1, MIN_E_SUM - 1)
         self.report: CoreReport = core(spec0)
         self.n = n = len(split.x)
@@ -347,14 +334,6 @@ class _SplitContext:
         self.non_anchored = sorted(set(windows[:lo]) | set(windows[hi:]))
         self.wraparound = xx[1:-1]
 
-    def specs(self, i: int) -> list[InterruptSpec]:
-        if i not in self._specs:
-            split = self.split
-            if i:
-                split = DeletionSplit(self.orbit[i][0], split.cut1, split.cut2)
-            self._specs[i] = [InterruptSpec(split, e1, e2) for e1, e2 in self.pairs]
-        return self._specs[i]
-
     @cached_property
     def short_hist(self) -> Counter:
         word, m = self.report.word, self.n - 1
@@ -363,8 +342,9 @@ class _SplitContext:
 
 # Each claim maps a split context to (assertions evaluated over all of its
 # (e1, e2), per_sum), where per_sum(s) lists the (factor, expected, actual)
-# violations of a spec with e1+e2 = s.  The count is per-split arithmetic;
-# per_sum does the per-factor work, and only when _Kept.offer asks for it.
+# violations of a spec with e1+e2 = s, in factor order.  The count is
+# per-split arithmetic; per_sum does the per-factor work, and only when
+# _Kept.offer or check_claim asks for it.
 # A cyclic claim is its linear twin with wraparound = ctx.wraparound.
 _PerSum = Callable[[int], list[tuple[str, int, int]]]
 _Result = tuple[int, _PerSum]
@@ -395,43 +375,41 @@ def _witness_key(w: Witness) -> tuple:
 
 
 class _Kept:
-    """The first `limit` (None: all) witnesses offered, by _witness_key.
+    """The first `limit` violation rows offered, in tuple order.
 
-    Witnesses gather unsorted beside their keys.  Whenever limit more have
-    come, the list is sorted and cut back to limit, and the last key kept
-    becomes the bound: a later witness past it cannot be among the first
-    limit.  So keeping costs O(log limit) per witness in any arrival order,
-    and the list never holds more than 2·limit.
+    A row is (|x|, σ(x), cut1, cut2, e1, e2, factor, expected, actual): the
+    spec's key, then the factor, so tuple order is canonical witness order.
+    Rows gather unsorted.  Whenever limit more have come, the list is
+    sorted and cut back to limit, and the last row kept becomes the bound:
+    a later row past it cannot be among the first limit.  So keeping costs
+    O(log limit) per row in any arrival order, and the list never holds
+    more than 2·limit.
     """
 
-    def __init__(self, limit: int | None):
+    def __init__(self, limit: int):
         self.limit = limit
         self.bound: tuple | None = None
-        self._kept: list[tuple[tuple, Witness]] = []
+        self._rows: list[tuple] = []
 
-    def _cut(self) -> None:
-        self._kept.sort(key=itemgetter(0))
-        if self.limit is not None:
-            del self._kept[self.limit :]
+    def cut(self) -> list[tuple]:
+        """Sort the rows and cut them back to limit; returns them."""
+        self._rows.sort()
+        del self._rows[self.limit :]
+        return self._rows
 
-    def witnesses(self) -> list[Witness]:
-        """The witnesses kept, in canonical order."""
-        self._cut()
-        return [w for _, w in self._kept]
-
-    def offer(self, ctx: _SplitContext, per_sum: _PerSum) -> None:
+    def offer(self, ctx: _SplitContext, per_sum: _PerSum, orbit: _Orbit) -> None:
         """Keep the violations of every orbit member's specs that can rank.
 
         Orbit members come in σ(x) order and their specs and renamed factors
-        in key order, so the first member whose (|x|, σ(x), cut1, cut2) is
-        past the bound, or the first key past it, ends the offer.  per_sum
+        in row order, so the first member whose (|x|, σ(x), cut1, cut2) is
+        past the bound, or the first row past it, ends the offer.  per_sum
         runs once per exponent sum, and only when the split can still place
-        a witness, so once the bound is set low, the splits after it cost
-        no per-factor work.
+        a row, so once the bound is set low, the splits after it cost no
+        per-factor work.
         """
-        kept, n, cut1, cut2 = self._kept, ctx.n, ctx.split.cut1, ctx.split.cut2
+        rows, n, cut1, cut2 = self._rows, ctx.n, ctx.split.cut1, ctx.split.cut2
         found: dict[int, list[tuple[str, int, int]]] = {}
-        for i, (sx, table) in enumerate(ctx.orbit):
+        for sx, table in orbit:
             head = (n, sx, cut1, cut2)
             if self.bound is not None and head > self.bound[:4]:
                 return
@@ -443,15 +421,14 @@ class _Kept:
                 s: sorted((f.translate(table), want, got) for f, want, got in fs)
                 for s, fs in found.items()
             }
-            for j, (e1, e2) in enumerate(ctx.pairs):
+            for e1, e2 in ctx.pairs:
                 for f, want, actual in renamed[e1 + e2]:
-                    key = (*head, e1, e2, f)
-                    if self.bound is not None and key > self.bound:
+                    row = (*head, e1, e2, f, want, actual)
+                    if self.bound is not None and row > self.bound:
                         return
-                    kept.append((key, Witness(ctx.specs(i)[j], f, want, actual)))
-                    if self.limit is not None and len(kept) == 2 * self.limit:
-                        self._cut()
-                        self.bound = kept[-1][0]
+                    rows.append(row)
+                    if len(rows) == 2 * self.limit:
+                        self.bound = self.cut()[-1]
 
 
 def _dft_bound(ctx: _SplitContext) -> _Result:
@@ -515,9 +492,8 @@ def check_claim(claim: ClaimId, spec: InterruptSpec) -> SpecCheck:
         raise NotApplicable(f"{claim.value} does not apply to this split form")
     ctx = _SplitContext(spec.split, [(spec.e1, spec.e2)])
     checked, per_sum = _CLAIMS[claim](ctx)
-    kept = _Kept(None)
-    kept.offer(ctx, per_sum)
-    return SpecCheck(checked, tuple(kept.witnesses()))
+    violations = per_sum(spec.e1 + spec.e2)
+    return SpecCheck(checked, tuple(Witness(spec, *v) for v in violations))
 
 
 def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]):
@@ -525,9 +501,10 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]):
 
     The chunk is the first-use splits with canonical indices lo..hi-1, each
     with every (e1, e2) of the universe, standing for every split of its
-    orbit.  The worker enumerates them itself, and builds a renamed split's
-    InterruptSpecs only when it keeps a witness of that split.  Witnesses
-    are in canonical order.
+    orbit.  The worker enumerates them itself and keeps each claim's
+    violations as rows (see _Kept).  Only the rows it returns become
+    Witnesses, in canonical order, and each reported split and spec is one
+    object, shared by every claim that reports it.
     """
     universe, lo, hi, claims, max_violations = args
     pairs = exponent_pairs(universe.e_sums)
@@ -537,14 +514,19 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]):
     for x, cut1, cut2 in _splits(universe, lo, hi):
         if orbit is None or orbit.x != x:
             orbit = _Orbit(x, universe.alphabet_size)
-        ctx = _SplitContext(DeletionSplit(x, cut1, cut2), pairs, orbit)
+        ctx = _SplitContext(DeletionSplit(x, cut1, cut2), pairs)
         for c in claims:
             if not applies(c, ctx.spec0):
                 continue
             count, per_sum = _CLAIMS[c](ctx)
-            checked[c] += count * len(orbit)
-            kept[c].offer(ctx, per_sum)
-    return {c: (checked[c], kept[c].witnesses()) for c in claims}
+            checked[c] += count * orbit.size
+            kept[c].offer(ctx, per_sum, orbit)
+    split_of, spec_of = cache(DeletionSplit), cache(InterruptSpec)
+
+    def witness(_n, sx, cut1, cut2, e1, e2, *violation) -> Witness:
+        return Witness(spec_of(split_of(sx, cut1, cut2), e1, e2), *violation)
+
+    return {c: (checked[c], [witness(*row) for row in kept[c].cut()]) for c in claims}
 
 
 def run(

@@ -40,8 +40,12 @@ def test_anchor_collisions_counts_the_uniqueness_failures(child_env):
             ["--e-sums", "3,x"],
             "--e-sums expects a comma-separated integer list, got '3,x'",
         ),
+        (
+            ["--alphabet", "26", "--max-x", "12"],
+            "UniverseTooLarge: 15188942967210923300 specs exceed the cap 10000000",
+        ),
     ],
-    ids=["e-sum-below-3", "max-x-13", "e-sums-not-integers"],
+    ids=["e-sum-below-3", "max-x-13", "e-sums-not-integers", "over-the-cap"],
 )
 def test_anchor_collisions_rejects_bad_universe_in_one_line(child_env, argv, message):
     proc = subprocess.run(

@@ -1,5 +1,6 @@
 import pickle
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -32,9 +33,9 @@ from repcore.verify import (
     exponent_pairs,
     verdict,
 )
-from repcore.words import is_primitive
+from repcore.words import is_primitive, renamings
 
-from oracles import evaluate_naive
+from oracles import evaluate_naive, run_full
 
 
 def prefix_spec(x, cut, e1, e2):
@@ -454,6 +455,49 @@ def test_eval_chunk_keeps_first_k_witnesses(full, k):
         assert len(kept) <= k
         assert (checked, kept) == (full[c][0], full[c][1][:k]), c
     assert len(full[ClaimId.NOTE3_LINEAR][1]) > 100 * k
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_eval_chunk_builds_only_the_witnesses_it_returns(k, monkeypatch):
+    # A chunk keeps up to 2k violations per claim before it cuts back to k;
+    # the ones it drops are never built.
+    built = []
+
+    class CountedWitness(Witness):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(repcore.verify, "Witness", CountedWitness)
+    u = RETENTION_UNIVERSE
+    part = _eval_chunk((u, 0, split_count(u), list(ClaimId), k))
+    returned = sum(len(kept) for _, kept in part.values())
+    assert returned > 0
+    assert len(built) == returned
+
+
+def test_run_draws_few_renamings_on_26_letters(monkeypatch):
+    # A 5-letter x has 26!/21! (about 7.9 million) renamings; an offer stops
+    # at the first one whose specs sort past the kept violations.
+    drawn = Counter()
+
+    def counted_renamings(x, alphabet_size):
+        for member in renamings(x, alphabet_size):
+            drawn[x] += 1
+            yield member
+
+    monkeypatch.setattr(repcore.verify, "renamings", counted_renamings)
+    u = Universe(26, 2, 5, (3, 4), "both")
+    for k in (1, 10):
+        drawn.clear()
+        reports = run(u, max_violations=k)
+        assert any(r.counterexamples for r in reports)
+        assert drawn and max(drawn.values()) <= k + 1, (k, drawn.most_common(3))
+
+
+def test_run_equals_full_enumeration_on_26_letters():
+    u = Universe(26, 2, 2, (3, 4), "both")
+    assert run(u) == run_full(u)
 
 
 @pytest.mark.parametrize(
