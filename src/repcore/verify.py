@@ -255,8 +255,10 @@ def enumerate_specs(
     Canonical order: (|x|, x lexicographic, cut1, cut2, e1, e2).  The cap
     applies to the specs yielded, k!/(k-m)! per first-use spec.
     """
-    specs = _split_count(universe, count_primitive_words)
-    _check_size(specs * sum(s - 1 for s in universe.e_sums), max_checks, "specs")
+    splits = _split_count(universe, count_primitive_words)
+    _check_size(splits * sum(s - 1 for s in universe.e_sums), max_checks, "specs")
+    if not splits:
+        return
     pairs = exponent_pairs(universe.e_sums)
     for n in range(universe.min_x, universe.max_x + 1):
         cuts = list(iter_splits(n, universe.forms))
@@ -507,7 +509,7 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]):
     object, shared by every claim that reports it.
     """
     universe, lo, hi, claims, max_violations = args
-    pairs = exponent_pairs(universe.e_sums)
+    pairs = exponent_pairs(universe.e_sums) if lo < hi else []
     checked = dict.fromkeys(claims, 0)
     kept = {c: _Kept(max_violations) for c in claims}
     orbit = None

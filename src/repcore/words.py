@@ -183,23 +183,6 @@ def border_table(w: str) -> list[int]:
     return border
 
 
-def smallest_period(w: str) -> int:
-    """The minimal p in [1, |w|] with w[i] == w[i+p] for all valid i.
-
-    The period need not divide |w|.
-
-    >>> smallest_period("abab")
-    2
-    >>> smallest_period("aabab")
-    5
-    >>> smallest_period("aaaa")
-    1
-    """
-    if not w:
-        raise EmptyWord("smallest_period of empty word")
-    return len(w) - border_table(w)[-1]
-
-
 def is_primitive(w: str) -> bool:
     """True iff w is not u**k for any k >= 2 (square test).
 

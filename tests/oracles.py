@@ -31,13 +31,6 @@ def lcs_naive(a, b):
     return lcp_naive(a[::-1], b[::-1])
 
 
-def smallest_period_naive(w):
-    for p in range(1, len(w) + 1):
-        if all(w[i] == w[i + p] for i in range(len(w) - p)):
-            return p
-    raise AssertionError
-
-
 def is_primitive_naive(w):
     n = len(w)
     return not any(n % p == 0 and w[:p] * (n // p) == w for p in range(1, n))

@@ -1,13 +1,14 @@
 """Import hygiene: every name a module imports is read in it or exported.
 
 No linter is part of the toolchain, so this test does the one check that
-catches an import left behind when the code that read it goes.
+catches an import left behind when the code that read it goes, in the
+package, the scripts and the tests.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repcore"
+ROOT = Path(__file__).resolve().parents[1]
 
 # perfbench/tracing.py patches these names in these modules to count calls,
 # and its tests expect every patched name to exist, so they stay imported
@@ -54,8 +55,12 @@ def unused_imports(path):
 
 
 def test_every_import_is_read_or_exported():
-    modules = sorted(SRC.glob("*.py"))
-    assert {p.stem for p in modules} >= {"verify", "locate", "words", "interrupts"}
+    modules = [
+        *ROOT.glob("src/repcore/*.py"),
+        *ROOT.glob("scripts/*.py"),
+        *ROOT.glob("tests/*.py"),
+    ]
+    assert {p.stem for p in modules} >= {"verify", "locate", "oracles", "test_words"}
     unused = set().union(*(unused_imports(p) for p in modules))
     assert unused == TRACER_ONLY
 

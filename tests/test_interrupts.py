@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repcore import (
+    ClaimId,
     DeletionSplit,
     InterruptSpec,
     Universe,
     anchor_windows,
     build,
+    check_claim,
     core,
     occurrences,
 )
@@ -19,7 +21,12 @@ from repcore.interrupts import (
 )
 from repcore.verify import enumerate_specs
 from repcore.words import rotate
-from repcore.errors import IndexOutOfRange, InvalidSpec, InvalidSplit
+from repcore.errors import (
+    ClassificationFailure,
+    IndexOutOfRange,
+    InvalidSpec,
+    InvalidSplit,
+)
 
 from oracles import core_by_continuation, core_by_definition
 
@@ -168,6 +175,23 @@ def test_every_window_classifies(spec):
             assert rep.word[j : j + n] == rotate(x, cls.rotation)
         else:
             assert j <= rep.core_start and j + n >= rep.core_end
+
+
+def test_dichotomy_violations_are_the_unclassified_windows():
+    # The verifier's dichotomy claim and classify_window agree spec by spec:
+    # a violation is exactly a factor at a window that is neither
+    # core-anchored nor a rotation of x.
+    for spec in enumerate_specs(Universe(2, 2, 6, (3, 4), "both")):
+        rep = core(spec)
+        n = len(spec.split.x)
+        neither = set()
+        for j in range(len(rep.word) - n + 1):
+            try:
+                classify_window(spec, j, rep)
+            except ClassificationFailure:
+                neither.add(rep.word[j : j + n])
+        violations = check_claim(ClaimId.DICHOTOMY, spec).violations
+        assert [v.factor for v in violations] == sorted(neither), spec
 
 
 def test_anchor_window_examples():

@@ -1,5 +1,6 @@
 """The README's CLI examples and library quick reference match the package."""
 
+import importlib
 import json
 import re
 import shlex
@@ -55,3 +56,16 @@ def test_readme_quick_reference_is_the_top_level_api():
     assert len(names) == 17
     assert set(repcore.__all__) == names | {"errors"}
     assert all(hasattr(repcore, name) for name in repcore.__all__)
+
+
+def test_readme_submodule_names_exist():
+    block = section("Library quick reference")
+    start = block.index("Everything else is imported from its submodule")
+    sentence = block[start : block.index(").", start) + 1]
+    listed = re.findall(r"`repcore\.(\w+)`\s*\(([^)]*)\)", sentence)
+    modules = {module for module, _ in listed}
+    assert modules == {"words", "interrupts", "verify", "locate"}
+    for module, names in listed:
+        submodule = importlib.import_module(f"repcore.{module}")
+        for name in re.findall(r"`(\w+)`", names):
+            assert hasattr(submodule, name), f"repcore.{module}.{name}"

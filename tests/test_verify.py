@@ -182,6 +182,18 @@ def test_cap_rejects_before_building_exponent_pairs(monkeypatch):
         run(Universe(2, 2, 2, (3, 10**8)))
 
 
+def test_universe_without_splits_builds_no_exponent_pairs(monkeypatch):
+    # |x| = 1 has no split, so the universe has no spec and passes any cap;
+    # neither run() nor enumerate_specs may build its 10**8 (e1, e2) pairs.
+    def no_pairs(*args, **kwargs):
+        raise AssertionError("exponent pairs built for a universe with no split")
+
+    monkeypatch.setattr(repcore.verify, "exponent_pairs", no_pairs)
+    universe = Universe(2, 1, 1, (3, 10**8))
+    assert [r.status for r in run(universe)] == ["not_applicable"] * len(ClaimId)
+    assert list(enumerate_specs(universe)) == []
+
+
 def test_check_claim_theorem1_ok():
     sc = check_claim(ClaimId.THEOREM1, prefix_spec("ab", 1, 1, 2))
     assert sc.ok and sc.checked == 1

@@ -2,7 +2,7 @@ from collections import Counter
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repcore import cyclic_occurrences, is_primitive, lcp, lcs, occurrences
 from repcore.words import (
@@ -14,7 +14,6 @@ from repcore.words import (
     primitive_words,
     renamings,
     rotate,
-    smallest_period,
     words_of_length,
 )
 from repcore.errors import (
@@ -29,7 +28,6 @@ from oracles import (
     lcp_naive,
     lcs_naive,
     occurrences_naive,
-    smallest_period_naive,
 )
 
 words = st.text(alphabet="abc", max_size=24)
@@ -62,18 +60,6 @@ def test_lcs_is_lcp_of_reversals(a, b):
 @given(nonempty_words)
 def test_lcp_identity(w):
     assert lcp(w, w) == len(w) == lcs(w, w)
-
-
-def test_smallest_period_examples():
-    assert smallest_period("abab") == 2
-    assert smallest_period("aabab") == 5
-    assert smallest_period("aaaa") == 1
-    assert smallest_period("aabaa") == 3
-
-
-@given(nonempty_words)
-def test_smallest_period_matches_naive(w):
-    assert smallest_period(w) == smallest_period_naive(w)
 
 
 def test_is_primitive_examples():
@@ -185,7 +171,7 @@ def test_power_prefix_is_periodic(x, phase, n):
 
 
 def test_empty_word_errors():
-    for fn in (smallest_period, is_primitive, is_primitive_by_square):
+    for fn in (is_primitive, is_primitive_by_square):
         with pytest.raises(EmptyWord):
             fn("")
     with pytest.raises(EmptyWord):
