@@ -16,13 +16,14 @@ equal letters.  So only one x per orbit is evaluated: the first-use word,
 whose letters first appear in the order a, b, c, ... (words.first_use_words),
 the smallest of its orbit.  Its counts are multiplied by the orbit size,
 and each of its violations stands for one violation of every renamed
-spec, with the factor renamed too.  Inside a chunk a violation is a row
-(|x|, σ(x), cut1, cut2, e1, e2, factor, expected, actual), whose plain
-tuple order is canonical witness order, since a factor occurs at most once
-per spec and claim.  Renaming moves rows out of that order, so each chunk
-keeps its first max_violations rows in a bounded list that it sorts as it
-goes, builds a Witness only for those, and run() merges the chunks' lists
-by the same key.
+spec, with the factor renamed too.  From the claim to the report a
+violation is a row (|x|, σ(x), cut1, cut2, e1, e2, factor, expected,
+actual), whose plain tuple order is canonical witness order, since a factor
+occurs at most once per spec and claim.  Renaming moves rows out of that
+order, so each chunk keeps its first max_violations rows in a bounded list
+that it sorts as it goes and returns sorted.  run() merges the chunks'
+rows in plain tuple order and builds a Witness only for the rows it
+reports.
 
 Count rule: a window f of length |x| or |x|-1 occurs
 count_W0(f) + (e1+e2-MIN_E_SUM)·(f in x+x) times in W.
@@ -55,11 +56,12 @@ from __future__ import annotations
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from copy import copy
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 from heapq import merge
-from itertools import islice
+from itertools import islice, tee
 from math import perm
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -211,7 +213,9 @@ def estimated_checks(universe: Universe) -> int:
 
 
 def _check_size(count: int, max_checks: int, what: str) -> None:
-    """Reject a universe whose count of specs exceeds max_checks."""
+    """Reject max_checks < 0, and a universe whose count of specs exceeds it."""
+    if max_checks < 0:
+        raise InvalidLimit(f"max_checks must be >= 0, got {max_checks}")
     if count > max_checks:
         raise UniverseTooLarge(f"{count} {what} exceed the cap {max_checks}")
 
@@ -276,33 +280,6 @@ def applies(claim: ClaimId, spec: InterruptSpec) -> bool:
     if claim is ClaimId.THEOREM1_DELETION:
         return not spec.split.is_prefix_form
     return True
-
-
-class _Orbit:
-    """The renamings (σ(x), σ) of a first-use x (words.renamings), generated
-    as far as an offer reads them and kept for x's other splits and claims.
-
-    size is the orbit size, k!/(k-m)! for m distinct letters.  An offer
-    that finds a violation reads at most max_violations + 1 renamings, so a
-    large alphabet costs no more than what is reported.
-    """
-
-    def __init__(self, x: str, alphabet_size: int):
-        self.x = x
-        self.size = perm(alphabet_size, len(set(x)))
-        self._rest = renamings(x, alphabet_size)
-        self._seen: list[tuple[str, dict[int, int]]] = []
-
-    def __iter__(self) -> Iterator[tuple[str, dict[int, int]]]:
-        seen, i = self._seen, 0
-        while True:
-            if i == len(seen):
-                member = next(self._rest, None)
-                if member is None:
-                    return
-                seen.append(member)
-            yield seen[i]
-            i += 1
 
 
 class _SplitContext:
@@ -371,11 +348,6 @@ def _mismatches(
     return len(factors) * len(ctx.pairs), per_sum
 
 
-def _witness_key(w: Witness) -> tuple:
-    """Canonical witness order: the spec's key, then the factor."""
-    return (*w.spec.key(), w.factor)
-
-
 class _Kept:
     """The first `limit` violation rows offered, in tuple order.
 
@@ -399,15 +371,17 @@ class _Kept:
         del self._rows[self.limit :]
         return self._rows
 
-    def offer(self, ctx: _SplitContext, per_sum: _PerSum, orbit: _Orbit) -> None:
+    def offer(self, ctx: _SplitContext, per_sum: _PerSum, orbit: Iterable) -> None:
         """Keep the violations of every orbit member's specs that can rank.
 
-        Orbit members come in σ(x) order and their specs and renamed factors
-        in row order, so the first member whose (|x|, σ(x), cut1, cut2) is
-        past the bound, or the first row past it, ends the offer.  per_sum
-        runs once per exponent sum, and only when the split can still place
-        a row, so once the bound is set low, the splits after it cost no
-        per-factor work.
+        orbit yields the renamings (σ(x), σ) of words.renamings, in σ(x)
+        order, and the specs and renamed factors of each come in row order,
+        so the first member whose (|x|, σ(x), cut1, cut2) is past the bound,
+        or the first row past it, ends the offer: an offer that finds a
+        violation draws at most limit + 1 renamings.  per_sum runs once per
+        exponent sum, and only when the split can still place a row, so
+        once the bound is set low, the splits after it cost no per-factor
+        work.  The rows stay rows up to run(), which builds the witnesses.
         """
         rows, n, cut1, cut2 = self._rows, ctx.n, ctx.split.cut1, ctx.split.cut2
         found: dict[int, list[tuple[str, int, int]]] = {}
@@ -499,36 +473,33 @@ def check_claim(claim: ClaimId, spec: InterruptSpec) -> SpecCheck:
 
 
 def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]):
-    """Per claim: (assertions evaluated, the chunk's first max_violations witnesses).
+    """Per claim: (assertions evaluated, the chunk's first max_violations rows).
 
     The chunk is the first-use splits with canonical indices lo..hi-1, each
     with every (e1, e2) of the universe, standing for every split of its
     orbit.  The worker enumerates them itself and keeps each claim's
-    violations as rows (see _Kept).  Only the rows it returns become
-    Witnesses, in canonical order, and each reported split and spec is one
-    object, shared by every claim that reports it.
+    violations as rows (see _Kept), which it returns sorted.  A word's
+    renamings are one tee, never advanced itself; each offer reads a copy,
+    so every renaming is drawn once per chunk, and only as far as an offer
+    reads.  An orbit has k!/(k-m)! words for m distinct letters.
     """
     universe, lo, hi, claims, max_violations = args
     pairs = exponent_pairs(universe.e_sums) if lo < hi else []
     checked = dict.fromkeys(claims, 0)
     kept = {c: _Kept(max_violations) for c in claims}
-    orbit = None
+    word = None
     for x, cut1, cut2 in _splits(universe, lo, hi):
-        if orbit is None or orbit.x != x:
-            orbit = _Orbit(x, universe.alphabet_size)
+        if x != word:
+            word, size = x, perm(universe.alphabet_size, len(set(x)))
+            (orbit,) = tee(renamings(x, universe.alphabet_size), 1)
         ctx = _SplitContext(DeletionSplit(x, cut1, cut2), pairs)
         for c in claims:
             if not applies(c, ctx.spec0):
                 continue
             count, per_sum = _CLAIMS[c](ctx)
-            checked[c] += count * orbit.size
-            kept[c].offer(ctx, per_sum, orbit)
-    split_of, spec_of = cache(DeletionSplit), cache(InterruptSpec)
-
-    def witness(_n, sx, cut1, cut2, e1, e2, *violation) -> Witness:
-        return Witness(spec_of(split_of(sx, cut1, cut2), e1, e2), *violation)
-
-    return {c: (checked[c], [witness(*row) for row in kept[c].cut()]) for c in claims}
+            checked[c] += count * size
+            kept[c].offer(ctx, per_sum, copy(orbit))
+    return {c: (checked[c], kept[c].cut()) for c in claims}
 
 
 def run(
@@ -545,12 +516,14 @@ def run(
     chunk results merge in canonical order.  A chunk is a range of
     first-use split indices, so the parent holds no spec and sends each
     worker five small values.  Each chunk keeps only its first
-    max_violations witnesses per claim, in canonical order, and counts the
-    rest of its assertions, so memory is bounded by what is reported.  A
-    renamed spec can sort before specs of earlier chunks, so the parent
-    merges the chunks' sorted lists by key; the first max_violations of the
-    merge are the first of the whole universe, for any chunking.  The pool
-    starts at most one worker per CPU, whatever jobs asks for.
+    max_violations violation rows per claim, sorted, and counts the rest
+    of its assertions, so memory is bounded by what is reported.  A renamed
+    spec can sort before specs of earlier chunks, so the parent merges the
+    chunks' sorted rows in plain tuple order; the first max_violations of
+    the merge are the first of the whole universe, for any chunking.  Only
+    those rows become Witnesses, and each reported split and spec is one
+    object, shared by every claim that reports it.  The pool starts at
+    most one worker per CPU, whatever jobs asks for.
     """
     if max_violations < 1:
         raise InvalidLimit(f"max_violations must be >= 1, got {max_violations}")
@@ -571,7 +544,7 @@ def run(
     splits = _split_count(universe)
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1 or splits < 2:
-        merged = [_eval_chunk((universe, 0, splits, claim_list, max_violations))]
+        parts = [_eval_chunk((universe, 0, splits, claim_list, max_violations))]
     else:
         size = -(-splits // (workers * 8))
         tasks = [
@@ -579,13 +552,17 @@ def run(
             for lo in range(0, splits, size)
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            merged = list(pool.map(_eval_chunk, tasks))
+            parts = list(pool.map(_eval_chunk, tasks))
+    split_of, spec_of = cache(DeletionSplit), cache(InterruptSpec)
+
+    def witness(_n, sx, cut1, cut2, e1, e2, *violation) -> Witness:
+        return Witness(spec_of(split_of(sx, cut1, cut2), e1, e2), *violation)
 
     reports = []
     for c in claim_list:
-        checked = sum(part[c][0] for part in merged)
-        lists = [part[c][1] for part in merged]
-        violations = list(islice(merge(*lists, key=_witness_key), max_violations))
+        checked = sum(part[c][0] for part in parts)
+        rows = merge(*(part[c][1] for part in parts))
+        violations = [witness(*row) for row in islice(rows, max_violations)]
         if checked == 0:
             status = "not_applicable"
         elif violations:

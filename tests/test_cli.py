@@ -389,6 +389,18 @@ def test_verify_max_violations_below_one_exits_2(capsys):
     assert code == 2 and err.startswith("InvalidLimit:")
 
 
+def test_verify_max_checks_below_zero_exits_2(capsys):
+    # a universe with no split (0 specs) and the default one alike
+    for argv in (["--min-x", "1", "--max-x", "1"], []):
+        for value in ("-1", "-7"):
+            for fmt in ([], ["--json"]):
+                code, out, err = run_cli(
+                    capsys, "verify", *argv, "--max-checks", value, *fmt
+                )
+                assert (code, out) == (2, "")
+                assert err == f"InvalidLimit: max_checks must be >= 0, got {value}\n"
+
+
 def test_verify_jobs_below_one_exits_2(capsys):
     for value in ("0", "-3"):
         code, out, err = run_cli(capsys, "verify", "--jobs", value)

@@ -53,18 +53,22 @@ def representative_specs(universe):
     return [s for s in enumerate_specs(universe) if is_first_use(s.split.x)]
 
 
-def witness_key(w):
-    return (*w.spec.key(), w.factor)
+def row(w):
+    """A witness as _eval_chunk keeps it: the spec's key, the factor and both
+    counts, so plain tuple order is canonical witness order."""
+    return (*w.spec.key(), w.factor, w.expected, w.actual)
+
+
+def as_rows(result):
+    """Per claim (checked, witnesses) with each witness as its row."""
+    return {c: (checked, [row(w) for w in ws]) for c, (checked, ws) in result.items()}
 
 
 def merged(parts, k):
-    """Chunk results merged as run() must: counts summed, witnesses sorted by
-    (spec key, factor) and cut to the first k."""
+    """Chunk results merged as run() must: counts summed, rows sorted and cut
+    to the first k."""
     return {
-        c: (
-            sum(p[c][0] for p in parts),
-            sorted((w for p in parts for w in p[c][1]), key=witness_key)[:k],
-        )
+        c: (sum(p[c][0] for p in parts), sorted(r for p in parts for r in p[c][1])[:k])
         for c in parts[0]
     }
 
@@ -169,6 +173,26 @@ def test_enumerate_caps_every_spec_it_yields():
     assert list(enumerate_specs(u, max_checks=n_specs))
     with pytest.raises(UniverseTooLarge):
         next(enumerate_specs(u, max_checks=n_specs - 1))
+
+
+def test_negative_cap_is_an_invalid_limit():
+    # A universe with no split has 0 specs, which no cap >= 0 rejects; a
+    # negative cap is a bad limit, not an oversized universe, at both entry
+    # points that check the size.
+    universe = Universe(2, 1, 1, (3, 4))
+    for cap in (-1, -10**6):
+        with pytest.raises(InvalidLimit, match=f"^max_checks must be >= 0, got {cap}$"):
+            run(universe, max_checks=cap)
+        with pytest.raises(InvalidLimit, match=f"^max_checks must be >= 0, got {cap}$"):
+            next(enumerate_specs(universe, max_checks=cap))
+    # also where the universe would pass the default cap
+    with pytest.raises(InvalidLimit):
+        run(Universe(2, 2, 3, (3,), "prefix"), max_checks=-1)
+    # 0 is a cap, not a bad limit
+    assert [r.status for r in run(universe, max_checks=0)] == ["not_applicable"] * 9
+    assert list(enumerate_specs(universe, max_checks=0)) == []
+    with pytest.raises(UniverseTooLarge):
+        run(Universe(2, 2, 3, (3,), "prefix"), max_checks=0)
 
 
 def test_cap_rejects_before_building_exponent_pairs(monkeypatch):
@@ -385,7 +409,7 @@ def test_retention_universe_fails_late(full):
     head = _eval_chunk((u, 0, first_chunk, list(ClaimId), 3))
     tail = _eval_chunk((u, first_chunk, splits, list(ClaimId), 3))
     assert head[ClaimId.THEOREM1_DELETION][1] == []
-    assert tail[ClaimId.THEOREM1_DELETION][1][0] == first
+    assert tail[ClaimId.THEOREM1_DELETION][1][0] == row(first)
 
 
 def orbit_of(split):
@@ -399,33 +423,35 @@ def check_merges_at_every_cut(u, k):
     claims = list(ClaimId)
     every = spec_by_spec(u)
     whole = _eval_chunk((u, 0, splits, claims, k))
-    assert whole == merged([every], k)
+    assert whole == merged([as_rows(every)], k)
     for cut in range(splits + 1):
         head = _eval_chunk((u, 0, cut, claims, k))
         tail = _eval_chunk((u, cut, splits, claims, k))
         assert merged([head, tail], k) == whole, cut
-    # one chunk per split, merged by key, gives the same, and each such
-    # chunk keeps the first k witnesses of its split's orbit
+    # one chunk per split, merged in row order, gives the same, and each
+    # such chunk keeps the first k rows of its split's orbit
     parts = [_eval_chunk((u, i, i + 1, claims, k)) for i in range(splits)]
     assert merged(parts, k) == whole
     reps = list(dict.fromkeys(s.split for s in representative_specs(u)))
     for split, part in zip(reps, parts):
         for c in claims:
-            mine = [w for w in every[c][1] if orbit_of(w.spec.split) == orbit_of(split)]
+            mine = [
+                row(w) for w in every[c][1] if orbit_of(w.spec.split) == orbit_of(split)
+            ]
             assert part[c][1] == mine[:k], (split, c)
     if k > len(whole[ClaimId.NOTE3_LINEAR][1]):
-        # concatenation would not: a renamed witness of a later split sorts
-        # before a witness of an earlier one
-        note3 = [w for p in parts for w in p[ClaimId.NOTE3_LINEAR][1]]
-        assert note3 != sorted(note3, key=witness_key)
+        # concatenation would not: a renamed row of a later split sorts
+        # before a row of an earlier one
+        note3 = [r for p in parts for r in p[ClaimId.NOTE3_LINEAR][1]]
+        assert note3 != sorted(note3)
     return whole
 
 
 def test_eval_chunk_merges_at_every_cut():
     # Nine (e1, e2) per split; a chunk is a range of first-use split indices,
     # so it holds every (e1, e2) of its splits and of their renamings, and a
-    # cut falls between two first-use splits.  Renamed witnesses of a later
-    # chunk can sort first, so the chunks merge by key, not by concatenation.
+    # cut falls between two first-use splits.  Renamed rows of a later chunk
+    # can sort first, so the chunks merge in row order, not by concatenation.
     u = Universe(2, 2, 3, (3, 4, 5), "both")
     assert len(exponent_pairs(u.e_sums)) == 9
     whole = check_merges_at_every_cut(u, 10**6)
@@ -441,17 +467,18 @@ def test_eval_chunk_merges_ternary_orbits_at_every_cut(k):
     check_merges_at_every_cut(Universe(3, 2, 4, (3, 4), "prefix"), k)
 
 
-def test_eval_chunk_witnesses_share_their_spec():
-    # Witnesses of different claims for one spec hold the same InterruptSpec,
-    # so a chunk's result pickles each reported spec once.
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_witnesses_share_their_spec(jobs, monkeypatch):
+    # Witnesses of different claims for one spec hold the same InterruptSpec.
     # That holds for renamed specs too.
-    u = RETENTION_UNIVERSE
-    part = _eval_chunk((u, 0, split_count(u), list(ClaimId), 10**6))
+    # jobs=2 gets its 2 workers even on a single-CPU machine
+    monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 2)
+    reports = run(RETENTION_UNIVERSE, max_violations=10**6, jobs=jobs)
     by_key, claims_of = {}, {}
-    for c, (_, kept) in part.items():
-        for w in kept:
-            assert by_key.setdefault(w.spec.key(), w.spec) is w.spec, (c, w)
-            claims_of.setdefault(w.spec.key(), set()).add(c)
+    for rep in reports:
+        for w in rep.counterexamples:
+            assert by_key.setdefault(w.spec.key(), w.spec) is w.spec, (rep.claim, w)
+            claims_of.setdefault(w.spec.key(), set()).add(rep.claim)
     shared = [key for key, claims in claims_of.items() if len(claims) > 1]
     assert any(not is_first_use(x) for _, x, *_ in shared)
     assert any(is_first_use(x) for _, x, *_ in shared)
@@ -465,27 +492,30 @@ def test_eval_chunk_keeps_first_k_witnesses(full, k):
     for c in ClaimId:
         checked, kept = part[c]
         assert len(kept) <= k
-        assert (checked, kept) == (full[c][0], full[c][1][:k]), c
+        assert (checked, kept) == (full[c][0], [row(w) for w in full[c][1][:k]]), c
     assert len(full[ClaimId.NOTE3_LINEAR][1]) > 100 * k
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("k", [1, 3])
-def test_eval_chunk_builds_only_the_witnesses_it_returns(k, monkeypatch):
-    # A chunk keeps up to 2k violations per claim before it cuts back to k;
-    # the ones it drops are never built.
-    built = []
+def test_run_builds_only_the_witnesses_it_reports(jobs, k, monkeypatch):
+    # A chunk keeps up to 2k violation rows per claim before it cuts back to
+    # k, and returns rows; the parent builds one Witness per reported row and
+    # none for a row the merge drops.  Witnesses built in the workers would
+    # not be counted here, and would leave the parent's count short.
+    # jobs=2 gets its 2 workers even on a single-CPU machine
+    monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 2)
+    built, init = [], Witness.__init__
 
-    class CountedWitness(Witness):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
+    def counted_init(self, *args):
+        init(self, *args)
+        built.append(self)
 
-    monkeypatch.setattr(repcore.verify, "Witness", CountedWitness)
-    u = RETENTION_UNIVERSE
-    part = _eval_chunk((u, 0, split_count(u), list(ClaimId), k))
-    returned = sum(len(kept) for _, kept in part.values())
-    assert returned > 0
-    assert len(built) == returned
+    monkeypatch.setattr(Witness, "__init__", counted_init)
+    reports = run(RETENTION_UNIVERSE, max_violations=k, jobs=jobs)
+    reported = [w for rep in reports for w in rep.counterexamples]
+    assert reported
+    assert sorted(map(id, built)) == sorted(map(id, reported))
 
 
 def test_run_draws_few_renamings_on_26_letters(monkeypatch):
@@ -523,7 +553,7 @@ def test_eval_chunk_equals_check_claim_spec_by_spec(universe):
     # renames them into every word of the split's orbit; check_claim
     # evaluates one spec of one word at a time.
     whole = _eval_chunk((universe, 0, split_count(universe), list(ClaimId), 10**6))
-    assert whole == spec_by_spec(universe)
+    assert whole == as_rows(spec_by_spec(universe))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
