@@ -24,7 +24,15 @@ from .interrupts import (
     build,
     core,
 )
-from .words import border_table, is_primitive, lcp, lcs, occurrences, power_prefix
+from .words import (
+    border_table,
+    is_primitive,
+    lcp,
+    lcs,
+    occurrences,
+    period_breaks,
+    power_prefix,
+)
 
 
 @dataclass(frozen=True)
@@ -141,6 +149,10 @@ def periodic_segments(text: str, x: str) -> SegmentReport:
     (and the two ends of the text); each is a segment exactly when its
     first |x| symbols occur in x + x, at offset f.  Segments come out sorted
     by start; consecutive pairs get a PhaseJump record.
+
+    Those positions come from period_breaks, so a stretch with period |x|
+    costs one block compare per block; a text that breaks in most blocks
+    (random text, or a wrong |x|) costs what a symbol-by-symbol scan does.
     """
     n = len(x)
     if n == 0 or not is_primitive(x):
@@ -151,9 +163,9 @@ def periodic_segments(text: str, x: str) -> SegmentReport:
 
     segments = []
     rotations = x + x
-    ends = (k + n for k, (a, b) in enumerate(zip(text, text[n:])) if a != b)
     start = 0
-    for end in chain(ends, [total]):
+    for k in chain(period_breaks(text, n), [total - n]):
+        end = k + n
         phase = rotations.find(text[start : start + n])
         if phase >= 0:
             segments.append(Segment(start, end, phase))

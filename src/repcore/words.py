@@ -8,24 +8,38 @@ intervals half-open.  All functions are pure.
 from __future__ import annotations
 
 import string
-from itertools import permutations, product
+from itertools import compress, count, permutations, product
+from operator import ne
 from typing import Callable, Iterator
 
 from .errors import EmptyPattern, EmptyWord, InvalidWord, PatternLongerThanText
 
 LETTERS = string.ascii_lowercase
-_LETTER_SET = frozenset(LETTERS)
+_DROP_LETTERS = str.maketrans("", "", LETTERS)
+# Symbols period_breaks compares with one slice equality before it looks
+# at single symbols.  A larger block skips a periodic stretch in fewer
+# steps but walks more symbols around each break.
+_BLOCK = 256
 
 
 def parse_word(text: str) -> str:
     """Validate a word coming from a text interface.
 
     Only lowercase ASCII letters are accepted; anything else raises
-    InvalidWord so downstream parsing stays deterministic.
+    InvalidWord, naming the first invalid symbol and its 0-based position
+    (not the word, which may be millions of symbols long).
+
+    >>> parse_word("ab1c")
+    Traceback (most recent call last):
+    ...
+    repcore.errors.InvalidWord: invalid symbol '1' at position 2
     """
-    for ch in text:
-        if ch not in _LETTER_SET:
-            raise InvalidWord(f"invalid symbol {ch!r} in word {text!r}")
+    rest = text.translate(_DROP_LETTERS)
+    if rest:
+        # rest keeps the invalid symbols in order, so rest[0] is the first
+        # one and no earlier position holds the same symbol.
+        ch = rest[0]
+        raise InvalidWord(f"invalid symbol {ch!r} at position {text.index(ch)}")
     return text
 
 
@@ -181,6 +195,31 @@ def border_table(w: str) -> list[int]:
             k += 1
         border[i] = k
     return border
+
+
+def period_breaks(text: str, n: int) -> Iterator[int]:
+    """Positions k < |text| - n with text[k] != text[k + n], ascending.
+
+    These are the places where period n breaks.  The text is compared
+    with itself shifted by n in blocks of _BLOCK symbols, each with one
+    slice equality; only an unequal block is walked symbol by symbol (in
+    C, through map and compress).  A stretch with period n thus costs one
+    block compare per block, while a text that breaks in most blocks costs
+    about what a symbol-by-symbol scan does.
+
+    >>> list(period_breaks("abaabab", 2))
+    [1, 2]
+    >>> list(period_breaks("ababab", 2))
+    []
+    """
+    if n < 1:
+        raise ValueError(f"period must be positive, got {n}")
+    last = len(text) - n
+    for a in range(0, last, _BLOCK):
+        b = min(a + _BLOCK, last)
+        left, right = text[a:b], text[a + n : b + n]
+        if left != right:
+            yield from compress(count(a), map(ne, left, right))
 
 
 def is_primitive(w: str) -> bool:

@@ -31,6 +31,11 @@ def lcs_naive(a, b):
     return lcp_naive(a[::-1], b[::-1])
 
 
+def period_breaks_naive(text, n):
+    """Every k < |text| - n with text[k] != text[k + n], one symbol at a time."""
+    return [k for k in range(len(text) - n) if text[k] != text[k + n]]
+
+
 def is_primitive_naive(w):
     n = len(w)
     return not any(n % p == 0 and w[:p] * (n // p) == w for p in range(1, n))

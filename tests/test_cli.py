@@ -301,6 +301,15 @@ def test_text_file_errors_exit_2(tmp_path, capsys):
             assert reason in last
 
 
+def test_bad_symbol_in_a_large_text_file_is_one_short_line(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("ab" * 500_000 + "C" + "ab" * 20 + "\n")
+    code, out, err = run_cli(capsys, "scan", "--x", "ab", "--text-file", str(path))
+    assert code == 2 and out == ""
+    assert err == "InvalidWord: invalid symbol 'C' at position 1000000\n"
+    assert len(err.encode()) < 200
+
+
 def test_domain_errors_exit_2(capsys):
     code, _, err = run_cli(
         capsys, "core", "--x", "ab", "--cut", "0", "--e1", "1", "--e2", "2"

@@ -178,6 +178,30 @@ def test_periodic_segments_equals_naive_on_random_texts():
         assert found == phase_segments_naive(text, x), (text, x)
 
 
+def test_periodic_segments_equals_naive_across_blocks():
+    # Texts of 600-900 symbols, so the break finder crosses block edges:
+    # runs of rotations of x with random phases and lengths, each followed
+    # by nothing, x[0] or "c".
+    rng = random.Random(20261019)
+    for x in ("ab", "aab", "abaab", "aababb", "abcacb"):
+        n = len(x)
+        for _ in range(6):
+            pieces = []
+            while sum(map(len, pieces)) < 600:
+                run = power_prefix(x, rng.randrange(n), rng.randint(1, 300))
+                pieces.append(run + rng.choice(["", x[0], "c"]))
+            text = "".join(pieces)
+            rep = periodic_segments(text, x)
+            found = [(s.start, s.end, s.phase) for s in rep.segments]
+            assert found == phase_segments_naive(text, x), (text, x)
+    # the README's three-segment example, with its junction past two blocks
+    text = build(InterruptSpec(DeletionSplit("aabab", 0, 1), 120, 90))
+    rep = periodic_segments(text, "aabab")
+    found = [(s.start, s.end, s.phase) for s in rep.segments]
+    assert found == phase_segments_naive(text, "aabab")
+    assert found == [(0, 601, 0), (598, 603, 1), (600, 1054, 1)]
+
+
 @given(st.text(alphabet="ab", min_size=2, max_size=40), st.sampled_from(["ab", "ba", "aab", "aba", "abb"]))
 def test_periodic_segments_properties(text, x):
     n = len(x)

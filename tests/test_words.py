@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from math import factorial
 
@@ -6,10 +7,12 @@ from hypothesis import given, strategies as st
 
 from repcore import cyclic_occurrences, is_primitive, lcp, lcs, occurrences
 from repcore.words import (
+    _BLOCK,
     count_first_use_words,
     count_primitive_words,
     first_use_words,
     parse_word,
+    period_breaks,
     power_prefix,
     primitive_words,
     renamings,
@@ -28,6 +31,7 @@ from oracles import (
     lcp_naive,
     lcs_naive,
     occurrences_naive,
+    period_breaks_naive,
 )
 
 words = st.text(alphabet="abc", max_size=24)
@@ -197,6 +201,60 @@ def test_pattern_longer_than_text():
 def test_parse_word():
     assert parse_word("abz") == "abz"
     assert parse_word("") == ""
-    for bad in ("aB", "a b", "a1", "ab\n"):
-        with pytest.raises(InvalidWord):
+    # the first invalid symbol and its position, not the word, are reported
+    for bad, ch, pos in (
+        ("aB", "B", 1),
+        ("a b1", " ", 1),
+        ("a1", "1", 1),
+        ("ab\n", "\n", 2),
+        ("zz9a9", "9", 2),
+        ("abcé", "é", 3),
+    ):
+        with pytest.raises(InvalidWord) as exc:
             parse_word(bad)
+        assert str(exc.value) == f"invalid symbol {ch!r} at position {pos}"
+
+
+def test_period_breaks_equals_naive_exhaustively_on_binary_texts():
+    for length in range(15):
+        for text in words_of_length(length, 2):
+            for n in range(1, length + 1):
+                assert list(period_breaks(text, n)) == period_breaks_naive(text, n)
+
+
+def _one_break(rng, length, n, k):
+    """A text of the given length with period n except at k alone."""
+    text = [rng.choice("abc") for _ in range(n)]
+    for j in range(n, length):
+        ch = text[j - n]
+        text.append("bca"["abc".index(ch)] if j == k + n else ch)
+    return "".join(text)
+
+
+def test_period_breaks_at_block_edges():
+    rng = random.Random(20261019)
+    edges = (_BLOCK - 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1)
+    for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 300):
+        # |text| - n spans 0 to 3 blocks, ending on and beside block edges
+        for length in (n, n + 1, n + _BLOCK, n + 2 * _BLOCK + 1, n + 3 * _BLOCK):
+            last = length - n - 1
+            for k in sorted({*edges, last}):
+                if 0 <= k <= last:
+                    text = _one_break(rng, length, n, k)
+                    assert list(period_breaks(text, n)) == [k], (n, length, k)
+            periodic = _one_break(rng, length, n, -1)  # k = -1 plants none
+            assert list(period_breaks(periodic, n)) == []
+            for letters in ("ab", "abc"):
+                text = list(periodic)
+                for j in rng.sample(range(length), min(length, 4)):
+                    text[j] = rng.choice(letters)
+                text = "".join(text)
+                assert list(period_breaks(text, n)) == period_breaks_naive(text, n)
+                noise = "".join(rng.choice(letters) for _ in range(length))
+                assert list(period_breaks(noise, n)) == period_breaks_naive(noise, n)
+
+
+def test_period_breaks_rejects_a_period_below_one():
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            list(period_breaks("abab", n))
