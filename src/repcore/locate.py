@@ -25,7 +25,6 @@ from .interrupts import (
     core,
 )
 from .words import (
-    border_table,
     is_primitive,
     lcp,
     lcs,
@@ -81,49 +80,124 @@ class SegmentReport:
 def parses(word: str, forms: str = "both") -> list[Parse]:
     """Every spec of the requested form with build(spec) == word, canonical order.
 
-    W = x^e1 x1 x3 x^e2 starts and ends with x, so a candidate x is a
-    border word[:n] with n <= |word| // MIN_E_SUM.  One border table gives
-    them all: the chain border[-1], border[b-1], ... lists every border, and
-    word[:n] is primitive unless p = n - border[n-1] is a proper divisor of
-    n.  Since |word| = (e1+e2+1)*n - |x2| with 0 < |x2| < n, |x2| is
+    W = x^e1 x1 x3 x^e2 starts and ends with x, and |x| = n <= |word| //
+    MIN_E_SUM.  Since |word| = (e1+e2+1)*n - |x2| with 0 < |x2| < n, |x2| is
     -|word| mod n (n has no parse when that is 0) and e1 + e2 is
     (|word| + |x2|) // n - 1; the splits are (cut1, cut1 + |x2|).  The left
     part x^e1 x1 is a prefix with period n and the right part x3 x^e2 a
     suffix with period n, so a spec parses exactly when its junction
     e1*n + cut1 lies in [|word| - tail, head], where head and tail are the
     lengths of the longest period-n prefix and suffix.
+
+    Only a few n can pass, and _lengths finds them without a table: it
+    returns at most six lengths and misses no parse (its docstring says
+    why).  Each then has to be a border of the word with word[:n]
+    primitive, |x2| > 0 and head + tail >= |word|, as above.
     """
     if forms not in FORMS:
         raise ValueError(f"forms must be one of {FORMS}, got {forms!r}")
     total = len(word)
     if total < 3:
         raise WordTooShort(f"|word| = {total} < 3")
-    border = border_table(word)
-    chain = [border[-1]]
-    while chain[-1]:
-        chain.append(border[chain[-1] - 1])
     found = []
-    for n in reversed(chain[:-1]):  # every border of the word, ascending
+    for n in _lengths(word):
         gap = -total % n  # |x2|
-        period = n - border[n - 1]
-        # skip x too long for e1 + e2 >= MIN_E_SUM, no room for x2, x a power
-        if n > total // MIN_E_SUM or not gap or (period < n and n % period == 0):
-            continue
-        head = n + lcp(word, word[n:])
-        tail = n + lcs(word, word[:-n])
-        if head + tail < total:
-            continue
         x = word[:n]
+        if not gap or not word.endswith(x):
+            continue
+        left, right = word[:-n], word[n:]
+        head = n + lcp(left, right)
+        tail = n + lcs(left, right)
+        if head + tail < total or not is_primitive(x):
+            continue
+        # A parse's junction j = e1*n + cut1 lies in [total - tail, head],
+        # and in [n, total - n] as 1 <= e1 < e1 + e2.  Fewer than n
+        # junctions lie in [total - tail, head] (over n of them x would equal
+        # its rotation by gap), so each cut1 = j mod n has at most one e1.
+        # Listing the junctions from the first multiple of n on first, then
+        # the ones before it, puts cut1 in ascending order.
         e_sum = (total + gap) // n - 1
         cuts = range(n - gap + 1)  # the cut1 values; the last is the prefix form
-        for cut1 in {"both": cuts, "prefix": cuts[-1:], "deletion": cuts[:-1]}[forms]:
-            # total - tail <= e1*n + cut1 <= head, and 1 <= e1 < e_sum
-            lo = max(1, -((cut1 + tail - total) // n))
-            hi = min(e_sum - 1, (head - cut1) // n)
-            for e1 in range(lo, hi + 1):
-                spec = InterruptSpec(DeletionSplit(x, cut1, cut1 + gap), e1, e_sum - e1)
-                found.append(Parse(spec, core(spec)))
+        cuts = {"both": cuts, "prefix": cuts[-1:], "deletion": cuts[:-1]}[forms]
+        lo, hi = max(n, total - tail), min(head, total - n) + 1
+        wrap = lo - lo % n + n
+        for j in chain(range(wrap, hi), range(lo, min(wrap, hi))):
+            e1, cut1 = divmod(j, n)
+            if cut1 not in cuts:
+                continue
+            spec = InterruptSpec(DeletionSplit(x, cut1, cut1 + gap), e1, e_sum - e1)
+            found.append(Parse(spec, core(spec)))
     return found
+
+
+def _lengths(word: str) -> list[int]:
+    """Ascending lengths n <= |word| // MIN_E_SUM, among them every parse's |x|.
+
+    A parse with |x| = n has a period-n prefix and suffix that together
+    cover the word, so one of them holds a half: the first or the last
+    H = ceil(|word| / 2) symbols have period n.
+    - n <= |word| / 4, so n <= H / 2.  That half's smallest period p is at
+      most n and p + n <= H, so by Fine and Wilf (1965) gcd(p, n) is a
+      period too: p divides n, and x = word[:n] = word[-n:] is a power of a
+      word of length p.  x is primitive, so n = p.  The half's first
+      ceil(H/2) symbols occur again first at p (an earlier occurrence q
+      would make gcd(p, q) < p a period, by Fine and Wilf again), so that
+      position is the half's candidate.
+    - n > |word| / 4: then e1 + e2 = 3, and W is x x x1 x3 x or
+      x x1 x3 x x.  _square_roots finds the n of the first shape on the
+      word and of the second on its reversal; by the three-squares lemma
+      (Crochemore and Rytter, 1995) each has at most two.  Both shapes end
+      with x, a word that starts with U = word[:|word|//4 + 1], so unless
+      U occurs at or after |word| - |word|//3 neither is looked for.
+    Lengths that give no parse are left to the checks in parses.
+    """
+    total = len(word)
+    top = total // MIN_E_SUM
+    half = (total + 1) // 2
+    m = (half + 1) // 2
+    s = total - half
+    lengths = [word.find(word[:m], 1, half), word.find(word[s : s + m], s + 1) - s]
+    if word.find(word[: total // 4 + 1], total - top) >= 0:
+        lengths += _square_roots(word) + _square_roots(word[::-1])
+    return sorted({n for n in lengths if 0 < n <= top})
+
+
+def _square_roots(w: str) -> list[int]:
+    """At most two lengths, among them every n in (|w|/4, |w|/3] fit for x.
+
+    n is fit when x = w[:n] is primitive and w starts with x twice and ends
+    with x.  Such an n is at least k = |w|//4 + 1, so U = w[:k] occurs at
+    n.  If U occurs once at a position in [k, |w|//3], that is n.
+    Otherwise the positions lie at most |w|/12 <= k/3 apart, so they step
+    by U's smallest period d (Fine and Wilf) inside one period-d run, which
+    ends at b.  Let the period-d run from 0 end at r; x starts with U.
+    - r < n: x x repeats that run at n, where it ends at n + r = b.  If U
+      occurs inside [0, r), b is r and there is no such n.
+    - r >= n: x has period d, and r < 2n since x x has no period d (x is
+      primitive), so r - d < n <= r.  The word ends with x, so the
+      occurrences of the primitive w[:d] from |w| - r + d on (there is one,
+      as r >= k >= 3d) lie in that x, at positions congruent to |w| - n
+      modulo d; the first one fixes n.
+    Both cases need r < |w|//3 + d.
+    """
+    total = len(w)
+    top = total // MIN_E_SUM
+    k = total // 4 + 1
+    u = w[:k]
+    first = w.find(u, k, top + k)
+    if first < 0:
+        return []
+    second = w.find(u, first + 1, top + k)
+    if second < 0:
+        return [first]
+    d = second - first
+    if w[d : top + d] == w[:top]:  # r >= top + d
+        return []
+    r = d + lcp(w, w[d:])
+    roots = [r - (r - total + w.find(w[:d], total - r + d)) % d]
+    if first + k > r:
+        roots.append(first + d + lcp(w[first:], w[first + d :]) - r)
+    return roots
 
 
 def locate_anchor(word: str, probe: str) -> Union[int, Ambiguous]:

@@ -20,6 +20,9 @@ _DROP_LETTERS = str.maketrans("", "", LETTERS)
 # at single symbols.  A larger block skips a periodic stretch in fewer
 # steps but walks more symbols around each break.
 _BLOCK = 256
+# Symbols lcp and lcs compare one at a time before they switch to blocks:
+# on short words (core() calls them on rotations of x) a loop is cheaper.
+_SHORT = 8
 
 
 def parse_word(text: str) -> str:
@@ -160,10 +163,13 @@ def lcp(a: str, b: str) -> int:
     0
     """
     limit = min(len(a), len(b))
+    stop = limit if limit < _SHORT else _SHORT
     i = 0
-    while i < limit and a[i] == b[i]:
+    while i < stop and a[i] == b[i]:
         i += 1
-    return i
+    if i < _SHORT or i == limit:
+        return i
+    return _agree(a, b, i, limit, _head)
 
 
 def lcs(a: str, b: str) -> int:
@@ -177,9 +183,49 @@ def lcs(a: str, b: str) -> int:
     0
     """
     limit = min(len(a), len(b))
+    stop = limit if limit < _SHORT else _SHORT
     i = 0
-    while i < limit and a[-1 - i] == b[-1 - i]:
+    while i < stop and a[-1 - i] == b[-1 - i]:
         i += 1
+    if i < _SHORT or i == limit:
+        return i
+    return _agree(a, b, i, limit, _tail)
+
+
+def _head(w: str, i: int, j: int) -> str:
+    """Symbols i..j-1 of w counted from its start."""
+    return w[i:j]
+
+
+def _tail(w: str, i: int, j: int) -> str:
+    """Symbols i..j-1 of w counted from its end: w[-1-i] down to w[-j]."""
+    return w[len(w) - j : len(w) - i]
+
+
+def _agree(
+    a: str, b: str, i: int, limit: int, piece: Callable[[str, int, int], str]
+) -> int:
+    """The common length of a and b from one end, given that the first i agree.
+
+    Compares blocks of doubling size by slice equality (in C) until one
+    differs or limit is reached, then bisects that block: about 2*log2(L)
+    slice compares over O(L) symbols for a result L.  piece(w, i, j) is the
+    block of w holding symbols i..j-1 counted from the end being compared.
+    """
+    j = i
+    while True:
+        i, j = j, min(2 * j, limit)
+        if piece(a, i, j) != piece(b, i, j):
+            break
+        if j == limit:
+            return j
+    # symbols < i agree and some symbol in i..j-1 does not
+    while j - i > 1:
+        mid = (i + j) // 2
+        if piece(a, i, mid) == piece(b, i, mid):
+            i = mid
+        else:
+            j = mid
     return i
 
 

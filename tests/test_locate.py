@@ -1,6 +1,7 @@
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,9 +16,10 @@ from repcore import (
     parses,
     periodic_segments,
 )
+from repcore.interrupts import iter_splits
 from repcore.locate import Ambiguous, PhaseJump, Segment
 from repcore.verify import enumerate_specs
-from repcore.words import power_prefix
+from repcore.words import first_use_words, power_prefix
 from repcore.errors import (
     EmptyPattern,
     NonPrimitivePeriod,
@@ -67,6 +69,49 @@ def test_parses_equals_bruteforce_exhaustive_binary():
             assert [p.spec for p in parses(word)] == parses_bruteforce(word), word
 
 
+@pytest.mark.parametrize("alphabet, max_x", [(2, 7), (3, 6)])
+def test_parses_band_equals_bruteforce_exhaustive(alphabet, max_x):
+    # e1 + e2 = 3 puts |x| in (|word|/4, |word|/3), where no half of the
+    # word need have period |x|: every split of every first-use x, both
+    # forms, both exponent pairs
+    for n in range(2, max_x + 1):
+        for x in first_use_words(n, alphabet):
+            for cut1, cut2 in iter_splits(n, "both"):
+                split = DeletionSplit(x, cut1, cut2)
+                for e1 in (1, 2):
+                    word = build(InterruptSpec(split, e1, 3 - e1))
+                    found = [p.spec for p in parses(word)]
+                    assert found == parses_bruteforce(word), word
+
+
+@pytest.mark.parametrize(
+    "word, expected",
+    [
+        # w[:|w|//4 + 1] occurs once where w[|x|:] starts (on the reversal)
+        (
+            "abaaaaaaabaaaaaabaaaaa",
+            [("abaaaaa", 0, 6, 1, 2), ("abaaaaa", 1, 7, 1, 2)],
+        ),
+        # it recurs with period d and x has period d: |x| from the phase of
+        # w[:d] near the end
+        (
+            "ababababaabababababababaababababa",
+            [("ababababa", 0, 3, 2, 1), ("ababababa", 6, 9, 1, 2)],
+        ),
+        # it recurs with period d and x does not: |x| from the run ends
+        (
+            "aaaaaaaabaaaaaaaaabaaaaaaaaaaba",
+            [("aaaaaaaaba", 0, 9, 2, 1), ("aaaaaaaaba", 1, 10, 2, 1)],
+        ),
+    ],
+)
+def test_parses_band_words_without_a_periodic_half(word, expected):
+    # |x| is the smallest period of neither half of these words
+    found = parses(word)
+    assert [spec_tuple(p.spec) for p in found] == expected
+    assert [p.spec for p in found] == parses_bruteforce(word)
+
+
 @pytest.mark.parametrize("forms", ["both", "prefix", "deletion"])
 def test_parses_equals_bruteforce_randomized(forms):
     rng = random.Random(20260810)
@@ -103,20 +148,49 @@ def test_parses_many_borders_none_parse_within_budget():
     assert time.perf_counter() - start < 5.0
 
 
-def test_parses_scales_to_millions_of_symbols():
-    # 3,300,005 symbols, |x| = 16, prefix cut 5, e1 = e2 = 103,125: every
-    # x^k is a border of the word, and one border table serves them all
+def _million_spec():
+    """3,300,005 symbols: |x| = 16, prefix cut 5, e1 = e2 = 103,125."""
     rng = random.Random(3300005)
     x = "".join(rng.choice("ab") for _ in range(16))
     while not is_primitive_naive(x):
         x = "".join(rng.choice("ab") for _ in range(16))
-    planted = InterruptSpec(DeletionSplit.prefix(x, 5), 103_125, 103_125)
+    return InterruptSpec(DeletionSplit.prefix(x, 5), 103_125, 103_125)
+
+
+def test_parses_scales_to_millions_of_symbols():
+    # every x^k is a border of the word, and no length needs a table
+    planted = _million_spec()
     word = build(planted)
     assert len(word) == 3_300_005
     start = time.perf_counter()
     found = parses(word)
     assert time.perf_counter() - start < 5.0
     assert planted in [p.spec for p in found]
+
+
+def test_parses_of_millions_of_symbols_peaks_under_50_mb():
+    # a parse holds a few copies of the word, not a table of ints per symbol
+    word = build(_million_spec())
+    tracemalloc.start()
+    try:
+        found = parses(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found and peak < 50 * 2**20, peak
+
+
+@pytest.mark.parametrize(
+    "word",
+    ["a" * 3_000_000 + "b" + "a" * 5, "ab" * 1_500_000 + "a"],
+    ids=["a^3000000-b-a^5", "(ab)^1500000-a"],
+)
+def test_parses_periodic_prefix_without_parse_within_budget(word):
+    # w[:|w|//4 + 1] recurs with a short period up to |w|/3, the band's
+    # periodic case; no prefix of either word is a primitive x that parses
+    start = time.perf_counter()
+    assert parses(word) == []
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize("word", ["abc", "abaabab"])

@@ -66,6 +66,26 @@ def test_lcp_identity(w):
     assert lcp(w, w) == len(w) == lcs(w, w)
 
 
+def test_lcp_lcs_on_long_words_at_block_edges():
+    # The first mismatch sits where the symbol loop hands over to the
+    # doubling blocks (8), on and beside each block edge 2^k, and at the end.
+    rng = random.Random(20261020)
+    size = 10**6
+    a = "".join(rng.choice("ab") for _ in range(size))
+    edges = {0, 7, 8, 9, 15, 16, 17, size - 2, size - 1}
+    edges |= {(1 << k) + d for k in range(5, 20) for d in (-1, 0, 1)}
+    flip = str.maketrans("ab", "ba")
+    for k in sorted(edges):
+        b = a[:k] + a[k].translate(flip) + a[k + 1 :]
+        assert lcp(a, b) == lcp_naive(a, b) == k, k
+        b = a[: size - 1 - k] + a[size - 1 - k].translate(flip) + a[size - k :]
+        assert lcs(a, b) == lcs_naive(a, b) == k, k
+    # no mismatch: the shorter word ends first
+    for m in (size, size - 1, 9, 8, 7):
+        assert lcp(a, a[:m]) == lcp_naive(a, a[:m]) == m
+        assert lcs(a, a[size - m :]) == lcs_naive(a, a[size - m :]) == m
+
+
 def test_is_primitive_examples():
     assert not is_primitive("abab")
     assert is_primitive("aabab")
