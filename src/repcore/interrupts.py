@@ -173,6 +173,15 @@ def core(spec: InterruptSpec) -> CoreReport:
     symbol, s_tilde the agreeing suffix on the left; the core s_tilde+p_tilde
     occupies [junction - s - 1, junction + p + 1) in W.
     """
+    return _core(spec, build(spec))
+
+
+def _core(spec: InterruptSpec, word: str) -> CoreReport:
+    """core(spec) with word == build(spec) given, and held as report.word.
+
+    A caller that already holds W (locate.parses) passes it, so every
+    report of that W shares the one string.
+    """
     split = spec.split
     n = len(split.x)
     u, v = conjugate_pair(split)
@@ -186,7 +195,7 @@ def core(spec: InterruptSpec) -> CoreReport:
     p_tilde = v[: p_len + 1]
     s_tilde = u[n - s_len - 1 :]
     return CoreReport(
-        word=build(spec),
+        word=word,
         junction=junction,
         p_len=p_len,
         s_len=s_len,

@@ -13,14 +13,15 @@ from itertools import chain
 from typing import Union
 
 from .errors import NonPrimitivePeriod, TextTooShort, WordTooShort
-# build and power_prefix are not called here; perfbench/tracing.py patches
-# them in this module by name, so they stay importable from it.
+# build, core and power_prefix are not called here; perfbench/tracing.py
+# patches them in this module by name, so they stay importable from it.
 from .interrupts import (
     FORMS,
     MIN_E_SUM,
     CoreReport,
     DeletionSplit,
     InterruptSpec,
+    _core,
     build,
     core,
 )
@@ -92,7 +93,9 @@ def parses(word: str, forms: str = "both") -> list[Parse]:
     Only a few n can pass, and _lengths finds them without a table: it
     returns at most six lengths and misses no parse (its docstring says
     why).  Each then has to be a border of the word with word[:n]
-    primitive, |x2| > 0 and head + tail >= |word|, as above.
+    primitive, |x2| > 0 and head + tail >= |word|, as above.  Every
+    parse's core.word is word itself, so a word with many parses is held
+    once.
     """
     if forms not in FORMS:
         raise ValueError(f"forms must be one of {FORMS}, got {forms!r}")
@@ -126,7 +129,7 @@ def parses(word: str, forms: str = "both") -> list[Parse]:
             if cut1 not in cuts:
                 continue
             spec = InterruptSpec(DeletionSplit(x, cut1, cut1 + gap), e1, e_sum - e1)
-            found.append(Parse(spec, core(spec)))
+            found.append(Parse(spec, _core(spec, word)))
     return found
 
 

@@ -59,7 +59,7 @@ from concurrent.futures import ProcessPoolExecutor
 from copy import copy
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache
 from heapq import merge
 from itertools import islice, tee
 from math import perm
@@ -232,11 +232,12 @@ def _split_count(universe: Universe, count_words=count_first_use_words) -> int:
     )
 
 
-def _splits(universe: Universe, lo: int, hi: int) -> Iterator[tuple[str, int, int]]:
-    """(x, cut1, cut2) for the first-use split indices lo..hi-1, in canonical order.
+def _word_cuts(universe: Universe, lo: int, hi: int) -> Iterator[tuple[str, list]]:
+    """(x, cuts) for the first-use split indices lo..hi-1, one x at a time.
 
-    Canonical order: (|x|, x lexicographic, cut1, cut2).  Every x of one
-    length has the same cuts, so a word whose splits all lie below lo is
+    cuts lists x's (cut1, cut2) with an index in lo..hi-1, so the splits
+    come in canonical order: (|x|, x lexicographic, cut1, cut2).  Every x of
+    one length has the same cuts, so a word whose splits all lie below lo is
     skipped whole.
     """
     i = 0
@@ -246,8 +247,7 @@ def _splits(universe: Universe, lo: int, hi: int) -> Iterator[tuple[str, int, in
             if i >= hi:
                 return
             if i + len(cuts) > lo:
-                for cut1, cut2 in cuts[max(lo - i, 0) : hi - i]:
-                    yield x, cut1, cut2
+                yield x, cuts[max(lo - i, 0) : hi - i]
             i += len(cuts)
 
 
@@ -289,10 +289,10 @@ class _SplitContext:
     context and lists its violations as plain (factor, expected, actual)
     values, which _Kept turns into rows.  The windows come from
     W0 = x·x1·x3·x·x, the split's shortest word (spec0): hist counts its
-    length-|x| windows, short_hist (built on first use) its length-(|x|-1)
-    ones.  By the count rule in the module docstring, a window f of either
-    length occurs hist[f] + (s - MIN_E_SUM)·(f in xx) times in a spec with
-    e1+e2 = s.  W starts and ends with x, so its |x|-1 wraparound windows
+    length-|x| windows, and note2_linear counts its length-(|x|-1) ones
+    itself.  By the count rule in the module docstring, a window f of
+    either length occurs h[f] + (s - MIN_E_SUM)·(f in xx) times in a spec
+    with e1+e2 = s, h being W0's histogram of that length.  W starts and ends with x, so its |x|-1 wraparound windows
     are the rotations 1..|x|-1 of x, each once: read cyclically, f occurs
     once more when f is in wraparound = (x+x)[1:-1].
     """
@@ -312,11 +312,6 @@ class _SplitContext:
         self.anchored = sorted(set(windows[lo:hi]))
         self.non_anchored = sorted(set(windows[:lo]) | set(windows[hi:]))
         self.wraparound = xx[1:-1]
-
-    @cached_property
-    def short_hist(self) -> Counter:
-        word, m = self.report.word, self.n - 1
-        return Counter(word[j : j + m] for j in range(len(word) - m + 1))
 
 
 # Each claim maps a split context to (assertions evaluated over all of its
@@ -371,35 +366,34 @@ class _Kept:
         del self._rows[self.limit :]
         return self._rows
 
-    def offer(self, ctx: _SplitContext, per_sum: _PerSum, orbit: Iterable) -> None:
+    def offer(self, ctx: _SplitContext, per_sum: _PerSum, orbit: Iterator) -> None:
         """Keep the violations of every orbit member's specs that can rank.
 
-        orbit yields the renamings (σ(x), σ) of words.renamings, in σ(x)
-        order, and the specs and renamed factors of each come in row order,
-        so the first member whose (|x|, σ(x), cut1, cut2) is past the bound,
-        or the first row past it, ends the offer: an offer that finds a
-        violation draws at most limit + 1 renamings.  per_sum runs once per
-        exponent sum, and only when the split can still place a row, so
-        once the bound is set low, the splits after it cost no per-factor
-        work.  The rows stay rows up to run(), which builds the witnesses.
+        x comes first in its orbit, so a split whose first-use head
+        (|x|, x, cut1, cut2) is past the bound has no row to keep, and
+        per_sum is not called for it: once the bound is set low, the splits
+        after it cost no per-factor work.  Otherwise per_sum lists the
+        split's violations once per exponent sum, and only a split that has
+        one reads a copy of orbit, the tee of x's renamings (σ(x), σ) of
+        words.renamings in σ(x) order.  The specs and renamed factors of
+        each member come in row order, so the first row past the bound ends
+        the offer: an offer draws at most limit + 1 renamings.  The rows
+        stay rows up to run(), which builds the witnesses.
         """
         rows, n, cut1, cut2 = self._rows, ctx.n, ctx.split.cut1, ctx.split.cut2
-        found: dict[int, list[tuple[str, int, int]]] = {}
-        for sx, table in orbit:
-            head = (n, sx, cut1, cut2)
-            if self.bound is not None and head > self.bound[:4]:
-                return
-            if not found:
-                found = {s: per_sum(s) for s in {e1 + e2 for e1, e2 in ctx.pairs}}
-                if not any(found.values()):
-                    return  # x has no violation, so no renaming of it has one
+        if self.bound is not None and (n, ctx.split.x, cut1, cut2) > self.bound[:4]:
+            return
+        found = {s: per_sum(s) for s in {e1 + e2 for e1, e2 in ctx.pairs}}
+        if not any(found.values()):
+            return  # x has no violation, so no renaming of it has one
+        for sx, table in copy(orbit):
             renamed = {
                 s: sorted((f.translate(table), want, got) for f, want, got in fs)
                 for s, fs in found.items()
             }
             for e1, e2 in ctx.pairs:
                 for f, want, actual in renamed[e1 + e2]:
-                    row = (*head, e1, e2, f, want, actual)
+                    row = (n, sx, cut1, cut2, e1, e2, f, want, actual)
                     if self.bound is not None and row > self.bound:
                         return
                     rows.append(row)
@@ -436,7 +430,8 @@ def _note2_linear(ctx: _SplitContext) -> _Result:
     if rep.p_len + rep.s_len != ctx.n - 2:
         return 0, lambda s: []
     sp = rep.s_tilde[1:] + rep.p_tilde[:-1]
-    hist = ctx.short_hist
+    word, m = rep.word, ctx.n - 1
+    hist = Counter(word[j : j + m] for j in range(len(word) - m + 1))
     return _mismatches(ctx, [f for f in sorted(hist) if sp in f], hist)
 
 
@@ -477,28 +472,28 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]):
 
     The chunk is the first-use splits with canonical indices lo..hi-1, each
     with every (e1, e2) of the universe, standing for every split of its
-    orbit.  The worker enumerates them itself and keeps each claim's
-    violations as rows (see _Kept), which it returns sorted.  A word's
-    renamings are one tee, never advanced itself; each offer reads a copy,
-    so every renaming is drawn once per chunk, and only as far as an offer
-    reads.  An orbit has k!/(k-m)! words for m distinct letters.
+    orbit.  The worker enumerates them itself, one first-use word x at a
+    time, and keeps each claim's violations as rows (see _Kept), which it
+    returns sorted.  Per x it computes the orbit size, k!/(k-m)! words for
+    m distinct letters, and one tee of the renamings, never advanced
+    itself; an offer that can keep a row reads a copy, so every renaming
+    is drawn at most once per chunk, and only as far as an offer reads.
     """
     universe, lo, hi, claims, max_violations = args
     pairs = exponent_pairs(universe.e_sums) if lo < hi else []
     checked = dict.fromkeys(claims, 0)
     kept = {c: _Kept(max_violations) for c in claims}
-    word = None
-    for x, cut1, cut2 in _splits(universe, lo, hi):
-        if x != word:
-            word, size = x, perm(universe.alphabet_size, len(set(x)))
-            (orbit,) = tee(renamings(x, universe.alphabet_size), 1)
-        ctx = _SplitContext(DeletionSplit(x, cut1, cut2), pairs)
-        for c in claims:
-            if not applies(c, ctx.spec0):
-                continue
-            count, per_sum = _CLAIMS[c](ctx)
-            checked[c] += count * size
-            kept[c].offer(ctx, per_sum, copy(orbit))
+    for x, cuts in _word_cuts(universe, lo, hi):
+        size = perm(universe.alphabet_size, len(set(x)))
+        (orbit,) = tee(renamings(x, universe.alphabet_size), 1)
+        for cut1, cut2 in cuts:
+            ctx = _SplitContext(DeletionSplit(x, cut1, cut2), pairs)
+            for c in claims:
+                if not applies(c, ctx.spec0):
+                    continue
+                count, per_sum = _CLAIMS[c](ctx)
+                checked[c] += count * size
+                kept[c].offer(ctx, per_sum, orbit)
     return {c: (checked[c], kept[c].cut()) for c in claims}
 
 

@@ -18,6 +18,7 @@ TRACER_ONLY = {
     ("verify", "occurrences"),
     ("verify", "cyclic_occurrences"),
     ("locate", "build"),
+    ("locate", "core"),
     ("locate", "power_prefix"),
 }
 

@@ -180,6 +180,24 @@ def test_parses_of_millions_of_symbols_peaks_under_50_mb():
     assert found and peak < 50 * 2**20, peak
 
 
+def test_parses_share_the_word_across_many_parses():
+    # a 1,000-symbol run in x lets the junction slide over 1,001 positions;
+    # every parse's report holds the input word itself, not its own copy
+    rng = random.Random(17)
+    x = "a" * 1000 + "b" + "".join(rng.choice("ab") for _ in range(999))
+    word = build(InterruptSpec(DeletionSplit(x, 100, 101), 50, 50))
+    assert len(word) == 201_999
+    tracemalloc.start()
+    try:
+        found = parses(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 1001
+    assert peak < 20 * 2**20, peak
+    assert all(p.core.word is word for p in found)
+
+
 @pytest.mark.parametrize(
     "word",
     ["a" * 3_000_000 + "b" + "a" * 5, "ab" * 1_500_000 + "a"],

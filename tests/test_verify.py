@@ -2,6 +2,7 @@ import pickle
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from copy import copy
 from dataclasses import replace
 
 import pytest
@@ -535,6 +536,24 @@ def test_run_draws_few_renamings_on_26_letters(monkeypatch):
         reports = run(u, max_violations=k)
         assert any(r.counterexamples for r in reports)
         assert drawn and max(drawn.values()) <= k + 1, (k, drawn.most_common(3))
+
+
+@pytest.mark.parametrize(
+    "universe", [Universe(), Universe(26, 2, 5, (3, 4), "both")], ids=["default", "26"]
+)
+def test_run_copies_the_orbit_only_for_splits_that_rank(universe, monkeypatch):
+    # An offer reads a copy of the word's renamings only when the split's
+    # first-use head can still rank and the split has a violation; the
+    # default universe alone has 11,504 (split, claim) offers.
+    copies = []
+
+    def counted_copy(orbit):
+        copies.append(orbit)
+        return copy(orbit)
+
+    monkeypatch.setattr(repcore.verify, "copy", counted_copy)
+    assert any(r.counterexamples for r in run(universe))
+    assert 0 < len(copies) <= 50, len(copies)
 
 
 def test_run_equals_full_enumeration_on_26_letters():
