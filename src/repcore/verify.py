@@ -19,11 +19,20 @@ and each of its violations stands for one violation of every renamed
 spec, with the factor renamed too.  From the claim to the report a
 violation is a row (|x|, σ(x), cut1, cut2, e1, e2, factor, expected,
 actual), whose plain tuple order is canonical witness order, since a factor
-occurs at most once per spec and claim.  Renaming moves rows out of that
-order, so each chunk keeps its first max_violations rows in a bounded list
-that it sorts as it goes and returns sorted.  run() merges the chunks'
-rows in plain tuple order and builds a Witness only for the rows it
-reports.
+occurs at most once per spec and claim.
+
+Which rows rank follows from that order.  Splits come in canonical order
+(|x|, x, cut1, cut2), and x is the smallest word of its orbit, so every
+row of a first-use split, under any renaming σ, sorts after every
+identity (σ = id) row of that split and of every earlier split.  So the
+first K = max_violations rows of the universe are among the first K
+identity rows and the renamings of the splits those rows belong to: once
+K identity rows are held, the renamed rows of the last split held, even
+of one cut short, sort after all of them.  A chunk therefore keeps its
+first K identity rows per claim and holds no orbit; run() takes the first
+K rows of the chunks in chunk order, renames only their splits, lazily,
+merges the renamed streams in plain tuple order and builds a Witness only
+for the rows it reports.
 
 Count rule: a window f of length |x| or |x|-1 occurs
 count_W0(f) + (e1+e2-MIN_E_SUM)·(f in x+x) times in W.
@@ -61,7 +70,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from heapq import merge
-from itertools import islice, tee
+from itertools import chain, groupby, islice, tee
 from math import perm
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -287,14 +296,15 @@ class _SplitContext:
 
     pairs are the split's (e1, e2) in canonical order.  A claim reads the
     context and lists its violations as plain (factor, expected, actual)
-    values, which _Kept turns into rows.  The windows come from
+    values, which _eval_chunk turns into rows.  The windows come from
     W0 = x·x1·x3·x·x, the split's shortest word (spec0): hist counts its
     length-|x| windows, and note2_linear counts its length-(|x|-1) ones
     itself.  By the count rule in the module docstring, a window f of
     either length occurs h[f] + (s - MIN_E_SUM)·(f in xx) times in a spec
-    with e1+e2 = s, h being W0's histogram of that length.  W starts and ends with x, so its |x|-1 wraparound windows
-    are the rotations 1..|x|-1 of x, each once: read cyclically, f occurs
-    once more when f is in wraparound = (x+x)[1:-1].
+    with e1+e2 = s, h being W0's histogram of that length.  W starts and
+    ends with x, so its |x|-1 wraparound windows are the rotations
+    1..|x|-1 of x, each once: read cyclically, f occurs once more when f
+    is in wraparound = (x+x)[1:-1].
     """
 
     def __init__(self, split: DeletionSplit, pairs: Sequence[tuple[int, int]]):
@@ -317,11 +327,13 @@ class _SplitContext:
 # Each claim maps a split context to (assertions evaluated over all of its
 # (e1, e2), per_sum), where per_sum(s) lists the (factor, expected, actual)
 # violations of a spec with e1+e2 = s, in factor order.  The count is
-# per-split arithmetic; per_sum does the per-factor work, and only when
-# _Kept.offer or check_claim asks for it.
+# per-split arithmetic; per_sum does the per-factor work, and only when a
+# chunk still has room for the claim's rows or check_claim asks for it.
 # A cyclic claim is its linear twin with wraparound = ctx.wraparound.
 _PerSum = Callable[[int], list[tuple[str, int, int]]]
 _Result = tuple[int, _PerSum]
+# Per claim: (assertions evaluated, violation rows), for a chunk or a run.
+_Chunk = dict[ClaimId, tuple[int, list[tuple]]]
 
 
 def _mismatches(
@@ -341,64 +353,6 @@ def _mismatches(
         return [(f, want, a) for f, a in counts if a != want]
 
     return len(factors) * len(ctx.pairs), per_sum
-
-
-class _Kept:
-    """The first `limit` violation rows offered, in tuple order.
-
-    A row is (|x|, σ(x), cut1, cut2, e1, e2, factor, expected, actual): the
-    spec's key, then the factor, so tuple order is canonical witness order.
-    Rows gather unsorted.  Whenever limit more have come, the list is
-    sorted and cut back to limit, and the last row kept becomes the bound:
-    a later row past it cannot be among the first limit.  So keeping costs
-    O(log limit) per row in any arrival order, and the list never holds
-    more than 2·limit.
-    """
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.bound: tuple | None = None
-        self._rows: list[tuple] = []
-
-    def cut(self) -> list[tuple]:
-        """Sort the rows and cut them back to limit; returns them."""
-        self._rows.sort()
-        del self._rows[self.limit :]
-        return self._rows
-
-    def offer(self, ctx: _SplitContext, per_sum: _PerSum, orbit: Iterator) -> None:
-        """Keep the violations of every orbit member's specs that can rank.
-
-        x comes first in its orbit, so a split whose first-use head
-        (|x|, x, cut1, cut2) is past the bound has no row to keep, and
-        per_sum is not called for it: once the bound is set low, the splits
-        after it cost no per-factor work.  Otherwise per_sum lists the
-        split's violations once per exponent sum, and only a split that has
-        one reads a copy of orbit, the tee of x's renamings (σ(x), σ) of
-        words.renamings in σ(x) order.  The specs and renamed factors of
-        each member come in row order, so the first row past the bound ends
-        the offer: an offer draws at most limit + 1 renamings.  The rows
-        stay rows up to run(), which builds the witnesses.
-        """
-        rows, n, cut1, cut2 = self._rows, ctx.n, ctx.split.cut1, ctx.split.cut2
-        if self.bound is not None and (n, ctx.split.x, cut1, cut2) > self.bound[:4]:
-            return
-        found = {s: per_sum(s) for s in {e1 + e2 for e1, e2 in ctx.pairs}}
-        if not any(found.values()):
-            return  # x has no violation, so no renaming of it has one
-        for sx, table in copy(orbit):
-            renamed = {
-                s: sorted((f.translate(table), want, got) for f, want, got in fs)
-                for s, fs in found.items()
-            }
-            for e1, e2 in ctx.pairs:
-                for f, want, actual in renamed[e1 + e2]:
-                    row = (n, sx, cut1, cut2, e1, e2, f, want, actual)
-                    if self.bound is not None and row > self.bound:
-                        return
-                    rows.append(row)
-                    if len(rows) == 2 * self.limit:
-                        self.bound = self.cut()[-1]
 
 
 def _dft_bound(ctx: _SplitContext) -> _Result:
@@ -467,25 +421,25 @@ def check_claim(claim: ClaimId, spec: InterruptSpec) -> SpecCheck:
     return SpecCheck(checked, tuple(Witness(spec, *v) for v in violations))
 
 
-def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]):
+def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
     """Per claim: (assertions evaluated, the chunk's first max_violations rows).
 
     The chunk is the first-use splits with canonical indices lo..hi-1, each
     with every (e1, e2) of the universe, standing for every split of its
-    orbit.  The worker enumerates them itself, one first-use word x at a
-    time, and keeps each claim's violations as rows (see _Kept), which it
-    returns sorted.  Per x it computes the orbit size, k!/(k-m)! words for
-    m distinct letters, and one tee of the renamings, never advanced
-    itself; an offer that can keep a row reads a copy, so every renaming
-    is drawn at most once per chunk, and only as far as an offer reads.
+    orbit; its counts are multiplied by the orbit size, k!/(k-m)! words
+    for m distinct letters.  The worker enumerates the splits itself, one
+    first-use word x at a time, in canonical order, and renames nothing,
+    so the rows it keeps are the first identity rows (σ = id) of its
+    range, in row order.  A claim calls per_sum only while it holds fewer
+    than max_violations rows; after that its splits cost no per-factor
+    work.  _merge_chunks renames the rows that rank.
     """
     universe, lo, hi, claims, max_violations = args
     pairs = exponent_pairs(universe.e_sums) if lo < hi else []
     checked = dict.fromkeys(claims, 0)
-    kept = {c: _Kept(max_violations) for c in claims}
+    kept: dict[ClaimId, list[tuple]] = {c: [] for c in claims}
     for x, cuts in _word_cuts(universe, lo, hi):
         size = perm(universe.alphabet_size, len(set(x)))
-        (orbit,) = tee(renamings(x, universe.alphabet_size), 1)
         for cut1, cut2 in cuts:
             ctx = _SplitContext(DeletionSplit(x, cut1, cut2), pairs)
             for c in claims:
@@ -493,8 +447,51 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]):
                     continue
                 count, per_sum = _CLAIMS[c](ctx)
                 checked[c] += count * size
-                kept[c].offer(ctx, per_sum, orbit)
-    return {c: (checked[c], kept[c].cut()) for c in claims}
+                room = max_violations - len(kept[c])
+                if room > 0:
+                    found = {s: per_sum(s) for s in universe.e_sums}
+                    rows = (
+                        (ctx.n, x, cut1, cut2, e1, e2, *v)
+                        for e1, e2 in pairs
+                        for v in found[e1 + e2]
+                    )
+                    kept[c] += islice(rows, room)
+    return {c: (checked[c], kept[c]) for c in claims}
+
+
+def _merge_chunks(
+    parts: list[_Chunk], max_violations: int, alphabet_size: int
+) -> _Chunk:
+    """Per claim: (assertions evaluated, the universe's first max_violations rows).
+
+    parts are _eval_chunk results in chunk order, so the first
+    max_violations rows of their concatenation are the universe's first
+    identity rows, and by the ordering argument in the module docstring
+    the rows to report are among those and their splits' renamings.  Each
+    such split streams its rows renamed into each word of its orbit:
+    renamings yields (σ(x), σ) in σ(x) order, x first, and rows of two σ
+    differ first at σ(x), so sorting each σ's rows puts the stream in row
+    order.  The streams merge lazily, and a stream draws its next renaming
+    only once the merge has taken every row of the one before; with one
+    never-advanced tee per x, shared by every claim and split, at most
+    max_violations + 1 renamings of a word are drawn.
+    """
+    orbit = cache(lambda x: tee(renamings(x, alphabet_size), 1)[0])
+
+    def renamed(rows: list[tuple]) -> Iterator[tuple]:
+        for sx, table in copy(orbit(rows[0][1])):
+            yield from sorted(
+                (n, sx, cut1, cut2, e1, e2, f.translate(table), want, got)
+                for n, _, cut1, cut2, e1, e2, f, want, got in rows
+            )
+
+    merged = {}
+    for c in parts[0]:
+        held = islice(chain.from_iterable(p[c][1] for p in parts), max_violations)
+        splits = [list(rows) for _, rows in groupby(held, key=lambda r: r[:4])]
+        first = islice(merge(*map(renamed, splits)), max_violations)
+        merged[c] = (sum(p[c][0] for p in parts), list(first))
+    return merged
 
 
 def run(
@@ -511,13 +508,12 @@ def run(
     chunk results merge in canonical order.  A chunk is a range of
     first-use split indices, so the parent holds no spec and sends each
     worker five small values.  Each chunk keeps only its first
-    max_violations violation rows per claim, sorted, and counts the rest
-    of its assertions, so memory is bounded by what is reported.  A renamed
-    spec can sort before specs of earlier chunks, so the parent merges the
-    chunks' sorted rows in plain tuple order; the first max_violations of
-    the merge are the first of the whole universe, for any chunking.  Only
-    those rows become Witnesses, and each reported split and spec is one
-    object, shared by every claim that reports it.  The pool starts at
+    max_violations identity rows per claim and counts the rest of its
+    assertions, so memory is bounded by what is reported.  _merge_chunks
+    renames the splits of the first max_violations of them and keeps the
+    first max_violations rows of the whole universe, for any chunking.
+    Only those rows become Witnesses, and each reported split and spec is
+    one object, shared by every claim that reports it.  The pool starts at
     most one worker per CPU, whatever jobs asks for.
     """
     if max_violations < 1:
@@ -554,10 +550,9 @@ def run(
         return Witness(spec_of(split_of(sx, cut1, cut2), e1, e2), *violation)
 
     reports = []
-    for c in claim_list:
-        checked = sum(part[c][0] for part in parts)
-        rows = merge(*(part[c][1] for part in parts))
-        violations = [witness(*row) for row in islice(rows, max_violations)]
+    merged = _merge_chunks(parts, max_violations, universe.alphabet_size)
+    for c, (checked, rows) in merged.items():
+        violations = [witness(*row) for row in rows]
         if checked == 0:
             status = "not_applicable"
         elif violations:

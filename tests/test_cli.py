@@ -364,10 +364,13 @@ ORBIT_UNIVERSES = {
                      "--max-violations", "1000"],
     "ternary-x5-e36": ["--alphabet", "3", "--max-x", "5", "--e-sums", "3,6"],
     "4-letter-x5": ["--alphabet", "4", "--max-x", "5", "--max-violations", "200"],
+    # A split has five (e1, e2) here.  At k = 1, 2, 3 and 16 the k-th
+    # identity row (σ = id) of most claims falls inside a split, and at
+    # k = 5 it is the last row of a split for every claim.
     **{
         f"ternary-both-x4-k{k}": ["--alphabet", "3", "--forms", "both", "--max-x",
                                   "4", "--max-violations", str(k)]
-        for k in (1, 3, 10**6)
+        for k in (1, 2, 3, 5, 16, 10**6)
     },
 }
 

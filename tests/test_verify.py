@@ -28,6 +28,7 @@ from repcore.verify import (
     REPORTED_CLAIMS,
     Witness,
     _eval_chunk,
+    _merge_chunks,
     applies,
     enumerate_specs,
     estimated_checks,
@@ -66,8 +67,8 @@ def as_rows(result):
 
 
 def merged(parts, k):
-    """Chunk results merged as run() must: counts summed, rows sorted and cut
-    to the first k."""
+    """Per-claim results of a full enumeration merged: counts summed, rows
+    sorted and cut to the first k."""
     return {
         c: (sum(p[c][0] for p in parts), sorted(r for p in parts for r in p[c][1])[:k])
         for c in parts[0]
@@ -423,36 +424,41 @@ def check_merges_at_every_cut(u, k):
     splits = split_count(u)
     claims = list(ClaimId)
     every = spec_by_spec(u)
-    whole = _eval_chunk((u, 0, splits, claims, k))
+
+    def expand(parts):
+        return _merge_chunks(parts, k, u.alphabet_size)
+
+    whole = expand([_eval_chunk((u, 0, splits, claims, k))])
     assert whole == merged([as_rows(every)], k)
     for cut in range(splits + 1):
         head = _eval_chunk((u, 0, cut, claims, k))
         tail = _eval_chunk((u, cut, splits, claims, k))
-        assert merged([head, tail], k) == whole, cut
-    # one chunk per split, merged in row order, gives the same, and each
-    # such chunk keeps the first k rows of its split's orbit
+        assert expand([head, tail]) == whole, cut
+    # one chunk per split, expanded, gives the same, and each such chunk
+    # expands to the first k rows of its split's orbit
     parts = [_eval_chunk((u, i, i + 1, claims, k)) for i in range(splits)]
-    assert merged(parts, k) == whole
+    assert expand(parts) == whole
     reps = list(dict.fromkeys(s.split for s in representative_specs(u)))
-    for split, part in zip(reps, parts):
+    orbits = [expand([part]) for part in parts]
+    for split, orbit in zip(reps, orbits):
         for c in claims:
             mine = [
                 row(w) for w in every[c][1] if orbit_of(w.spec.split) == orbit_of(split)
             ]
-            assert part[c][1] == mine[:k], (split, c)
+            assert orbit[c][1] == mine[:k], (split, c)
     if k > len(whole[ClaimId.NOTE3_LINEAR][1]):
         # concatenation would not: a renamed row of a later split sorts
         # before a row of an earlier one
-        note3 = [r for p in parts for r in p[ClaimId.NOTE3_LINEAR][1]]
+        note3 = [r for o in orbits for r in o[ClaimId.NOTE3_LINEAR][1]]
         assert note3 != sorted(note3)
     return whole
 
 
 def test_eval_chunk_merges_at_every_cut():
     # Nine (e1, e2) per split; a chunk is a range of first-use split indices,
-    # so it holds every (e1, e2) of its splits and of their renamings, and a
-    # cut falls between two first-use splits.  Renamed rows of a later chunk
-    # can sort first, so the chunks merge in row order, not by concatenation.
+    # so it holds every (e1, e2) of its splits, and a cut falls between two
+    # first-use splits.  Renamed rows of a later chunk can sort first, so the
+    # renamed streams merge in row order, not by concatenation.
     u = Universe(2, 2, 3, (3, 4, 5), "both")
     assert len(exponent_pairs(u.e_sums)) == 9
     whole = check_merges_at_every_cut(u, 10**6)
@@ -462,10 +468,59 @@ def test_eval_chunk_merges_at_every_cut():
 @pytest.mark.parametrize("k", [1, 3, 16, 10**6])
 def test_eval_chunk_merges_ternary_orbits_at_every_cut(k):
     # Six renamings per orbit, and with k below the witness count each chunk
-    # prunes renamed specs against its bound.  At k = 16 the note3_linear
-    # list of the split (x = abcb, cut 1) ends inside the renamed spec
-    # x = acbc, whose factors the renaming reorders.
+    # stops at its k-th identity row.  At k = 16 the note3_linear list of
+    # the split (x = abcb, cut 1) ends inside the renamed spec x = acbc,
+    # whose factors the renaming reorders.
     check_merges_at_every_cut(Universe(3, 2, 4, (3, 4), "prefix"), k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 16, 10**6])
+def test_eval_chunk_keeps_its_first_k_identity_rows(k, monkeypatch):
+    # A chunk holds no orbit.  Per claim its rows are the first min(k, all)
+    # identity rows (σ = id) of its split range, in canonical order, and the
+    # claim's per_sum is not called for a split once k rows are held.  A
+    # split has five (e1, e2) here, so k = 2 and 16 cut inside one.
+    calls = []
+
+    def counted(claim, evaluate):
+        def claim_on(ctx):
+            count, per_sum = evaluate(ctx)
+
+            def per_sum_counted(s):
+                calls.append((claim, ctx.split))
+                return per_sum(s)
+
+            return count, per_sum_counted
+
+        return claim_on
+
+    for c, evaluate in list(repcore.verify._CLAIMS.items()):
+        monkeypatch.setitem(repcore.verify._CLAIMS, c, counted(c, evaluate))
+    u = Universe(3, 1, 4, (3, 4), "both")
+    specs = representative_specs(u)
+    splits = list(dict.fromkeys(spec.split for spec in specs))
+    cut_short = set()
+    for lo, hi in [(0, len(splits)), (7, 40), (len(splits) // 2, len(splits))]:
+        calls.clear()
+        part = _eval_chunk((u, lo, hi, list(ClaimId), k))
+        chunk_calls = list(calls)  # check_claim below calls per_sum too
+        for c in ClaimId:
+            rows, called, applicable = [], set(), 0
+            for split in splits[lo:hi]:
+                mine = [spec for spec in specs if spec.split == split]
+                if not applies(c, mine[0]):
+                    continue
+                applicable += 1
+                if len(rows) < k:
+                    called.add(split)
+                rows += [row(w) for s in mine for w in check_claim(c, s).violations]
+            assert rows == sorted(rows)
+            assert part[c][1] == rows[:k], (lo, hi, c)
+            assert {sp for cl, sp in chunk_calls if cl is c} == called, (lo, hi, c)
+            if len(called) < applicable:
+                cut_short.add(c)
+    # a small k stops most claims early, and no claim has 10**6 rows
+    assert len(cut_short) >= 6 if k < 10**6 else not cut_short
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -500,9 +555,9 @@ def test_eval_chunk_keeps_first_k_witnesses(full, k):
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("k", [1, 3])
 def test_run_builds_only_the_witnesses_it_reports(jobs, k, monkeypatch):
-    # A chunk keeps up to 2k violation rows per claim before it cuts back to
-    # k, and returns rows; the parent builds one Witness per reported row and
-    # none for a row the merge drops.  Witnesses built in the workers would
+    # A chunk keeps up to k identity rows per claim and returns rows; the
+    # parent builds one Witness per reported row and none for a row the
+    # merge drops.  Witnesses built in the workers would
     # not be counted here, and would leave the parent's count short.
     # jobs=2 gets its 2 workers even on a single-CPU machine
     monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 2)
@@ -567,12 +622,13 @@ def test_run_equals_full_enumeration_on_26_letters():
     ids=["ternary-x3-e3457", "binary-x6-e345"],
 )
 def test_eval_chunk_equals_check_claim_spec_by_spec(universe):
-    # A chunk evaluates each claim on a split's whole run of (e1, e2), lists
-    # the mismatches once per e1+e2, shared by every spec with that sum, and
-    # renames them into every word of the split's orbit; check_claim
-    # evaluates one spec of one word at a time.
+    # A chunk evaluates each claim on a split's whole run of (e1, e2) and
+    # lists the mismatches once per e1+e2, shared by every spec with that
+    # sum; the parent renames them into every word of the split's orbit.
+    # check_claim evaluates one spec of one word at a time.
     whole = _eval_chunk((universe, 0, split_count(universe), list(ClaimId), 10**6))
-    assert whole == as_rows(spec_by_spec(universe))
+    expanded = _merge_chunks([whole], 10**6, universe.alphabet_size)
+    assert expanded == as_rows(spec_by_spec(universe))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
