@@ -166,6 +166,23 @@ def conjugate_pair(split: DeletionSplit) -> tuple[str, str]:
     return rotate(split.x, split.cut1), rotate(split.x, split.cut2)
 
 
+def core_lengths(x: str, u: str, v: str) -> tuple[int, int]:
+    """(p, s) = (lcp(v, u), lcs(u, v)) for the conjugate pair (u, v) of x.
+
+    Raises InternalBoundViolation when p + s > |x| - 2, which the model
+    rules out for primitive x.
+
+    >>> core_lengths("aabab", "babaa", "baaba")  # cut1 = 2, cut2 = 4
+    (2, 1)
+    """
+    p_len, s_len = lcp(v, u), lcs(u, v)
+    if p_len + s_len > len(x) - 2:
+        raise InternalBoundViolation(
+            f"lcp + lcs = {p_len + s_len} > {len(x) - 2} for x = {x!r}"
+        )
+    return p_len, s_len
+
+
 def core(spec: InterruptSpec) -> CoreReport:
     """Compute the core of the interrupt of build(spec).
 
@@ -185,12 +202,7 @@ def _core(spec: InterruptSpec, word: str) -> CoreReport:
     split = spec.split
     n = len(split.x)
     u, v = conjugate_pair(split)
-    p_len = lcp(v, u)
-    s_len = lcs(u, v)
-    if p_len + s_len > n - 2:
-        raise InternalBoundViolation(
-            f"lcp + lcs = {p_len + s_len} > {n - 2} for x = {split.x!r}"
-        )
+    p_len, s_len = core_lengths(split.x, u, v)
     junction = spec.e1 * n + split.cut1
     p_tilde = v[: p_len + 1]
     s_tilde = u[n - s_len - 1 :]

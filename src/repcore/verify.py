@@ -4,11 +4,17 @@ Each claim is a per-spec assertion about how often the length-|x| (or, for
 note2, length-(|x|-1)) factors of W occur.  The alteration is fixed by the
 split (x, cut1, cut2); the exponents only repeat x around it.  So the split
 is the unit of work: each is evaluated once, from its shortest word
-W0 = x·x1·x3·x·x (e1 = 1, e2 = MIN_E_SUM - 1), and a table maps each claim
-to an evaluator that takes all of the split's (e1, e2) at once.  Specs with
-the same e1+e2 have the same counts, so a claim lists its mismatches once
-per exponent sum.  A worker chunk is a range of split indices in canonical
-order; the worker enumerates those splits itself.
+W0 = x·x1·x3·x·x (e1 = 1, e2 = MIN_E_SUM - 1), into one context of plain
+values.  A table maps each claim to two functions.  Its count is
+arithmetic in a few per-split stats (the orbit size, how many distinct
+windows are anchored and not, |x2|, |x|, note2's factor count), so a chunk
+sums the stats per split form and counts every claim once at the end.
+Its per_sum lists a spec's mismatches; specs with the same e1+e2 have the
+same counts, so it runs once per exponent sum, and only while the claim
+can still report rows.  Which claims are stated for a split depends only
+on its form, so a chunk picks them once per form, not once per split.  A
+worker chunk is a range of split indices in canonical order; the worker
+enumerates those splits itself.
 
 Renaming the letters of x injectively keeps every claim's status, count
 and factor pattern, since each claim reads only which positions of W hold
@@ -68,27 +74,28 @@ from concurrent.futures import ProcessPoolExecutor
 from copy import copy
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 from heapq import merge
 from itertools import chain, groupby, islice, tee
 from math import perm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import InvalidLimit, InvalidUniverse, NotApplicable, UniverseTooLarge
 
-# The claims read _SplitContext's histograms and call none of classify_window,
-# occurrences and cyclic_occurrences.  They stay importable from this module
-# because perfbench/tracing.py patches them here by name and its tests expect
-# every patched name to exist; a traced run reports zero calls to them.
+# The verifier reads _SplitContext's windows and calls none of core,
+# anchor_windows, classify_window, occurrences and cyclic_occurrences.  They
+# stay importable from this module because perfbench/tracing.py patches them
+# here by name and its tests expect every patched name to exist; a traced
+# run reports zero calls to them.
 from .interrupts import (
     FORMS,
     MIN_E_SUM,
-    CoreReport,
     DeletionSplit,
     InterruptSpec,
     anchor_windows,
     classify_window,
     core,
+    core_lengths,
     iter_splits,
 )
 from .words import (
@@ -282,126 +289,163 @@ def enumerate_specs(
                     yield InterruptSpec(split, e1, e2)
 
 
-def applies(claim: ClaimId, spec: InterruptSpec) -> bool:
-    """Whether the claim is stated for the spec's form."""
+def _stated_for(claim: ClaimId, prefix_form: bool) -> bool:
+    """Whether the claim is stated for the prefix form (or the deletion form)."""
     if claim is ClaimId.THEOREM1:
-        return spec.split.is_prefix_form
+        return prefix_form
     if claim is ClaimId.THEOREM1_DELETION:
-        return not spec.split.is_prefix_form
+        return not prefix_form
     return True
 
 
-class _SplitContext:
-    """One split's core and windows, shared by every claim and (e1, e2).
+def applies(claim: ClaimId, spec: InterruptSpec) -> bool:
+    """Whether the claim is stated for the spec's form."""
+    return _stated_for(claim, spec.split.is_prefix_form)
 
-    pairs are the split's (e1, e2) in canonical order.  A claim reads the
-    context and lists its violations as plain (factor, expected, actual)
-    values, which _eval_chunk turns into rows.  The windows come from
-    W0 = x·x1·x3·x·x, the split's shortest word (spec0): hist counts its
-    length-|x| windows, and note2_linear counts its length-(|x|-1) ones
-    itself.  By the count rule in the module docstring, a window f of
-    either length occurs h[f] + (s - MIN_E_SUM)·(f in xx) times in a spec
-    with e1+e2 = s, h being W0's histogram of that length.  W starts and
-    ends with x, so its |x|-1 wraparound windows are the rotations
-    1..|x|-1 of x, each once: read cyclically, f occurs once more when f
-    is in wraparound = (x+x)[1:-1].
+
+class _Stats(NamedTuple):
+    """The per-split numbers every claim's assertion count is arithmetic in.
+
+    A split contributes (1, |anchored|, |non_anchored|, |x|, |x2|, note2's
+    factor count); a chunk sums them per form, each times the split's
+    orbit size.
     """
 
-    def __init__(self, split: DeletionSplit, pairs: Sequence[tuple[int, int]]):
-        self.split = split
-        self.pairs = pairs
-        self.spec0 = spec0 = InterruptSpec(split, 1, MIN_E_SUM - 1)
-        self.report: CoreReport = core(spec0)
-        self.n = n = len(split.x)
-        self.xx = xx = split.x * 2
-        word = self.report.word
-        windows = [word[j : j + n] for j in range(len(word) - n + 1)]
-        self.hist = Counter(windows)
-        anchors = anchor_windows(spec0, self.report)
-        lo, hi = anchors[0][0], anchors[-1][0] + 1
-        self.anchored = sorted(set(windows[lo:hi]))
-        self.non_anchored = sorted(set(windows[:lo]) | set(windows[hi:]))
-        self.wraparound = xx[1:-1]
+    splits: int
+    anchored: int
+    non_anchored: int
+    x_len: int
+    x2_len: int
+    note2: int
 
 
-# Each claim maps a split context to (assertions evaluated over all of its
-# (e1, e2), per_sum), where per_sum(s) lists the (factor, expected, actual)
-# violations of a spec with e1+e2 = s, in factor order.  The count is
-# per-split arithmetic; per_sum does the per-factor work, and only when a
-# chunk still has room for the claim's rows or check_claim asks for it.
-# A cyclic claim is its linear twin with wraparound = ctx.wraparound.
-_PerSum = Callable[[int], list[tuple[str, int, int]]]
-_Result = tuple[int, _PerSum]
+class _SplitContext:
+    """One split's core and W0 windows, shared by every claim and e1+e2.
+
+    Built from plain values (x, cut1, cut2), with xx = x+x passed in by a
+    caller that holds it; x is primitive.  u = xx[cut1:cut1+|x|] and
+    v = xx[cut2:cut2+|x|] are the expected and the actual continuation
+    past the junction, p = lcp(v, u) and s = lcs(u, v) (core_lengths).  The
+    windows come from W0 = x·x1·x3·x·x, the split's shortest word
+    (e1 = 1, e2 = MIN_E_SUM - 1), whose junction is |x| + cut1: the windows
+    at cut1+p+1 .. |x|+cut1-s-1 contain the core and are anchored, the
+    others are not.  stats holds the split's _Stats.
+
+    A claim's per_sum reads the context and lists its violations as plain
+    (factor, expected, actual) values, which _eval_chunk turns into rows.
+    hist counts W0's length-|x| windows, and note2_linear counts its
+    length-(|x|-1) ones (short) in the boundary case.  By the count rule in
+    the module docstring, a window f of either length occurs
+    h[f] + (s - MIN_E_SUM)·(f in xx) times in a spec with e1+e2 = s, h being
+    W0's histogram of that length.  W starts and ends with x, so its |x|-1
+    wraparound windows are the rotations 1..|x|-1 of x, each once: read
+    cyclically, f occurs once more when f is in wraparound = xx[1:-1].
+    """
+
+    def __init__(self, x: str, cut1: int, cut2: int, xx: str = ""):
+        self.x, self.cut1, self.cut2 = x, cut1, cut2
+        self.n = n = len(x)
+        self.xx = xx = xx or x + x
+        u, v = xx[cut1 : cut1 + n], xx[cut2 : cut2 + n]
+        self.p, self.s = p, s = core_lengths(x, u, v)
+        word = x + x[:cut1] + x[cut2:] + xx
+        self.windows = windows = [word[j : j + n] for j in range(len(word) - n + 1)]
+        lo, hi = cut1 + p + 1, n + cut1 - s
+        self.anchored = set(windows[lo:hi])
+        self.non_anchored = non_anchored = set(windows[:lo])
+        non_anchored.update(windows[hi:])
+        # note2 is stated for the boundary case p + s = |x| - 2 only: its
+        # factors are the length-(|x|-1) windows holding the core without
+        # its two outer symbols.
+        self.note2: set[str] = set()
+        if p + s == n - 2:
+            m, sp = n - 1, u[n - s :] + v[:p]
+            self.short = [word[j : j + m] for j in range(len(word) - m + 1)]
+            self.note2 = {f for f in self.short if sp in f}
+        self.stats = _Stats(
+            1, len(self.anchored), len(non_anchored), n, cut2 - cut1, len(self.note2)
+        )
+
+    @cached_property
+    def hist(self) -> Counter:
+        return Counter(self.windows)
+
+
+# Each claim is a table entry (count, per_sum).  count(t, s) is the number
+# of assertions the claim evaluates on a spec with e1+e2 = s, for a split
+# with stats t; it is linear in t, so a chunk applies it to the sum of its
+# splits' stats.  per_sum(ctx, s) lists the (factor, expected, actual)
+# violations of such a spec, in factor order; a chunk calls it only while
+# it has room for the claim's rows, and check_claim for its one spec.  A
+# cyclic claim is its linear twin with wraparound = ctx.xx[1:-1].
+_Count = Callable[[_Stats, int], int]
+_PerSum = Callable[[_SplitContext, int], list[tuple[str, int, int]]]
 # Per claim: (assertions evaluated, violation rows), for a chunk or a run.
 _Chunk = dict[ClaimId, tuple[int, list[tuple]]]
 
 
 def _mismatches(
     ctx: _SplitContext,
-    factors: list[str],
+    s: int,
+    factors: Iterable[str],
     hist: Counter,
     expected: int | None = None,
     wraparound: str = "",
-) -> _Result:
-    """Factors whose count is not expected (None: e1+e2) in each spec."""
-
-    def per_sum(s: int) -> list[tuple[str, int, int]]:
-        want, extra = expected or s, s - MIN_E_SUM
-        counts = (
-            (f, hist[f] + extra * (f in ctx.xx) + (f in wraparound)) for f in factors
-        )
-        return [(f, want, a) for f, a in counts if a != want]
-
-    return len(factors) * len(ctx.pairs), per_sum
+) -> list[tuple[str, int, int]]:
+    """Factors whose count in a spec with e1+e2 = s is not expected (None: s)."""
+    want, extra, xx = expected or s, s - MIN_E_SUM, ctx.xx
+    counts = ((f, hist[f] + extra * (f in xx) + (f in wraparound)) for f in factors)
+    return sorted((f, want, a) for f, a in counts if a != want)
 
 
-def _dft_bound(ctx: _SplitContext) -> _Result:
-    rep, n = ctx.report, ctx.n
-    actual = rep.p_len + rep.s_len
-    fails = [("", n - 2, actual)] if actual > n - 2 else []
-    return len(ctx.pairs), lambda s: fails
+def _dft_bound(ctx: _SplitContext, s: int) -> list[tuple[str, int, int]]:
+    actual = ctx.p + ctx.s
+    return [("", ctx.n - 2, actual)] if actual > ctx.n - 2 else []
 
 
-def _dichotomy(ctx: _SplitContext) -> _Result:
+def _dichotomy(ctx: _SplitContext, s: int) -> list[tuple[str, int, int]]:
     # A length-|x| factor is a rotation of x exactly when it occurs in x+x.
+    bad = [f for f in ctx.non_anchored if f not in ctx.xx]
+    return [(f, 1, 0) for f in sorted(bad)]
+
+
+def _distinct_count(ctx: _SplitContext, s: int) -> list[tuple[str, int, int]]:
+    distinct = len(ctx.anchored | ctx.non_anchored)
+    expected = 2 * ctx.n - ctx.p - ctx.s - 1
+    return [("", expected, distinct)] if distinct != expected else []
+
+
+def _note2_linear(ctx: _SplitContext, s: int) -> list[tuple[str, int, int]]:
+    if not ctx.note2:
+        return []
+    return _mismatches(ctx, s, ctx.note2, Counter(ctx.short))
+
+
+def _unique(ctx: _SplitContext, s: int) -> list[tuple[str, int, int]]:
+    return _mismatches(ctx, s, ctx.anchored, ctx.hist, 1)
+
+
+_CLAIMS: dict[ClaimId, tuple[_Count, _PerSum]] = {
+    ClaimId.DFT_BOUND: (lambda t, s: t.splits, _dft_bound),
+    ClaimId.THEOREM1: (lambda t, s: t.anchored, _unique),
+    ClaimId.THEOREM1_DELETION: (lambda t, s: t.anchored, _unique),
     # Every window of W is one assertion: (e1+e2)·|x| - |x2| + 1 of them.
-    windows = sum(e1 + e2 for e1, e2 in ctx.pairs) * ctx.n
-    checked = windows - len(ctx.pairs) * (len(ctx.split.x2) - 1)
-    return checked, lambda s: [(f, 1, 0) for f in ctx.non_anchored if f not in ctx.xx]
-
-
-def _distinct_count(ctx: _SplitContext) -> _Result:
-    rep, n = ctx.report, ctx.n
-    distinct = len(ctx.hist)
-    expected = 2 * n - rep.p_len - rep.s_len - 1
-    fails = [("", expected, distinct)] if distinct != expected else []
-    return len(ctx.pairs), lambda s: fails
-
-
-def _note2_linear(ctx: _SplitContext) -> _Result:
-    # Stated only for the boundary case lcp + lcs == |x| - 2.
-    rep = ctx.report
-    if rep.p_len + rep.s_len != ctx.n - 2:
-        return 0, lambda s: []
-    sp = rep.s_tilde[1:] + rep.p_tilde[:-1]
-    word, m = rep.word, ctx.n - 1
-    hist = Counter(word[j : j + m] for j in range(len(word) - m + 1))
-    return _mismatches(ctx, [f for f in sorted(hist) if sp in f], hist)
-
-
-_CLAIMS: dict[ClaimId, Callable[[_SplitContext], _Result]] = {
-    ClaimId.DFT_BOUND: _dft_bound,
-    ClaimId.THEOREM1: lambda ctx: _mismatches(ctx, ctx.anchored, ctx.hist, 1),
-    ClaimId.THEOREM1_DELETION: lambda ctx: _mismatches(ctx, ctx.anchored, ctx.hist, 1),
-    ClaimId.DICHOTOMY: _dichotomy,
-    ClaimId.DISTINCT_COUNT: _distinct_count,
+    ClaimId.DICHOTOMY: (lambda t, s: s * t.x_len - t.x2_len + t.splits, _dichotomy),
+    ClaimId.DISTINCT_COUNT: (lambda t, s: t.splits, _distinct_count),
     ClaimId.CORE_CYCLIC_UNIQUE: (
-        lambda ctx: _mismatches(ctx, ctx.anchored, ctx.hist, 1, ctx.wraparound)
+        lambda t, s: t.anchored,
+        lambda ctx, s: _mismatches(ctx, s, ctx.anchored, ctx.hist, 1, ctx.xx[1:-1]),
     ),
-    ClaimId.NOTE2_LINEAR: _note2_linear,
-    ClaimId.NOTE3_LINEAR: lambda ctx: _mismatches(ctx, ctx.non_anchored, ctx.hist),
+    ClaimId.NOTE2_LINEAR: (lambda t, s: t.note2, _note2_linear),
+    ClaimId.NOTE3_LINEAR: (
+        lambda t, s: t.non_anchored,
+        lambda ctx, s: _mismatches(ctx, s, ctx.non_anchored, ctx.hist),
+    ),
     ClaimId.NOTE3_CYCLIC: (
-        lambda ctx: _mismatches(ctx, ctx.non_anchored, ctx.hist, None, ctx.wraparound)
+        lambda t, s: t.non_anchored,
+        lambda ctx, s: _mismatches(
+            ctx, s, ctx.non_anchored, ctx.hist, None, ctx.xx[1:-1]
+        ),
     ),
 }
 
@@ -415,10 +459,11 @@ def check_claim(claim: ClaimId, spec: InterruptSpec) -> SpecCheck:
     """
     if not applies(claim, spec):
         raise NotApplicable(f"{claim.value} does not apply to this split form")
-    ctx = _SplitContext(spec.split, [(spec.e1, spec.e2)])
-    checked, per_sum = _CLAIMS[claim](ctx)
-    violations = per_sum(spec.e1 + spec.e2)
-    return SpecCheck(checked, tuple(Witness(spec, *v) for v in violations))
+    split, s = spec.split, spec.e1 + spec.e2
+    ctx = _SplitContext(split.x, split.cut1, split.cut2)
+    count, per_sum = _CLAIMS[claim]
+    violations = per_sum(ctx, s)
+    return SpecCheck(count(ctx.stats, s), tuple(Witness(spec, *v) for v in violations))
 
 
 def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
@@ -426,36 +471,62 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
 
     The chunk is the first-use splits with canonical indices lo..hi-1, each
     with every (e1, e2) of the universe, standing for every split of its
-    orbit; its counts are multiplied by the orbit size, k!/(k-m)! words
-    for m distinct letters.  The worker enumerates the splits itself, one
-    first-use word x at a time, in canonical order, and renames nothing,
-    so the rows it keeps are the first identity rows (σ = id) of its
-    range, in row order.  A claim calls per_sum only while it holds fewer
-    than max_violations rows; after that its splits cost no per-factor
-    work.  _merge_chunks renames the rows that rank.
+    orbit, k!/(k-m)! words for m distinct letters.  The worker enumerates
+    the splits itself, one first-use word x at a time, in canonical order;
+    x+x and the orbit size are computed once per word, and the claims
+    stated for each form once per chunk.  A split costs one _SplitContext:
+    its stats are summed per form, times the orbit size, and each claim's
+    count is arithmetic in those sums at the end.  The chunk renames
+    nothing, so the rows it keeps are the first identity rows (σ = id) of
+    its range, in row order.  A claim calls per_sum only while it holds
+    fewer than max_violations rows; after that a split costs it one len().
+    _merge_chunks renames the rows that rank.
     """
     universe, lo, hi, claims, max_violations = args
     pairs = exponent_pairs(universe.e_sums) if lo < hi else []
-    checked = dict.fromkeys(claims, 0)
     kept: dict[ClaimId, list[tuple]] = {c: [] for c in claims}
+    # Per form (False: deletion, True: prefix): the stated claims' per_sum
+    # and rows, and the sums of the splits' stats times their orbit sizes.
+    stated = {
+        form: [(_CLAIMS[c][1], kept[c]) for c in claims if _stated_for(c, form)]
+        for form in (False, True)
+    }
+    totals = {form: [0] * len(_Stats._fields) for form in (False, True)}
     for x, cuts in _word_cuts(universe, lo, hi):
+        n, xx = len(x), x + x
         size = perm(universe.alphabet_size, len(set(x)))
+        stats: dict[bool, list[_Stats]] = {False: [], True: []}
         for cut1, cut2 in cuts:
-            ctx = _SplitContext(DeletionSplit(x, cut1, cut2), pairs)
-            for c in claims:
-                if not applies(c, ctx.spec0):
+            ctx = _SplitContext(x, cut1, cut2, xx)
+            form = cut2 == n
+            stats[form].append(ctx.stats)
+            for per_sum, rows in stated[form]:
+                if len(rows) >= max_violations:
                     continue
-                count, per_sum = _CLAIMS[c](ctx)
-                checked[c] += count * size
-                room = max_violations - len(kept[c])
-                if room > 0:
-                    found = {s: per_sum(s) for s in universe.e_sums}
-                    rows = (
-                        (ctx.n, x, cut1, cut2, e1, e2, *v)
+                found = {s: per_sum(ctx, s) for s in universe.e_sums}
+                if not any(found.values()):
+                    continue
+                rows += islice(
+                    (
+                        (n, x, cut1, cut2, e1, e2, *v)
                         for e1, e2 in pairs
                         for v in found[e1 + e2]
-                    )
-                    kept[c] += islice(rows, room)
+                    ),
+                    max_violations - len(rows),
+                )
+        for form, split_stats in stats.items():
+            if split_stats:
+                totals[form] = [
+                    t + size * sum(col)
+                    for t, col in zip(totals[form], zip(*split_stats))
+                ]
+    checked = dict.fromkeys(claims, 0)
+    for form, total in totals.items():
+        sums = _Stats(*total)
+        for c in claims:
+            if _stated_for(c, form):
+                count = _CLAIMS[c][0]
+                checked[c] += sum(count(sums, e1 + e2) for e1, e2 in pairs)
     return {c: (checked[c], kept[c]) for c in claims}
 
 

@@ -238,8 +238,9 @@ def run_full(universe, claims=None, max_violations=10, jobs=1, max_checks=None):
     contiguous chunks as run() cuts its splits (about 8 per job); each chunk
     keeps its first max_violations witnesses per claim in spec-then-factor
     order, and the chunks' lists are concatenated.  Claims are evaluated by
-    repcore.verify's per-split claim table on each word itself, so this
-    checks the orbit reduction, the renamed witnesses and the key merge;
+    repcore.verify's claim table on each word itself, its count asked for
+    one split at a time, so this checks the orbit reduction, the per-form
+    sums of the split stats, the renamed witnesses and the key merge;
     evaluate_naive checks the claims.  max_checks is ignored.
     """
     wanted = set(ClaimId if claims is None else claims)
@@ -257,19 +258,19 @@ def run_full(universe, claims=None, max_violations=10, jobs=1, max_checks=None):
     for lo in range(0, len(splits), size):
         kept = {c: [] for c in claim_list}
         for split in splits[lo : lo + size]:
-            ctx = _SplitContext(split, pairs)
+            ctx = _SplitContext(split.x, split.cut1, split.cut2)
             specs = [InterruptSpec(split, e1, e2) for e1, e2 in pairs]
             for c in claim_list:
-                if not applies(c, ctx.spec0):
+                if not applies(c, specs[0]):
                     continue
-                count, per_sum = _CLAIMS[c](ctx)
-                checked[c] += count
+                count, per_sum = _CLAIMS[c]
+                checked[c] += sum(count(ctx.stats, e1 + e2) for e1, e2 in pairs)
                 for spec in specs:
                     if len(kept[c]) >= max_violations:
                         break
                     kept[c].extend(
                         Witness(spec, f, want, actual)
-                        for f, want, actual in per_sum(spec.e1 + spec.e2)
+                        for f, want, actual in per_sum(ctx, spec.e1 + spec.e2)
                     )
                 del kept[c][max_violations:]
         for c in claim_list:

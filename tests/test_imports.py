@@ -15,6 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # although nothing in the module calls them; a traced run reports zero calls.
 TRACER_ONLY = {
     ("verify", "classify_window"),
+    ("verify", "core"),
+    ("verify", "anchor_windows"),
     ("verify", "occurrences"),
     ("verify", "cyclic_occurrences"),
     ("locate", "build"),

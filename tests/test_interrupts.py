@@ -17,6 +17,7 @@ from repcore.interrupts import (
     CoreAnchored,
     classify_window,
     conjugate_pair,
+    core_lengths,
     iter_splits,
 )
 from repcore.verify import enumerate_specs
@@ -24,6 +25,7 @@ from repcore.words import rotate
 from repcore.errors import (
     ClassificationFailure,
     IndexOutOfRange,
+    InternalBoundViolation,
     InvalidSpec,
     InvalidSplit,
 )
@@ -90,6 +92,14 @@ def test_conjugate_pair_examples():
     assert conjugate_pair(DeletionSplit.prefix("ab", 1)) == ("ba", "ab")
     assert conjugate_pair(DeletionSplit("aabab", 3, 5)) == ("abaab", "aabab")
     assert conjugate_pair(DeletionSplit("aab", 1, 2)) == ("aba", "baa")
+
+
+def test_core_lengths_rejects_the_conjugates_of_a_power():
+    # core and the verifier share this check; DeletionSplit and
+    # first_use_words keep a non-primitive x from reaching it.
+    assert core_lengths("aabab", "babaa", "baaba") == (2, 1)
+    with pytest.raises(InternalBoundViolation):
+        core_lengths("abab", "baba", "baba")
 
 
 def test_core_prefix_form_example():

@@ -24,6 +24,7 @@ from repcore.errors import (
 )
 from repcore.interrupts import iter_splits
 from repcore.verify import (
+    DEFAULT_MAX_VIOLATIONS,
     GATING_CLAIMS,
     REPORTED_CLAIMS,
     Witness,
@@ -301,6 +302,28 @@ def test_run_rejects_max_violations_below_one():
 
 
 @pytest.mark.parametrize(
+    "forms, claim",
+    [("prefix", ClaimId.THEOREM1_DELETION), ("deletion", ClaimId.THEOREM1)],
+)
+def test_run_claim_of_the_other_form_is_not_applicable(forms, claim):
+    [rep] = run(Universe(forms=forms), [claim])
+    assert (rep.claim, rep.checked, rep.status) == (claim, 0, "not_applicable")
+    assert rep.counterexamples == ()
+
+
+@pytest.mark.parametrize("k", [1, 10, 10**6])
+def test_run_single_claim_equals_its_entry_in_the_full_run(k):
+    # A chunk dispatches the claims per form and drops a claim once it holds
+    # k rows; what one claim reports does not depend on the others.
+    u = Universe(3, 1, 4, (3, 5), "both")
+    reports = run(u, max_violations=k)
+    assert [r.claim for r in reports] == list(ClaimId)
+    assert sum(bool(r.counterexamples) for r in reports) >= 3
+    for rep in reports:
+        assert run(u, [rep.claim], max_violations=k) == [rep], rep.claim
+
+
+@pytest.mark.parametrize(
     "universe",
     [
         Universe(2, 1, 6, (3, 4, 5), "both"),
@@ -482,20 +505,15 @@ def test_eval_chunk_keeps_its_first_k_identity_rows(k, monkeypatch):
     # split has five (e1, e2) here, so k = 2 and 16 cut inside one.
     calls = []
 
-    def counted(claim, evaluate):
-        def claim_on(ctx):
-            count, per_sum = evaluate(ctx)
+    def counted(claim, count, per_sum):
+        def per_sum_counted(ctx, s):
+            calls.append((claim, DeletionSplit(ctx.x, ctx.cut1, ctx.cut2)))
+            return per_sum(ctx, s)
 
-            def per_sum_counted(s):
-                calls.append((claim, ctx.split))
-                return per_sum(s)
+        return count, per_sum_counted
 
-            return count, per_sum_counted
-
-        return claim_on
-
-    for c, evaluate in list(repcore.verify._CLAIMS.items()):
-        monkeypatch.setitem(repcore.verify._CLAIMS, c, counted(c, evaluate))
+    for c, (count, per_sum) in list(repcore.verify._CLAIMS.items()):
+        monkeypatch.setitem(repcore.verify._CLAIMS, c, counted(c, count, per_sum))
     u = Universe(3, 1, 4, (3, 4), "both")
     specs = representative_specs(u)
     splits = list(dict.fromkeys(spec.split for spec in specs))
@@ -523,6 +541,32 @@ def test_eval_chunk_keeps_its_first_k_identity_rows(k, monkeypatch):
     assert len(cut_short) >= 6 if k < 10**6 else not cut_short
 
 
+def test_eval_chunk_builds_no_per_split_objects(monkeypatch):
+    # A split costs one _SplitContext built from (x, cut1, cut2): no
+    # DeletionSplit, InterruptSpec or core report, and no anchor_windows.
+    u = Universe()
+    splits = split_count(u)
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(repcore.verify, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
+
+    for name in ("DeletionSplit", "InterruptSpec", "core", "anchor_windows"):
+        monkeypatch.setattr(repcore.verify, name, counting(name))
+    part = _eval_chunk((u, 0, splits, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
+    assert any(rows for _, rows in part.values())
+    assert calls == Counter()
+    # the counters see the names the module calls
+    next(enumerate_specs(u))
+    assert calls == Counter(DeletionSplit=1, InterruptSpec=1)
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_witnesses_share_their_spec(jobs, monkeypatch):
     # Witnesses of different claims for one spec hold the same InterruptSpec.
@@ -540,15 +584,20 @@ def test_run_witnesses_share_their_spec(jobs, monkeypatch):
     assert any(is_first_use(x) for _, x, *_ in shared)
 
 
-@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("k", [1, 3, 10])
 def test_eval_chunk_keeps_first_k_witnesses(full, k):
+    # The chunk's rows are the first k witnesses whose x is first-use, not
+    # the first k of the full list: renamed specs are the parent's to add.
+    # At k = 10 the two differ (theorem1's sixth witness is renamed), so a
+    # chunk that kept its splits' renamed rows would fail here.
     u = RETENTION_UNIVERSE
     part = _eval_chunk((u, 0, split_count(u), list(ClaimId), k))
     assert set(part) == set(ClaimId)
     for c in ClaimId:
         checked, kept = part[c]
+        identity = [row(w) for w in full[c][1] if is_first_use(w.spec.split.x)]
         assert len(kept) <= k
-        assert (checked, kept) == (full[c][0], [row(w) for w in full[c][1][:k]]), c
+        assert (checked, kept) == (full[c][0], identity[:k]), c
     assert len(full[ClaimId.NOTE3_LINEAR][1]) > 100 * k
 
 
@@ -575,8 +624,10 @@ def test_run_builds_only_the_witnesses_it_reports(jobs, k, monkeypatch):
 
 
 def test_run_draws_few_renamings_on_26_letters(monkeypatch):
-    # A 5-letter x has 26!/21! (about 7.9 million) renamings; an offer stops
-    # at the first one whose specs sort past the kept violations.
+    # A 5-letter x has 26!/21! (about 7.9 million) renamings.  _merge_chunks
+    # draws a word's next renaming only once the merge has taken every row
+    # of the one before, so it stops at the first renaming whose rows sort
+    # past the k reported ones.
     drawn = Counter()
 
     def counted_renamings(x, alphabet_size):
@@ -597,9 +648,10 @@ def test_run_draws_few_renamings_on_26_letters(monkeypatch):
     "universe", [Universe(), Universe(26, 2, 5, (3, 4), "both")], ids=["default", "26"]
 )
 def test_run_copies_the_orbit_only_for_splits_that_rank(universe, monkeypatch):
-    # An offer reads a copy of the word's renamings only when the split's
-    # first-use head can still rank and the split has a violation; the
-    # default universe alone has 11,504 (split, claim) offers.
+    # _merge_chunks reads a copy of a word's renamings once per claim and
+    # split among the claim's first max_violations identity rows, not once
+    # per (split, claim) pair: the default universe alone has 11,504 pairs,
+    # 3,130 of them with a violation.
     copies = []
 
     def counted_copy(orbit):
