@@ -53,12 +53,35 @@ the rotations of x, distinct because x is primitive.  At length |x|-1,
 two rotations whose first |x|-1 letters agree have the same letters in
 all, so their last letters agree too and they are the same rotation.
 The anchored windows (those that contain the core) lie inside x·x1·x3·x
-and do not move, and W0 already holds every rotation of x outside them,
-so the anchored and non-anchored factor sets and the number of distinct
-windows do not depend on (e1, e2) either.
+and do not move, and W0 already holds every rotation of x outside them
+(its last x+x does), so the anchored and non-anchored factor sets and the
+number of distinct windows do not depend on (e1, e2) either.
 test_check_claim_equals_naive_oracle and
 test_check_claim_equals_naive_oracle_on_long_x check this against the
 slicing oracle evaluate_naive in tests/oracles.py.
+
+Rotation test: a split's context slices only its anchored windows, at
+lo = cut1+p+1 .. hi-1 = |x|+cut1-s-1 in W0, and checks with two compares
+that W0[:lo+|x|-1] is a prefix and W0[hi:] a suffix of x^4.  The
+non-anchored windows are the windows of those two stretches.  The test
+holds exactly when every non-anchored window occurs in x+x.  If it holds,
+each such window is a window of x^∞, a rotation of x.  Conversely, let
+every window of a stretch be a rotation.  Two consecutive windows that
+are both rotations advance the phase by one: the second's first |x|-1
+letters are the first's last |x|-1 letters, which begin exactly one
+rotation (the length-(|x|-1) argument above).  The first stretch starts
+with x and the second ends with x, so by induction the first reads x^∞
+from its start and the second reads it up to its end: both are in phase,
+and x^4 is long enough for either (at most 3|x|-3 and 4|x|-3 symbols,
+since cut1 < cut2 <= |x| and p+s <= |x|-2).  When the test holds, the
+tail's 2|x|-cut2+s+1 > |x| windows are consecutive windows of x^∞ and hold
+every rotation, so the non-anchored factors are the |x| rotations,
+dichotomy has no violation, and the distinct count is |x| plus the
+anchored windows that do not occur in x+x.  These follow from W0's
+symbols for whatever p and s the context holds, not from the theorem:
+with p and s right the stretches are in phase by their definition (lcp
+and lcs), a p or s that overstates the agreement fails the test, and
+then every stat and violation is read from all of W0's windows.
 
 Gating claims are expected to hold (a failure fails the run); reported
 claims record their empirical status and never gate, because the
@@ -326,20 +349,27 @@ class _SplitContext:
     caller that holds it; x is primitive.  u = xx[cut1:cut1+|x|] and
     v = xx[cut2:cut2+|x|] are the expected and the actual continuation
     past the junction, p = lcp(v, u) and s = lcs(u, v) (core_lengths).  The
-    windows come from W0 = x·x1·x3·x·x, the split's shortest word
+    windows come from word = W0 = x·x1·x3·x·x, the split's shortest word
     (e1 = 1, e2 = MIN_E_SUM - 1), whose junction is |x| + cut1: the windows
-    at cut1+p+1 .. |x|+cut1-s-1 contain the core and are anchored, the
-    others are not.  stats holds the split's _Stats.
+    at lo = cut1+p+1 .. hi-1 = |x|+cut1-s-1 contain the core and are
+    anchored, the others are not.  Only the anchored ones are sliced up
+    front.  in_phase is the rotation test of the module docstring: when it
+    holds, the non-anchored windows are exactly the |x| rotations of x, so
+    the stats, dichotomy and distinct_count need no other window.  stats
+    holds the split's _Stats.
 
     A claim's per_sum reads the context and lists its violations as plain
     (factor, expected, actual) values, which _eval_chunk turns into rows.
-    hist counts W0's length-|x| windows, and note2_linear counts its
-    length-(|x|-1) ones (short) in the boundary case.  By the count rule in
-    the module docstring, a window f of either length occurs
-    h[f] + (s - MIN_E_SUM)·(f in xx) times in a spec with e1+e2 = s, h being
-    W0's histogram of that length.  W starts and ends with x, so its |x|-1
-    wraparound windows are the rotations 1..|x|-1 of x, each once: read
-    cyclically, f occurs once more when f is in wraparound = xx[1:-1].
+    windows lists W0's length-|x| windows, non_anchored is the set of those
+    outside lo..hi-1 and hist counts them; all three are built only when
+    read, by a claim that counts occurrences or when in_phase fails.
+    note2_linear counts the length-(|x|-1) windows (short) in the boundary
+    case.  By the count rule in the module docstring, a window f of either
+    length occurs h[f] + (s - MIN_E_SUM)·(f in xx) times in a spec with
+    e1+e2 = s, h being W0's histogram of that length.  W starts and ends
+    with x, so its |x|-1 wraparound windows are the rotations 1..|x|-1 of
+    x, each once: read cyclically, f occurs once more when f is in
+    wraparound = xx[1:-1].
     """
 
     def __init__(self, x: str, cut1: int, cut2: int, xx: str = ""):
@@ -348,12 +378,10 @@ class _SplitContext:
         self.xx = xx = xx or x + x
         u, v = xx[cut1 : cut1 + n], xx[cut2 : cut2 + n]
         self.p, self.s = p, s = core_lengths(x, u, v)
-        word = x + x[:cut1] + x[cut2:] + xx
-        self.windows = windows = [word[j : j + n] for j in range(len(word) - n + 1)]
-        lo, hi = cut1 + p + 1, n + cut1 - s
-        self.anchored = set(windows[lo:hi])
-        self.non_anchored = non_anchored = set(windows[:lo])
-        non_anchored.update(windows[hi:])
+        self.word = word = x + x[:cut1] + x[cut2:] + xx
+        self.lo, self.hi = lo, hi = cut1 + p + 1, n + cut1 - s
+        self.anchored = {word[j : j + n] for j in range(lo, hi)}
+        self.in_phase = self._in_phase()
         # note2 is stated for the boundary case p + s = |x| - 2 only: its
         # factors are the length-(|x|-1) windows holding the core without
         # its two outer symbols.
@@ -362,9 +390,26 @@ class _SplitContext:
             m, sp = n - 1, u[n - s :] + v[:p]
             self.short = [word[j : j + m] for j in range(len(word) - m + 1)]
             self.note2 = {f for f in self.short if sp in f}
+        non_anchored = n if self.in_phase else len(self.non_anchored)
         self.stats = _Stats(
-            1, len(self.anchored), len(non_anchored), n, cut2 - cut1, len(self.note2)
+            1, len(self.anchored), non_anchored, n, cut2 - cut1, len(self.note2)
         )
+
+    def _in_phase(self) -> bool:
+        """W0[:lo+|x|-1] is a prefix and W0[hi:] a suffix of x^4."""
+        x4, word = self.xx * 2, self.word
+        return x4.startswith(word[: self.lo + self.n - 1]) and x4.endswith(
+            word[self.hi :]
+        )
+
+    @cached_property
+    def windows(self) -> list[str]:
+        word, n = self.word, self.n
+        return [word[j : j + n] for j in range(len(word) - n + 1)]
+
+    @cached_property
+    def non_anchored(self) -> set[str]:
+        return set(self.windows[: self.lo]).union(self.windows[self.hi :])
 
     @cached_property
     def hist(self) -> Counter:
@@ -405,12 +450,17 @@ def _dft_bound(ctx: _SplitContext, s: int) -> list[tuple[str, int, int]]:
 
 def _dichotomy(ctx: _SplitContext, s: int) -> list[tuple[str, int, int]]:
     # A length-|x| factor is a rotation of x exactly when it occurs in x+x.
+    if ctx.in_phase:
+        return []
     bad = [f for f in ctx.non_anchored if f not in ctx.xx]
     return [(f, 1, 0) for f in sorted(bad)]
 
 
 def _distinct_count(ctx: _SplitContext, s: int) -> list[tuple[str, int, int]]:
-    distinct = len(ctx.anchored | ctx.non_anchored)
+    if ctx.in_phase:
+        distinct = ctx.n + sum(f not in ctx.xx for f in ctx.anchored)
+    else:
+        distinct = len(ctx.anchored | ctx.non_anchored)
     expected = 2 * ctx.n - ctx.p - ctx.s - 1
     return [("", expected, distinct)] if distinct != expected else []
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+import oracles
 import repcore.verify
 from repcore import (
     ClaimId,
@@ -22,21 +23,25 @@ from repcore.errors import (
     NotApplicable,
     UniverseTooLarge,
 )
-from repcore.interrupts import iter_splits
+from repcore.interrupts import build, core_lengths, iter_splits
 from repcore.verify import (
+    _CLAIMS,
     DEFAULT_MAX_VIOLATIONS,
     GATING_CLAIMS,
     REPORTED_CLAIMS,
     Witness,
+    _dichotomy,
+    _distinct_count,
     _eval_chunk,
     _merge_chunks,
+    _SplitContext,
     applies,
     enumerate_specs,
     estimated_checks,
     exponent_pairs,
     verdict,
 )
-from repcore.words import is_primitive, renamings
+from repcore.words import first_use_words, is_primitive, renamings
 
 from oracles import evaluate_naive, run_full
 
@@ -394,6 +399,73 @@ def test_check_claim_equals_naive_oracle_on_long_x():
     assert {ClaimId.THEOREM1, ClaimId.NOTE2_LINEAR} <= failing
 
 
+class WindowScan(_SplitContext):
+    """The split context with the rotation test forced false, so its stats
+    and violations are read from all of W0's windows."""
+
+    def _in_phase(self):
+        return False
+
+
+def test_fast_context_equals_the_window_scan():
+    # The rotation test (module docstring of repcore.verify) replaces the
+    # non-anchored window set in the stats, dichotomy and distinct_count.
+    splits = 0
+    for k, max_x in [(2, 10), (3, 6)]:
+        for n in range(1, max_x + 1):
+            cuts = list(iter_splits(n, "both"))
+            for x in first_use_words(n, k):
+                for cut1, cut2 in cuts:
+                    fast = _SplitContext(x, cut1, cut2)
+                    slow = WindowScan(x, cut1, cut2)
+                    assert fast.in_phase and not slow.in_phase
+                    assert fast.stats == slow.stats, (x, cut1, cut2)
+                    for c, (_, per_sum) in _CLAIMS.items():
+                        for s in (3, 4, 6):
+                            want = per_sum(slow, s)
+                            assert per_sum(fast, s) == want, (x, cut1, cut2, c, s)
+                    splits += 1
+    assert splits == 47_550
+
+
+def test_rotation_test_fails_on_an_overstated_core(monkeypatch):
+    # With p one too large, the window that ends on the first mismatch past
+    # the junction counts as non-anchored; it is no rotation of x, so the
+    # rotation test fails and dichotomy reports it, as the slicing oracle
+    # does when given the same core.
+    split = DeletionSplit("aabbb", 3, 4)
+    n = len(split.x)
+    xx = split.x * 2
+    p, s = core_lengths(split.x, xx[3 : 3 + n], xx[4 : 4 + n])
+    assert p + s < n - 2
+
+    def overstated(x, u, v):
+        p, s = core_lengths(x, u, v)
+        return p + 1, s
+
+    def overstated_core(spec):
+        p, s, _, start, end, junction = core_by_continuation(spec)
+        return p + 1, s, build(spec)[start : end + 1], start, end + 1, junction
+
+    core_by_continuation = oracles.core_by_continuation
+    monkeypatch.setattr(repcore.verify, "core_lengths", overstated)
+    monkeypatch.setattr(oracles, "core_by_continuation", overstated_core)
+    ctx = _SplitContext(split.x, split.cut1, split.cut2)
+    assert (ctx.p, ctx.s) == (p + 1, s)
+    assert not ctx.in_phase
+    spec = InterruptSpec(split, 1, 2)
+    for claim, per_sum in [
+        (ClaimId.DICHOTOMY, _dichotomy),
+        (ClaimId.DISTINCT_COUNT, _distinct_count),
+    ]:
+        _, want = evaluate_naive(claim, spec)
+        assert want, claim
+        assert per_sum(ctx, 3) == [(w.factor, w.expected, w.actual) for w in want]
+    # W0 = aabbb·aab·b·aabbbaabbb; the window W0[5:10] ends on W0[9], the
+    # first symbol past the junction (8) out of phase with x^∞
+    assert _dichotomy(ctx, 3) == [("aabba", 1, 0)]
+
+
 # theorem1_deletion first fails on first-use spec 45 (split 9, x = aba) of
 # this universe, after the first chunk of a --jobs 2 run (5 of its 71
 # first-use splits, 25 specs); note3_linear fails on every spec.
@@ -562,7 +634,32 @@ def test_eval_chunk_builds_no_per_split_objects(monkeypatch):
     part = _eval_chunk((u, 0, splits, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
     assert any(rows for _, rows in part.values())
     assert calls == Counter()
+
+    # A context slices W0's windows, and counts them, only for a claim that
+    # reads occurrence counts while it has room for rows: never for the
+    # claims the rotation test decides.
+    contexts = []
+
+    class Recorded(_SplitContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            contexts.append(self)
+
+    def built(name):
+        return sum(name in vars(ctx) for ctx in contexts)
+
+    monkeypatch.setattr(repcore.verify, "_SplitContext", Recorded)
+    window_free = [ClaimId.DFT_BOUND, ClaimId.DICHOTOMY, ClaimId.DISTINCT_COUNT]
+    part = _eval_chunk((u, 0, splits, window_free, DEFAULT_MAX_VIOLATIONS))
+    assert part[ClaimId.DISTINCT_COUNT][1]
+    assert len(contexts) == splits
+    assert built("windows") == built("hist") == 0
+    contexts.clear()
+    _eval_chunk((u, 0, splits, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
+    assert len(contexts) == splits
+    assert 0 < built("hist") <= built("windows") < splits
     # the counters see the names the module calls
+    calls.clear()
     next(enumerate_specs(u))
     assert calls == Counter(DeletionSplit=1, InterruptSpec=1)
 
