@@ -12,9 +12,9 @@ sums the stats per split form and counts every claim once at the end.
 Its per_sum lists a spec's mismatches; specs with the same e1+e2 have the
 same counts, so it runs once per exponent sum, and only while the claim
 can still report rows.  Which claims are stated for a split depends only
-on its form, so a chunk picks them once per form, not once per split.  A
-worker chunk is a range of split indices in canonical order; the worker
-enumerates those splits itself.
+on its form (and its mirror's), so a chunk lists them once per pair of
+forms, not once per split.  A worker chunk is a range of split indices
+in canonical order; the worker enumerates those splits itself.
 
 Renaming the letters of x injectively keeps every claim's status, count
 and factor pattern, since each claim reads only which positions of W hold
@@ -27,18 +27,46 @@ violation is a row (|x|, σ(x), cut1, cut2, e1, e2, factor, expected,
 actual), whose plain tuple order is canonical witness order, since a factor
 occurs at most once per spec and claim.
 
-Which rows rank follows from that order.  Splits come in canonical order
+Reading a record backwards gives another one.  x^R = x3^R·x2^R·x1^R, so W
+read backwards is build(x^R, |x|-cut2, |x|-cut1, e2, e1): u and v become
+v^R and u^R, p and s swap, and the core, the anchored windows and the
+rotations of x become those of the reversed word.  A factor f occurs as
+often in W as f^R in W^R, so each claim makes on the mirror spec the
+assertions it makes on the spec, with each factor reversed, and finds the
+same violations.  A prefix split (cut2 = |x|) mirrors to a deletion split
+with cut1 = 0; theorem1 and theorem1_deletion are one assertion stated for
+the two forms.  With x^R renamed to its first-use word m by a table τ, the
+mirror of the first-use split (x, cut1, cut2) is (m, |x|-cut2, |x|-cut1).
+It is in the universe always for --forms both, when cut1 > 0 for
+deletion (its cut2 is |x|-cut1), and never for prefix.  A chunk evaluates
+a split unless its mirror is in the universe and sorts before it (under
+both, no split of a word with m < x), and a split evaluated stands for its
+mirror too unless it is its own: the mirror's stats are the split's
+(|x2| and the window counts are kept), and its violations are the
+split's with each factor f replaced by τ(f^R) and sorted again.  So each
+mirror orbit costs one context.  test_every_spec_equals_its_mirror checks
+the mirror fact on every spec of two universes.
+
+Which rows rank follows from row order.  Splits come in canonical order
 (|x|, x, cut1, cut2), and x is the smallest word of its orbit, so every
 row of a first-use split, under any renaming σ, sorts after every
 identity (σ = id) row of that split and of every earlier split.  So the
 first K = max_violations rows of the universe are among the first K
 identity rows and the renamings of the splits those rows belong to: once
 K identity rows are held, the renamed rows of the last split held, even
-of one cut short, sort after all of them.  A chunk therefore keeps its
-first K identity rows per claim and holds no orbit; run() takes the first
-K rows of the chunks in chunk order, renames only their splits, lazily,
-merges the renamed streams in plain tuple order and builds a Witness only
-for the rows it reports.
+of one cut short, sort after all of them.  Each first-use split's
+identity rows come from exactly one chunk: the one whose range holds the
+split, or the one that holds its mirror when the mirror is evaluated.  A
+chunk keeps the first K of its identity rows per claim, its own and its
+mirrors' together, and holds no orbit.  Each of the universe's first K
+identity rows lies in its chunk's list, since fewer than K of that
+chunk's rows, all identity rows of the universe, sort before it.  So
+run() takes the first K rows of the merge of the chunks' sorted lists,
+renames only their splits, lazily, merges the renamed streams in plain
+tuple order and builds a Witness only for the rows it reports.  A claim
+stops calling per_sum for a split once it holds K rows of earlier splits:
+the split's rows, and its mirror's, which sorts after it, would all fall
+past the K-th.
 
 Count rule: a window f of length |x| or |x|-1 occurs
 count_W0(f) + (e1+e2-MIN_E_SUM)·(f in x+x) times in W.
@@ -98,8 +126,8 @@ from copy import copy
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from heapq import merge
-from itertools import chain, groupby, islice, tee
+from heapq import heappop, heappush, merge
+from itertools import groupby, islice, tee
 from math import perm
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -122,6 +150,7 @@ from .interrupts import (
     iter_splits,
 )
 from .words import (
+    LETTERS,
     count_first_use_words,
     count_primitive_words,
     cyclic_occurrences,
@@ -276,12 +305,19 @@ def _word_cuts(universe: Universe, lo: int, hi: int) -> Iterator[tuple[str, list
 
     cuts lists x's (cut1, cut2) with an index in lo..hi-1, so the splits
     come in canonical order: (|x|, x lexicographic, cut1, cut2).  Every x of
-    one length has the same cuts, so a word whose splits all lie below lo is
-    skipped whole.
+    one length has the same cuts, so a length whose splits all lie below lo
+    is skipped in closed form (count_first_use_words), and a word whose
+    splits all lie below lo is skipped whole.
     """
     i = 0
     for n in range(universe.min_x, universe.max_x + 1):
+        if i >= hi:
+            return
         cuts = list(iter_splits(n, universe.forms))
+        length = count_first_use_words(n, universe.alphabet_size) * len(cuts)
+        if i + length <= lo:
+            i += length
+            continue
         for x in first_use_words(n, universe.alphabet_size):
             if i >= hi:
                 return
@@ -516,6 +552,57 @@ def check_claim(claim: ClaimId, spec: InterruptSpec) -> SpecCheck:
     return SpecCheck(count(ctx.stats, s), tuple(Witness(spec, *v) for v in violations))
 
 
+def _mirror(x: str) -> tuple[str, dict[int, int]]:
+    """(m, τ): x read backwards, renamed by the str.translate table τ into
+    the first-use word m of its orbit.
+
+    >>> _mirror("aab")[0], _mirror("abb")[0], _mirror("abba")[0]
+    ('abb', 'aab', 'abba')
+    """
+    back = x[::-1]
+    tau = str.maketrans("".join(dict.fromkeys(back)), LETTERS[: len(set(x))])
+    return back.translate(tau), tau
+
+
+class _Held:
+    """One claim's rows in a chunk, and whether the claim has room for more.
+
+    rows holds at least the first k of the rows added, unsorted; full_before
+    tells whether k of them belong to splits that sort before a split key.
+    Keys are asked in increasing order, so before counts the rows of the
+    splits that sort before the last key asked, and later is a heap of
+    (split key, rows) for the others.  When rows outgrows 2k it is cut to
+    its first k and later is rebuilt from them.  That keeps the first k
+    rows and every answer of full_before: if k rows sort before a key, the
+    first k do.
+    """
+
+    __slots__ = ("k", "rows", "before", "later")
+
+    def __init__(self, k: int):
+        self.k, self.rows, self.before, self.later = k, [], 0, []
+
+    def full_before(self, key: tuple) -> bool:
+        later = self.later
+        while later and later[0][0] < key:
+            self.before += heappop(later)[1]
+        return self.before >= self.k
+
+    def add(self, split: tuple, now: tuple, rows: list[tuple]) -> None:
+        """Add the rows of split, the split in hand (now) or its mirror."""
+        if split == now:
+            self.before += len(rows)
+        else:
+            heappush(self.later, (split, len(rows)))
+        self.rows += rows
+        if len(self.rows) > 2 * self.k:
+            # sorted, the (split key, rows) pairs form a heap
+            self.rows.sort()
+            del self.rows[self.k :]
+            groups = groupby(self.rows, key=lambda r: r[:4])
+            self.before, self.later = 0, [(key, len(list(g))) for key, g in groups]
+
+
 def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
     """Per claim: (assertions evaluated, the chunk's first max_violations rows).
 
@@ -523,47 +610,95 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
     with every (e1, e2) of the universe, standing for every split of its
     orbit, k!/(k-m)! words for m distinct letters.  The worker enumerates
     the splits itself, one first-use word x at a time, in canonical order;
-    x+x and the orbit size are computed once per word, and the claims
-    stated for each form once per chunk.  A split costs one _SplitContext:
-    its stats are summed per form, times the orbit size, and each claim's
-    count is arithmetic in those sums at the end.  The chunk renames
-    nothing, so the rows it keeps are the first identity rows (σ = id) of
-    its range, in row order.  A claim calls per_sum only while it holds
-    fewer than max_violations rows; after that a split costs it one len().
-    _merge_chunks renames the rows that rank.
+    x+x, the orbit size and x's mirror word are computed once per word, and
+    the claims to visit per (form, mirror form) once per chunk and again
+    when a claim runs out of room.  A split whose mirror is in the universe
+    and sorts before it is left to the mirror's chunk; any other split
+    costs one _SplitContext, which also stands for its mirror.  Its stats
+    are summed per form, times the orbit size, once for the split and once
+    more, under the mirror's form, for a mirror that is not the split
+    itself; each claim's count is arithmetic in those sums at the end.  The
+    chunk renames nothing but the mirror's factors, so its rows are
+    identity rows (σ = id) of its splits and their mirrors, and it keeps
+    the first max_violations of them per claim, in row order.  A claim
+    calls per_sum for a split stated for it or for its mirror, unless it
+    already holds max_violations rows of splits that sort before the split;
+    from then on it calls per_sum no more.  _merge_chunks renames the rows
+    that rank.
     """
     universe, lo, hi, claims, max_violations = args
     pairs = exponent_pairs(universe.e_sums) if lo < hi else []
-    kept: dict[ClaimId, list[tuple]] = {c: [] for c in claims}
-    # Per form (False: deletion, True: prefix): the stated claims' per_sum
-    # and rows, and the sums of the splits' stats times their orbit sizes.
-    stated = {
-        form: [(_CLAIMS[c][1], kept[c]) for c in claims if _stated_for(c, form)]
-        for form in (False, True)
-    }
+    held = {c: _Held(max_violations) for c in claims}
+    open_claims = list(claims)
+
+    def visits(form: bool, back_form: bool | None) -> list:
+        """(claim, per_sum, rows, stated for the split, stated for the
+        mirror) per claim with room for rows that is stated for a split of
+        the form or for its mirror; back_form is the mirror's form, None
+        when the split has no mirror."""
+        entries = []
+        for c in open_claims:
+            own = _stated_for(c, form)
+            back = back_form is not None and _stated_for(c, back_form)
+            if own or back:
+                entries.append((c, _CLAIMS[c][1], held[c], own, back))
+        return entries
+
+    # Per (form, mirror form): the claims a split visits, rebuilt when a
+    # claim runs out of room.  False is the deletion form, True the prefix.
+    form_pairs = [(f, b) for f in (False, True) for b in (None, False, True)]
+    plans = {fb: visits(*fb) for fb in form_pairs}
+    # Per form (False: deletion, True: prefix): the sums of the splits'
+    # stats times their orbit sizes.
     totals = {form: [0] * len(_Stats._fields) for form in (False, True)}
+    paired = universe.forms != "prefix"
     for x, cuts in _word_cuts(universe, lo, hi):
         n, xx = len(x), x + x
+        if paired:
+            m, tau = _mirror(x)
+            if m < x and universe.forms == "both":
+                continue
         size = perm(universe.alphabet_size, len(set(x)))
         stats: dict[bool, list[_Stats]] = {False: [], True: []}
         for cut1, cut2 in cuts:
+            key, mirror = (n, x, cut1, cut2), None
+            # the mirror is in a both universe always, in a deletion
+            # universe when cut1 > 0; it is prefix form when cut1 = 0
+            if paired and (cut1 or universe.forms == "both"):
+                mirror = (n, m, n - cut2, n - cut1)
+                if mirror < key:
+                    continue
+                if mirror == key:
+                    mirror = None
             ctx = _SplitContext(x, cut1, cut2, xx)
-            form = cut2 == n
+            form, back_form = cut2 == n, None if mirror is None else not cut1
             stats[form].append(ctx.stats)
-            for per_sum, rows in stated[form]:
-                if len(rows) >= max_violations:
+            if back_form is not None:
+                stats[back_form].append(ctx.stats)
+            closed = False
+            for c, per_sum, kept, own, back in plans[form, back_form]:
+                # full_before needs no call while no mirror row is pending
+                if kept.before >= max_violations or (
+                    kept.later and kept.full_before(key)
+                ):
+                    open_claims.remove(c)
+                    closed = True
                     continue
                 found = {s: per_sum(ctx, s) for s in universe.e_sums}
                 if not any(found.values()):
                     continue
-                rows += islice(
-                    (
-                        (n, x, cut1, cut2, e1, e2, *v)
-                        for e1, e2 in pairs
-                        for v in found[e1 + e2]
-                    ),
-                    max_violations - len(rows),
-                )
+                if own:
+                    kept.add(key, key, _rows(key, pairs, found, max_violations))
+                if back:
+                    found = {
+                        s: sorted(
+                            (f[::-1].translate(tau), want, got) for f, want, got in v
+                        )
+                        for s, v in found.items()
+                    }
+                    kept.add(mirror, key, _rows(mirror, pairs, found, max_violations))
+            if closed:
+                plans = {fb: visits(*fb) for fb in form_pairs}
         for form, split_stats in stats.items():
             if split_stats:
                 totals[form] = [
@@ -577,7 +712,13 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
             if _stated_for(c, form):
                 count = _CLAIMS[c][0]
                 checked[c] += sum(count(sums, e1 + e2) for e1, e2 in pairs)
-    return {c: (checked[c], kept[c]) for c in claims}
+    return {c: (checked[c], sorted(held[c].rows)[:max_violations]) for c in claims}
+
+
+def _rows(key: tuple, pairs: list, found: dict, limit: int) -> list[tuple]:
+    """The first limit rows of split key, given its violations per e1+e2."""
+    rows = (key + (e1, e2, *v) for e1, e2 in pairs for v in found[e1 + e2])
+    return list(islice(rows, limit))
 
 
 def _merge_chunks(
@@ -585,15 +726,15 @@ def _merge_chunks(
 ) -> _Chunk:
     """Per claim: (assertions evaluated, the universe's first max_violations rows).
 
-    parts are _eval_chunk results in chunk order, so the first
-    max_violations rows of their concatenation are the universe's first
-    identity rows, and by the ordering argument in the module docstring
-    the rows to report are among those and their splits' renamings.  Each
-    such split streams its rows renamed into each word of its orbit:
-    renamings yields (σ(x), σ) in σ(x) order, x first, and rows of two σ
-    differ first at σ(x), so sorting each σ's rows puts the stream in row
-    order.  The streams merge lazily, and a stream draws its next renaming
-    only once the merge has taken every row of the one before; with one
+    parts are _eval_chunk results, each list in row order, so the first
+    max_violations rows of their merge are the universe's first identity
+    rows, and by the ordering argument in the module docstring the rows to
+    report are among those and their splits' renamings.  Each such split
+    streams its rows renamed into each word of its orbit: renamings yields
+    (σ(x), σ) in σ(x) order, x first, and rows of two σ differ first at
+    σ(x), so sorting each σ's rows puts the stream in row order.  The
+    streams merge lazily, and a stream draws its next renaming only once
+    the merge has taken every row of the one before; with one
     never-advanced tee per x, shared by every claim and split, at most
     max_violations + 1 renamings of a word are drawn.
     """
@@ -608,7 +749,7 @@ def _merge_chunks(
 
     merged = {}
     for c in parts[0]:
-        held = islice(chain.from_iterable(p[c][1] for p in parts), max_violations)
+        held = islice(merge(*(p[c][1] for p in parts)), max_violations)
         splits = [list(rows) for _, rows in groupby(held, key=lambda r: r[:4])]
         first = islice(merge(*map(renamed, splits)), max_violations)
         merged[c] = (sum(p[c][0] for p in parts), list(first))

@@ -4,6 +4,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from copy import copy
 from dataclasses import replace
+from itertools import groupby
 
 import pytest
 
@@ -35,6 +36,7 @@ from repcore.verify import (
     _eval_chunk,
     _merge_chunks,
     _SplitContext,
+    _word_cuts,
     applies,
     enumerate_specs,
     estimated_checks,
@@ -356,6 +358,41 @@ def test_check_claim_equals_naive_oracle(universe):
             ), (claim, spec)
 
 
+@pytest.mark.parametrize(
+    "universe, pairs",
+    [
+        (Universe(2, 2, 7, (3, 4, 5), "both"), 363_168),
+        (Universe(3, 2, 5, (3, 4), "both"), 165_600),
+    ],
+    ids=["binary-x7-e345", "ternary-x5"],
+)
+def test_every_spec_equals_its_mirror(universe, pairs):
+    # W read backwards is build(x^R, |x|-cut2, |x|-cut1, e2, e1): u and v
+    # become v^R and u^R, p and s swap, and every claim makes the same
+    # assertions on the reversed factors.  A prefix split mirrors to a
+    # deletion split with cut1 = 0, so theorem1 there is theorem1_deletion.
+    flip = {ClaimId.THEOREM1: ClaimId.THEOREM1_DELETION}
+    flip.update({b: a for a, b in flip.items()})
+    found = {
+        (claim, spec.key()): check_claim(claim, spec)
+        for spec in enumerate_specs(universe)
+        for claim in ClaimId
+        if applies(claim, spec)
+    }
+    assert len(found) == pairs
+    for (claim, (n, x, cut1, cut2, e1, e2)), got in found.items():
+        prefix_form, mirror_prefix_form = cut2 == n, cut1 == 0
+        if prefix_form != mirror_prefix_form:
+            claim = flip.get(claim, claim)
+        back = found[claim, (n, x[::-1], n - cut2, n - cut1, e2, e1)]
+        assert back.checked == got.checked
+        backwards = [(w.factor[::-1], w.expected, w.actual) for w in back.violations]
+        assert sorted(backwards) == [
+            (w.factor, w.expected, w.actual) for w in got.violations
+        ], (claim, x, cut1, cut2, e1, e2)
+    assert any(got.violations for got in found.values())
+
+
 def random_specs(count, seed):
     """Specs with |x| 7-12 over 2-4 letters, both forms, e1+e2 3-9.  Every
     second x is a run of one letter plus a random tail, the shape whose
@@ -477,6 +514,83 @@ def split_count(universe):
     return len({spec.split for spec in representative_specs(universe)})
 
 
+def first_use_splits(universe):
+    """The first-use splits in canonical order, as _eval_chunk indexes them."""
+    return [
+        DeletionSplit(x, cut1, cut2)
+        for n in range(universe.min_x, universe.max_x + 1)
+        for x in first_use_words(n, universe.alphabet_size)
+        for cut1, cut2 in iter_splits(n, universe.forms)
+    ]
+
+
+def split_key(split):
+    return len(split.x), split.x, split.cut1, split.cut2
+
+
+def mirror_of(split):
+    """The split read backwards, (x^R, |x|-cut2, |x|-cut1), with x^R renamed
+    to the first-use word of its orbit."""
+    n, back = len(split.x), split.x[::-1]
+    used = "".join(dict.fromkeys(back))
+    table = str.maketrans(used, "abcdefghijklmnopqrstuvwxyz"[: len(used)])
+    return DeletionSplit(back.translate(table), n - split.cut2, n - split.cut1)
+
+
+def in_forms(split, forms):
+    return forms == "both" or split.is_prefix_form == (forms == "prefix")
+
+
+def evaluated_splits(universe, splits):
+    """(split, mirror or None) for each of splits that _eval_chunk builds a
+    context for: all but those whose mirror is in the universe and sorts
+    first.  The mirror is None when it is not in the universe or is the
+    split itself."""
+    for split in splits:
+        mirror = mirror_of(split)
+        if not in_forms(mirror, universe.forms) or mirror == split:
+            yield split, None
+        elif split_key(mirror) > split_key(split):
+            yield split, mirror
+
+
+def chunk_model(universe, lo, hi, k):
+    """What _eval_chunk((universe, lo, hi, claims, k)) keeps, by check_claim.
+
+    Per claim: (the splits whose per_sum the chunk calls, the first k of
+    the identity rows of its evaluated splits and their mirrors, sorted,
+    and how many evaluated splits have a spec the claim is stated for).  A
+    claim calls per_sum for an evaluated split stated for it or for its
+    mirror unless k of the rows found so far belong to earlier splits.
+    """
+    pairs = exponent_pairs(universe.e_sums)
+    evaluated = list(evaluated_splits(universe, first_use_splits(universe)[lo:hi]))
+    model = {}
+    for c in ClaimId:
+        own, rows, called, applicable = [], [], set(), 0
+        for split, mirror in evaluated:
+            stated = [
+                t for t in (split, mirror) if t and applies(c, InterruptSpec(t, 1, 2))
+            ]
+            if not stated:
+                continue
+            applicable += 1
+            if sum(r[:4] < split_key(split) for r in rows) >= k:
+                continue
+            called.add(split)
+            for t in stated:
+                found = [
+                    row(w)
+                    for e1, e2 in pairs
+                    for w in check_claim(c, InterruptSpec(t, e1, e2)).violations
+                ]
+                rows += found
+                own += found if t is split else []
+        assert own == sorted(own)
+        model[c] = (called, sorted(rows)[:k], applicable)
+    return model
+
+
 def spec_by_spec(universe):
     """Per claim: (checked, every witness in canonical order), one check_claim
     call per spec."""
@@ -505,6 +619,11 @@ def test_retention_universe_fails_late(full):
     assert specs.index(first.spec) >= first_chunk * n_pairs
     head = _eval_chunk((u, 0, first_chunk, list(ClaimId), 3))
     tail = _eval_chunk((u, first_chunk, splits, list(ClaimId), 3))
+    # each chunk keeps the first rows of its own splits and their mirrors
+    for part, lo, hi in [(head, 0, first_chunk), (tail, first_chunk, splits)]:
+        model = chunk_model(u, lo, hi, 3)
+        for c in ClaimId:
+            assert part[c][1] == model[c][1], (lo, c)
     assert head[ClaimId.THEOREM1_DELETION][1] == []
     assert tail[ClaimId.THEOREM1_DELETION][1][0] == row(first)
 
@@ -529,24 +648,59 @@ def check_merges_at_every_cut(u, k):
         head = _eval_chunk((u, 0, cut, claims, k))
         tail = _eval_chunk((u, cut, splits, claims, k))
         assert expand([head, tail]) == whole, cut
-    # one chunk per split, expanded, gives the same, and each such chunk
-    # expands to the first k rows of its split's orbit
+    # one chunk per split, expanded, gives the same.  Each such chunk
+    # expands to the first k rows of its split's orbit and its mirror's, or,
+    # when the mirror sorts first and is in the universe, to nothing at all
     parts = [_eval_chunk((u, i, i + 1, claims, k)) for i in range(splits)]
     assert expand(parts) == whole
     reps = list(dict.fromkeys(s.split for s in representative_specs(u)))
+    evaluated = dict(evaluated_splits(u, reps))
+    assert len(evaluated) < splits if u.forms != "prefix" else len(evaluated) == splits
     orbits = [expand([part]) for part in parts]
     for split, orbit in zip(reps, orbits):
+        group = set()
+        if split in evaluated:
+            group = {orbit_of(t) for t in (split, evaluated[split]) if t}
         for c in claims:
-            mine = [
-                row(w) for w in every[c][1] if orbit_of(w.spec.split) == orbit_of(split)
-            ]
+            mine = [row(w) for w in every[c][1] if orbit_of(w.spec.split) in group]
             assert orbit[c][1] == mine[:k], (split, c)
+            if not group:
+                assert orbit[c] == (0, []), (split, c)
     if k > len(whole[ClaimId.NOTE3_LINEAR][1]):
         # concatenation would not: a renamed row of a later split sorts
         # before a row of an earlier one
         note3 = [r for o in orbits for r in o[ClaimId.NOTE3_LINEAR][1]]
         assert note3 != sorted(note3)
     return whole
+
+
+def test_word_cuts_skips_whole_lengths_below_lo(monkeypatch):
+    # (x, cuts) for a split range are the splits lo..hi-1 of the canonical
+    # list grouped by x; a length whose splits all lie below lo is skipped
+    # by its closed-form count, with no word of it enumerated.
+    lengths = []
+
+    def recorded(n, alphabet_size):
+        lengths.append(n)
+        return first_use_words(n, alphabet_size)
+
+    monkeypatch.setattr(repcore.verify, "first_use_words", recorded)
+    u = Universe(3, 2, 4, (3,), "both")
+    splits = first_use_splits(u)
+    starts = [0]  # index of each length's first split
+    for n in range(u.min_x, u.max_x):
+        starts.append(starts[-1] + sum(len(s.x) == n for s in splits))
+    for lo in range(len(splits)):
+        for hi in sorted({lo + 1, min(lo + 7, len(splits)), len(splits)}):
+            lengths.clear()
+            got = list(_word_cuts(u, lo, hi))
+            want = [
+                (x, [(s.cut1, s.cut2) for s in group])
+                for x, group in groupby(splits[lo:hi], key=lambda s: s.x)
+            ]
+            assert got == want, (lo, hi)
+            first = u.min_x + sum(start <= lo for start in starts[1:])
+            assert min(lengths) == first, (lo, hi, lengths)
 
 
 def test_eval_chunk_merges_at_every_cut():
@@ -558,6 +712,19 @@ def test_eval_chunk_merges_at_every_cut():
     assert len(exponent_pairs(u.e_sums)) == 9
     whole = check_merges_at_every_cut(u, 10**6)
     assert any(len(whole[c][1]) > 100 for c in ClaimId)
+
+
+@pytest.mark.parametrize("k", [1, 3, 10**6])
+def test_eval_chunk_merges_deletion_pairs_at_every_cut(k):
+    # In a deletion universe only the splits with cut1 > 0 pair up: the
+    # mirror of (x, 0, cut2) is a prefix split, outside the universe.
+    u = Universe(2, 2, 4, (3, 4, 5), "deletion")
+    splits = first_use_splits(u)
+    evaluated = dict(evaluated_splits(u, splits))
+    assert any(s.cut1 == 0 and not evaluated[s] for s in evaluated)
+    assert any(s.cut1 > 0 and evaluated[s] for s in evaluated)
+    assert any(s.cut1 > 0 and s not in evaluated for s in splits)
+    check_merges_at_every_cut(u, k)
 
 
 @pytest.mark.parametrize("k", [1, 3, 16, 10**6])
@@ -572,9 +739,10 @@ def test_eval_chunk_merges_ternary_orbits_at_every_cut(k):
 @pytest.mark.parametrize("k", [1, 2, 5, 16, 10**6])
 def test_eval_chunk_keeps_its_first_k_identity_rows(k, monkeypatch):
     # A chunk holds no orbit.  Per claim its rows are the first min(k, all)
-    # identity rows (σ = id) of its split range, in canonical order, and the
-    # claim's per_sum is not called for a split once k rows are held.  A
-    # split has five (e1, e2) here, so k = 2 and 16 cut inside one.
+    # identity rows (σ = id) of its evaluated splits and their mirrors, in
+    # canonical order, and the claim's per_sum is not called for a split
+    # once k rows of earlier splits are held (chunk_model).  A split has
+    # five (e1, e2) here, so k = 2 and 16 cut inside one.
     calls = []
 
     def counted(claim, count, per_sum):
@@ -587,30 +755,30 @@ def test_eval_chunk_keeps_its_first_k_identity_rows(k, monkeypatch):
     for c, (count, per_sum) in list(repcore.verify._CLAIMS.items()):
         monkeypatch.setitem(repcore.verify._CLAIMS, c, counted(c, count, per_sum))
     u = Universe(3, 1, 4, (3, 4), "both")
-    specs = representative_specs(u)
-    splits = list(dict.fromkeys(spec.split for spec in specs))
-    cut_short = set()
+    splits = first_use_splits(u)
+    cut_short, mirrored, past = set(), set(), set()
     for lo, hi in [(0, len(splits)), (7, 40), (len(splits) // 2, len(splits))]:
         calls.clear()
         part = _eval_chunk((u, lo, hi, list(ClaimId), k))
         chunk_calls = list(calls)  # check_claim below calls per_sum too
+        model = chunk_model(u, lo, hi, k)
+        own = {split_key(s) for s, _ in evaluated_splits(u, splits[lo:hi])}
         for c in ClaimId:
-            rows, called, applicable = [], set(), 0
-            for split in splits[lo:hi]:
-                mine = [spec for spec in specs if spec.split == split]
-                if not applies(c, mine[0]):
-                    continue
-                applicable += 1
-                if len(rows) < k:
-                    called.add(split)
-                rows += [row(w) for s in mine for w in check_claim(c, s).violations]
-            assert rows == sorted(rows)
-            assert part[c][1] == rows[:k], (lo, hi, c)
+            called, rows, applicable = model[c]
+            assert part[c][1] == rows, (lo, hi, c)
             assert {sp for cl, sp in chunk_calls if cl is c} == called, (lo, hi, c)
             if len(called) < applicable:
                 cut_short.add(c)
+            mirrored |= {lo for r in rows if r[:4] not in own}
+            past |= {lo for r in rows if r[:4] > split_key(splits[hi - 1])}
     # a small k stops most claims early, and no claim has 10**6 rows
     assert len(cut_short) >= 6 if k < 10**6 else not cut_short
+    # the first k <= 5 rows of each chunk are its own; past them chunks keep
+    # mirror rows, and only the chunk that ends before the last split keeps
+    # rows of splits past its range, since a mirror sorts after its split
+    half = len(splits) // 2
+    assert mirrored == (set() if k <= 5 else {0, 7} if k == 16 else {0, 7, half})
+    assert past == (set() if k <= 5 else {7})
 
 
 def test_eval_chunk_builds_no_per_split_objects(monkeypatch):
@@ -658,6 +826,14 @@ def test_eval_chunk_builds_no_per_split_objects(monkeypatch):
     _eval_chunk((u, 0, splits, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
     assert len(contexts) == splits
     assert 0 < built("hist") <= built("windows") < splits
+    # A both universe builds one context per mirror orbit: {split, mirror}
+    both = Universe(2, 2, 8, (3, 4), "both")
+    every = first_use_splits(both)
+    orbits = {frozenset({split_key(s), split_key(mirror_of(s))}) for s in every}
+    assert (len(every), len(orbits)) == (6722, 3399)
+    contexts.clear()
+    _eval_chunk((both, 0, len(every), list(ClaimId), DEFAULT_MAX_VIOLATIONS))
+    assert len(contexts) == len(orbits)
     # the counters see the names the module calls
     calls.clear()
     next(enumerate_specs(u))
@@ -685,6 +861,8 @@ def test_run_witnesses_share_their_spec(jobs, monkeypatch):
 def test_eval_chunk_keeps_first_k_witnesses(full, k):
     # The chunk's rows are the first k witnesses whose x is first-use, not
     # the first k of the full list: renamed specs are the parent's to add.
+    # A chunk over the whole universe evaluates one split per mirror orbit
+    # and emits the mirror's identity rows too, so it holds every one.
     # At k = 10 the two differ (theorem1's sixth witness is renamed), so a
     # chunk that kept its splits' renamed rows would fail here.
     u = RETENTION_UNIVERSE
