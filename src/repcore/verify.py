@@ -13,8 +13,9 @@ Its per_sum lists a spec's mismatches; specs with the same e1+e2 have the
 same counts, so it runs once per exponent sum, and only while the claim
 can still report rows.  Which claims are stated for a split depends only
 on its form (and its mirror's), so a chunk lists them once per pair of
-forms, not once per split.  A worker chunk is a range of split indices
-in canonical order; the worker enumerates those splits itself.
+forms, not once per split.  Each worker runs one chunk: the first-use
+words are dealt out among the chunks by canonical index, and a worker
+enumerates its words itself.
 
 Renaming the letters of x injectively keeps every claim's status, count
 and factor pattern, since each claim reads only which positions of W hold
@@ -55,18 +56,21 @@ first K = max_violations rows of the universe are among the first K
 identity rows and the renamings of the splits those rows belong to: once
 K identity rows are held, the renamed rows of the last split held, even
 of one cut short, sort after all of them.  Each first-use split's
-identity rows come from exactly one chunk: the one whose range holds the
-split, or the one that holds its mirror when the mirror is evaluated.  A
-chunk keeps the first K of its identity rows per claim, its own and its
-mirrors' together, and holds no orbit.  Each of the universe's first K
-identity rows lies in its chunk's list, since fewer than K of that
-chunk's rows, all identity rows of the universe, sort before it.  So
-run() takes the first K rows of the merge of the chunks' sorted lists,
-renames only their splits, lazily, merges the renamed streams in plain
-tuple order and builds a Witness only for the rows it reports.  A claim
-stops calling per_sum for a split once it holds K rows of earlier splits:
-the split's rows, and its mirror's, which sorts after it, would all fall
-past the K-th.
+identity rows come from exactly one chunk: the one dealt the split's
+word, or the one dealt its mirror's word when the mirror is evaluated.
+A chunk keeps the first K of its identity rows per claim, its own and
+its mirrors' together, and holds no orbit.  Each of the universe's first
+K identity rows lies in its chunk's list, since fewer than K of that
+chunk's rows, all identity rows of the universe, sort before it, however
+the splits are dealt.  So run() takes the first K rows of the merge of
+the chunks' sorted lists, renames only their splits, lazily, merges the
+renamed streams in plain tuple order and builds a Witness only for the
+rows it reports.  A chunk visits its splits in canonical order and a
+mirror sorts after its split, so a row not produced yet (of the split in
+hand, a later split or their mirrors) sorts after every row of an
+earlier split.  So once a claim holds K rows of the chunk's own splits,
+it calls per_sum no more; mirror rows do not count, since a mirror can
+sort after splits still to come.
 
 Count rule: a window f of length |x| or |x|-1 occurs
 count_W0(f) + (e1+e2-MIN_E_SUM)·(f in x+x) times in W.
@@ -126,7 +130,7 @@ from copy import copy
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from heapq import heappop, heappush, merge
+from heapq import merge
 from itertools import groupby, islice, tee
 from math import perm
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -300,30 +304,25 @@ def _split_count(universe: Universe, count_words=count_first_use_words) -> int:
     )
 
 
-def _word_cuts(universe: Universe, lo: int, hi: int) -> Iterator[tuple[str, list]]:
-    """(x, cuts) for the first-use split indices lo..hi-1, one x at a time.
+def _word_cuts(
+    universe: Universe, part: int, parts: int
+) -> Iterator[tuple[str, list]]:
+    """(x, cuts) for the first-use words dealt to part `part` of `parts`.
 
-    cuts lists x's (cut1, cut2) with an index in lo..hi-1, so the splits
-    come in canonical order: (|x|, x lexicographic, cut1, cut2).  Every x of
-    one length has the same cuts, so a length whose splits all lie below lo
-    is skipped in closed form (count_first_use_words), and a word whose
-    splits all lie below lo is skipped whole.
+    The words that have splits are indexed in canonical order (|x|, x
+    lexicographic), and the part gets every word whose index i has
+    i % parts == part, with all of its (cut1, cut2); so the part's splits
+    come in canonical order: (|x|, x, cut1, cut2).
     """
     i = 0
     for n in range(universe.min_x, universe.max_x + 1):
-        if i >= hi:
-            return
         cuts = list(iter_splits(n, universe.forms))
-        length = count_first_use_words(n, universe.alphabet_size) * len(cuts)
-        if i + length <= lo:
-            i += length
+        if not cuts:
             continue
         for x in first_use_words(n, universe.alphabet_size):
-            if i >= hi:
-                return
-            if i + len(cuts) > lo:
-                yield x, cuts[max(lo - i, 0) : hi - i]
-            i += len(cuts)
+            if i % parts == part:
+                yield x, cuts
+            i += 1
 
 
 def enumerate_specs(
@@ -565,69 +564,52 @@ def _mirror(x: str) -> tuple[str, dict[int, int]]:
 
 
 class _Held:
-    """One claim's rows in a chunk, and whether the claim has room for more.
-
-    rows holds at least the first k of the rows added, unsorted; full_before
-    tells whether k of them belong to splits that sort before a split key.
-    Keys are asked in increasing order, so before counts the rows of the
-    splits that sort before the last key asked, and later is a heap of
-    (split key, rows) for the others.  When rows outgrows 2k it is cut to
-    its first k and later is rebuilt from them.  That keeps the first k
-    rows and every answer of full_before: if k rows sort before a key, the
-    first k do.
+    """One claim's rows in a chunk: at least the first k of the rows added,
+    unsorted, and how many of the rows added are of the chunk's own splits,
+    not of their mirrors.  When rows outgrows 2k it is cut to its first k.
     """
 
-    __slots__ = ("k", "rows", "before", "later")
+    __slots__ = ("k", "rows", "own")
 
     def __init__(self, k: int):
-        self.k, self.rows, self.before, self.later = k, [], 0, []
+        self.k, self.rows, self.own = k, [], 0
 
-    def full_before(self, key: tuple) -> bool:
-        later = self.later
-        while later and later[0][0] < key:
-            self.before += heappop(later)[1]
-        return self.before >= self.k
-
-    def add(self, split: tuple, now: tuple, rows: list[tuple]) -> None:
-        """Add the rows of split, the split in hand (now) or its mirror."""
-        if split == now:
-            self.before += len(rows)
-        else:
-            heappush(self.later, (split, len(rows)))
+    def add(self, rows: list[tuple], own: bool) -> None:
+        if own:
+            self.own += len(rows)
         self.rows += rows
         if len(self.rows) > 2 * self.k:
-            # sorted, the (split key, rows) pairs form a heap
             self.rows.sort()
             del self.rows[self.k :]
-            groups = groupby(self.rows, key=lambda r: r[:4])
-            self.before, self.later = 0, [(key, len(list(g))) for key, g in groups]
 
 
 def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
     """Per claim: (assertions evaluated, the chunk's first max_violations rows).
 
-    The chunk is the first-use splits with canonical indices lo..hi-1, each
-    with every (e1, e2) of the universe, standing for every split of its
-    orbit, k!/(k-m)! words for m distinct letters.  The worker enumerates
-    the splits itself, one first-use word x at a time, in canonical order;
-    x+x, the orbit size and x's mirror word are computed once per word, and
-    the claims to visit per (form, mirror form) once per chunk and again
-    when a claim runs out of room.  A split whose mirror is in the universe
-    and sorts before it is left to the mirror's chunk; any other split
-    costs one _SplitContext, which also stands for its mirror.  Its stats
-    are summed per form, times the orbit size, once for the split and once
-    more, under the mirror's form, for a mirror that is not the split
-    itself; each claim's count is arithmetic in those sums at the end.  The
-    chunk renames nothing but the mirror's factors, so its rows are
-    identity rows (σ = id) of its splits and their mirrors, and it keeps
-    the first max_violations of them per claim, in row order.  A claim
-    calls per_sum for a split stated for it or for its mirror, unless it
-    already holds max_violations rows of splits that sort before the split;
-    from then on it calls per_sum no more.  _merge_chunks renames the rows
+    args is (universe, part, parts, claims, max_violations), and the chunk
+    is the first-use words _word_cuts deals to part `part` of `parts`, each
+    with all of its splits and every (e1, e2) of the universe, standing for
+    every split of its orbit, k!/(k-m)! words for m distinct letters.  The
+    worker enumerates its words itself, in canonical order; x+x, the orbit
+    size and x's mirror word are computed once per word, and the claims to
+    visit per (form, mirror form) once per chunk and again when a claim
+    runs out of room.  A split whose mirror is in the universe and sorts
+    before it is left to the mirror's chunk; any other split costs one
+    _SplitContext, which also stands for its mirror.  Its stats are summed
+    per form, times the orbit size, once for the split and once more, under
+    the mirror's form, for a mirror that is not the split itself; each
+    claim's count is arithmetic in those sums at the end, and depends only
+    on e1+e2.  The chunk renames nothing but the mirror's factors, so its
+    rows are identity rows (σ = id) of its splits and their mirrors, and it
+    keeps the first max_violations of them per claim, in row order.  A
+    claim calls per_sum for a split stated for it or for its mirror until
+    it holds max_violations rows of the chunk's own splits; by the module
+    docstring no row after those can rank.  _merge_chunks renames the rows
     that rank.
     """
-    universe, lo, hi, claims, max_violations = args
-    pairs = exponent_pairs(universe.e_sums) if lo < hi else []
+    universe, part, parts, claims, max_violations = args
+    # read only by _rows, so a chunk that meets no split builds no pairs
+    pairs = cache(lambda: exponent_pairs(universe.e_sums))
     held = {c: _Held(max_violations) for c in claims}
     open_claims = list(claims)
 
@@ -652,7 +634,7 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
     # stats times their orbit sizes.
     totals = {form: [0] * len(_Stats._fields) for form in (False, True)}
     paired = universe.forms != "prefix"
-    for x, cuts in _word_cuts(universe, lo, hi):
+    for x, cuts in _word_cuts(universe, part, parts):
         n, xx = len(x), x + x
         if paired:
             m, tau = _mirror(x)
@@ -677,18 +659,11 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
                 stats[back_form].append(ctx.stats)
             closed = False
             for c, per_sum, kept, own, back in plans[form, back_form]:
-                # full_before needs no call while no mirror row is pending
-                if kept.before >= max_violations or (
-                    kept.later and kept.full_before(key)
-                ):
-                    open_claims.remove(c)
-                    closed = True
-                    continue
                 found = {s: per_sum(ctx, s) for s in universe.e_sums}
                 if not any(found.values()):
                     continue
                 if own:
-                    kept.add(key, key, _rows(key, pairs, found, max_violations))
+                    kept.add(_rows(key, pairs(), found, max_violations), True)
                 if back:
                     found = {
                         s: sorted(
@@ -696,7 +671,10 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
                         )
                         for s, v in found.items()
                     }
-                    kept.add(mirror, key, _rows(mirror, pairs, found, max_violations))
+                    kept.add(_rows(mirror, pairs(), found, max_violations), False)
+                if kept.own >= max_violations:
+                    open_claims.remove(c)
+                    closed = True
             if closed:
                 plans = {fb: visits(*fb) for fb in form_pairs}
         for form, split_stats in stats.items():
@@ -711,7 +689,7 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
         for c in claims:
             if _stated_for(c, form):
                 count = _CLAIMS[c][0]
-                checked[c] += sum(count(sums, e1 + e2) for e1, e2 in pairs)
+                checked[c] += sum((s - 1) * count(sums, s) for s in universe.e_sums)
     return {c: (checked[c], sorted(held[c].rows)[:max_violations]) for c in claims}
 
 
@@ -767,16 +745,17 @@ def run(
 
     Output is deterministic and identical for any job count: every spec is
     evaluated (no early exit), through the first-use spec of its orbit, and
-    chunk results merge in canonical order.  A chunk is a range of
-    first-use split indices, so the parent holds no spec and sends each
-    worker five small values.  Each chunk keeps only its first
-    max_violations identity rows per claim and counts the rest of its
-    assertions, so memory is bounded by what is reported.  _merge_chunks
-    renames the splits of the first max_violations of them and keeps the
-    first max_violations rows of the whole universe, for any chunking.
-    Only those rows become Witnesses, and each reported split and spec is
-    one object, shared by every claim that reports it.  The pool starts at
-    most one worker per CPU, whatever jobs asks for.
+    chunk results merge in canonical order.  Each worker runs one chunk,
+    part `part` of `workers` (_word_cuts deals the first-use words out by
+    canonical index), so the parent holds no spec and sends each worker
+    five small values; one worker runs its chunk in process.  Each chunk
+    keeps only its first max_violations identity rows per claim and counts
+    the rest of its assertions, so memory is bounded by what is reported.
+    _merge_chunks renames the splits of the first max_violations of them
+    and keeps the first max_violations rows of the whole universe, for any
+    dealing.  Only those rows become Witnesses, and each reported split and
+    spec is one object, shared by every claim that reports it.  The pool
+    starts at most one worker per CPU, whatever jobs asks for.
     """
     if max_violations < 1:
         raise InvalidLimit(f"max_violations must be >= 1, got {max_violations}")
@@ -797,22 +776,21 @@ def run(
     splits = _split_count(universe)
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1 or splits < 2:
-        parts = [_eval_chunk((universe, 0, splits, claim_list, max_violations))]
+        chunks = [_eval_chunk((universe, 0, 1, claim_list, max_violations))]
     else:
-        size = -(-splits // (workers * 8))
         tasks = [
-            (universe, lo, min(lo + size, splits), claim_list, max_violations)
-            for lo in range(0, splits, size)
+            (universe, part, workers, claim_list, max_violations)
+            for part in range(workers)
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_eval_chunk, tasks))
+            chunks = list(pool.map(_eval_chunk, tasks))
     split_of, spec_of = cache(DeletionSplit), cache(InterruptSpec)
 
     def witness(_n, sx, cut1, cut2, e1, e2, *violation) -> Witness:
         return Witness(spec_of(split_of(sx, cut1, cut2), e1, e2), *violation)
 
     reports = []
-    merged = _merge_chunks(parts, max_violations, universe.alphabet_size)
+    merged = _merge_chunks(chunks, max_violations, universe.alphabet_size)
     for c, (checked, rows) in merged.items():
         violations = [witness(*row) for row in rows]
         if checked == 0:

@@ -235,9 +235,9 @@ def run_full(universe, claims=None, max_violations=10, jobs=1, max_checks=None):
     """repcore.verify.run by full enumeration: every primitive x, no orbits.
 
     The splits of every primitive word, in canonical order, are cut into
-    contiguous chunks as run() cuts its splits (about 8 per job); each chunk
-    keeps its first max_violations witnesses per claim in spec-then-factor
-    order, and the chunks' lists are concatenated.  Claims are evaluated by
+    contiguous chunks; each chunk keeps its first max_violations witnesses
+    per claim in spec-then-factor order, and the chunks' lists are
+    concatenated.  Claims are evaluated by
     repcore.verify's claim table on each word itself, its count asked for
     one split at a time, so this checks the orbit reduction, the per-form
     sums of the split stats, the renamed witnesses and the key merge;

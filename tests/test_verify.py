@@ -503,25 +503,33 @@ def test_rotation_test_fails_on_an_overstated_core(monkeypatch):
     assert _dichotomy(ctx, 3) == [("aabba", 1, 0)]
 
 
-# theorem1_deletion first fails on first-use spec 45 (split 9, x = aba) of
-# this universe, after the first chunk of a --jobs 2 run (5 of its 71
-# first-use splits, 25 specs); note3_linear fails on every spec.
+# theorem1_deletion first fails on first-use spec 45 (split 9, x = aba, the
+# third of the universe's ten first-use words) of this universe, so in a
+# --jobs 3 run the part dealt words 0, 3, 6 and 9 holds none of its rows;
+# note3_linear fails on every spec.
 RETENTION_UNIVERSE = Universe(2, 2, 4, (3, 4), "both")
 
 
-def split_count(universe):
-    """First-use splits: the index space of _eval_chunk's chunks."""
-    return len({spec.split for spec in representative_specs(universe)})
-
-
 def first_use_splits(universe):
-    """The first-use splits in canonical order, as _eval_chunk indexes them."""
+    """The first-use splits in canonical order, as _eval_chunk visits them."""
     return [
         DeletionSplit(x, cut1, cut2)
         for n in range(universe.min_x, universe.max_x + 1)
         for x in first_use_words(n, universe.alphabet_size)
         for cut1, cut2 in iter_splits(n, universe.forms)
     ]
+
+
+def words_with_splits(universe):
+    """The first-use words that have splits, in canonical order: the words
+    _word_cuts deals out by index."""
+    return list(dict.fromkeys(s.x for s in first_use_splits(universe)))
+
+
+def dealt_splits(universe, part, parts):
+    """The first-use splits of the words dealt to part `part` of `parts`."""
+    words = set(words_with_splits(universe)[part::parts])
+    return [s for s in first_use_splits(universe) if s.x in words]
 
 
 def split_key(split):
@@ -554,17 +562,18 @@ def evaluated_splits(universe, splits):
             yield split, mirror
 
 
-def chunk_model(universe, lo, hi, k):
-    """What _eval_chunk((universe, lo, hi, claims, k)) keeps, by check_claim.
+def chunk_model(universe, part, parts, k):
+    """What _eval_chunk((universe, part, parts, claims, k)) keeps, by check_claim.
 
     Per claim: (the splits whose per_sum the chunk calls, the first k of
     the identity rows of its evaluated splits and their mirrors, sorted,
     and how many evaluated splits have a spec the claim is stated for).  A
     claim calls per_sum for an evaluated split stated for it or for its
-    mirror unless k of the rows found so far belong to earlier splits.
+    mirror until k own rows are held: rows of the chunk's evaluated
+    splits, not of their mirrors.
     """
     pairs = exponent_pairs(universe.e_sums)
-    evaluated = list(evaluated_splits(universe, first_use_splits(universe)[lo:hi]))
+    evaluated = list(evaluated_splits(universe, dealt_splits(universe, part, parts)))
     model = {}
     for c in ClaimId:
         own, rows, called, applicable = [], [], set(), 0
@@ -575,7 +584,7 @@ def chunk_model(universe, lo, hi, k):
             if not stated:
                 continue
             applicable += 1
-            if sum(r[:4] < split_key(split) for r in rows) >= k:
+            if len(own) >= k:
                 continue
             called.add(split)
             for t in stated:
@@ -612,20 +621,18 @@ def full():
 
 def test_retention_universe_fails_late(full):
     u = RETENTION_UNIVERSE
-    specs, splits = representative_specs(u), split_count(u)
-    n_pairs = len(specs) // splits
-    first_chunk = (splits + 15) // 16  # run()'s chunk size with 2 workers
+    specs, words = representative_specs(u), words_with_splits(u)
     first = full[ClaimId.THEOREM1_DELETION][1][0]
-    assert specs.index(first.spec) >= first_chunk * n_pairs
-    head = _eval_chunk((u, 0, first_chunk, list(ClaimId), 3))
-    tail = _eval_chunk((u, first_chunk, splits, list(ClaimId), 3))
+    assert specs.index(first.spec) == 45
+    assert len(words) == 10 and words.index(first.spec.split.x) == 2
+    parts = [_eval_chunk((u, part, 3, list(ClaimId), 3)) for part in range(3)]
     # each chunk keeps the first rows of its own splits and their mirrors
-    for part, lo, hi in [(head, 0, first_chunk), (tail, first_chunk, splits)]:
-        model = chunk_model(u, lo, hi, 3)
+    for p, part in enumerate(parts):
+        model = chunk_model(u, p, 3, 3)
         for c in ClaimId:
-            assert part[c][1] == model[c][1], (lo, c)
-    assert head[ClaimId.THEOREM1_DELETION][1] == []
-    assert tail[ClaimId.THEOREM1_DELETION][1][0] == row(first)
+            assert part[c][1] == model[c][1], (p, c)
+    assert parts[0][ClaimId.THEOREM1_DELETION][1] == []
+    assert parts[2][ClaimId.THEOREM1_DELETION][1][0] == row(first)
 
 
 def orbit_of(split):
@@ -635,37 +642,40 @@ def orbit_of(split):
 
 
 def check_merges_at_every_cut(u, k):
-    splits = split_count(u)
     claims = list(ClaimId)
     every = spec_by_spec(u)
+    words = words_with_splits(u)
 
     def expand(parts):
         return _merge_chunks(parts, k, u.alphabet_size)
 
-    whole = expand([_eval_chunk((u, 0, splits, claims, k))])
+    whole = expand([_eval_chunk((u, 0, 1, claims, k))])
     assert whole == merged([as_rows(every)], k)
-    for cut in range(splits + 1):
-        head = _eval_chunk((u, 0, cut, claims, k))
-        tail = _eval_chunk((u, cut, splits, claims, k))
-        assert expand([head, tail]) == whole, cut
-    # one chunk per split, expanded, gives the same.  Each such chunk
-    # expands to the first k rows of its split's orbit and its mirror's, or,
-    # when the mirror sorts first and is in the universe, to nothing at all
-    parts = [_eval_chunk((u, i, i + 1, claims, k)) for i in range(splits)]
-    assert expand(parts) == whole
+    for n_parts in range(1, len(words) + 1):
+        parts = [_eval_chunk((u, p, n_parts, claims, k)) for p in range(n_parts)]
+        assert expand(parts) == whole, n_parts
+    # the last dealing has one word per part.  Each such part expands to the
+    # first k rows of its word's orbit and its evaluated splits' mirrors',
+    # or, when every split's mirror sorts first and is in the universe, to
+    # nothing at all
     reps = list(dict.fromkeys(s.split for s in representative_specs(u)))
     evaluated = dict(evaluated_splits(u, reps))
+    splits = len(reps)
     assert len(evaluated) < splits if u.forms != "prefix" else len(evaluated) == splits
     orbits = [expand([part]) for part in parts]
-    for split, orbit in zip(reps, orbits):
-        group = set()
-        if split in evaluated:
-            group = {orbit_of(t) for t in (split, evaluated[split]) if t}
+    for x, orbit in zip(words, orbits):
+        group = {
+            orbit_of(t)
+            for split, mirror in evaluated.items()
+            if split.x == x
+            for t in (split, mirror)
+            if t
+        }
         for c in claims:
             mine = [row(w) for w in every[c][1] if orbit_of(w.spec.split) in group]
-            assert orbit[c][1] == mine[:k], (split, c)
+            assert orbit[c][1] == mine[:k], (x, c)
             if not group:
-                assert orbit[c] == (0, []), (split, c)
+                assert orbit[c] == (0, []), (x, c)
     if k > len(whole[ClaimId.NOTE3_LINEAR][1]):
         # concatenation would not: a renamed row of a later split sorts
         # before a row of an earlier one
@@ -674,40 +684,36 @@ def check_merges_at_every_cut(u, k):
     return whole
 
 
-def test_word_cuts_skips_whole_lengths_below_lo(monkeypatch):
-    # (x, cuts) for a split range are the splits lo..hi-1 of the canonical
-    # list grouped by x; a length whose splits all lie below lo is skipped
-    # by its closed-form count, with no word of it enumerated.
-    lengths = []
-
-    def recorded(n, alphabet_size):
-        lengths.append(n)
-        return first_use_words(n, alphabet_size)
-
-    monkeypatch.setattr(repcore.verify, "first_use_words", recorded)
-    u = Universe(3, 2, 4, (3,), "both")
-    splits = first_use_splits(u)
-    starts = [0]  # index of each length's first split
-    for n in range(u.min_x, u.max_x):
-        starts.append(starts[-1] + sum(len(s.x) == n for s in splits))
-    for lo in range(len(splits)):
-        for hi in sorted({lo + 1, min(lo + 7, len(splits)), len(splits)}):
-            lengths.clear()
-            got = list(_word_cuts(u, lo, hi))
-            want = [
-                (x, [(s.cut1, s.cut2) for s in group])
-                for x, group in groupby(splits[lo:hi], key=lambda s: s.x)
-            ]
-            assert got == want, (lo, hi)
-            first = u.min_x + sum(start <= lo for start in starts[1:])
-            assert min(lengths) == first, (lo, hi, lengths)
+def test_word_cuts_deals_words_by_canonical_index():
+    # Part p of `parts` holds the first-use words whose canonical index is
+    # p mod parts, each with all of its cuts.  The parts are disjoint and in
+    # canonical order, and together they give the canonical (x, cuts) list
+    # exactly, for every part count up to one more than the word count.
+    # |x| = 1 has no split, so its word takes no index.
+    for min_x in (1, 2):
+        u = Universe(3, min_x, 4, (3,), "both")
+        want = [
+            (x, [(s.cut1, s.cut2) for s in group])
+            for x, group in groupby(first_use_splits(u), key=lambda s: s.x)
+        ]
+        assert [x for x, _ in want] == words_with_splits(u)
+        for parts in range(1, len(want) + 2):
+            got = [list(_word_cuts(u, p, parts)) for p in range(parts)]
+            for p, words in enumerate(got):
+                assert words == [w for i, w in enumerate(want) if i % parts == p]
+                assert words == sorted(words, key=lambda w: (len(w[0]), w[0]))
+            xs = [x for words in got for x, _ in words]
+            assert len(xs) == len(set(xs))
+            assert sorted(w for words in got for w in words) == sorted(want)
+            assert all(got) == (parts <= len(want))
 
 
 def test_eval_chunk_merges_at_every_cut():
-    # Nine (e1, e2) per split; a chunk is a range of first-use split indices,
-    # so it holds every (e1, e2) of its splits, and a cut falls between two
-    # first-use splits.  Renamed rows of a later chunk can sort first, so the
-    # renamed streams merge in row order, not by concatenation.
+    # Nine (e1, e2) per split; a chunk is the first-use words dealt to one
+    # part, so it holds every split of its words and every (e1, e2) of its
+    # splits, and a part boundary falls between two words.  Renamed rows of
+    # a later chunk can sort first, so the renamed streams merge in row
+    # order, not by concatenation.
     u = Universe(2, 2, 3, (3, 4, 5), "both")
     assert len(exponent_pairs(u.e_sums)) == 9
     whole = check_merges_at_every_cut(u, 10**6)
@@ -741,8 +747,8 @@ def test_eval_chunk_keeps_its_first_k_identity_rows(k, monkeypatch):
     # A chunk holds no orbit.  Per claim its rows are the first min(k, all)
     # identity rows (σ = id) of its evaluated splits and their mirrors, in
     # canonical order, and the claim's per_sum is not called for a split
-    # once k rows of earlier splits are held (chunk_model).  A split has
-    # five (e1, e2) here, so k = 2 and 16 cut inside one.
+    # once k rows of the chunk's own splits are held (chunk_model).  A split
+    # has five (e1, e2) here, so k = 2 and 16 cut inside one.
     calls = []
 
     def counted(claim, count, per_sum):
@@ -755,37 +761,41 @@ def test_eval_chunk_keeps_its_first_k_identity_rows(k, monkeypatch):
     for c, (count, per_sum) in list(repcore.verify._CLAIMS.items()):
         monkeypatch.setitem(repcore.verify._CLAIMS, c, counted(c, count, per_sum))
     u = Universe(3, 1, 4, (3, 4), "both")
-    splits = first_use_splits(u)
+    assert words_with_splits(u)[1:4] == ["aab", "aba", "abb"]
+    dealings = [(part, parts) for parts in (1, 2, 3) for part in range(parts)]
     cut_short, mirrored, past = set(), set(), set()
-    for lo, hi in [(0, len(splits)), (7, 40), (len(splits) // 2, len(splits))]:
+    for part, parts in dealings:
         calls.clear()
-        part = _eval_chunk((u, lo, hi, list(ClaimId), k))
+        chunk = _eval_chunk((u, part, parts, list(ClaimId), k))
         chunk_calls = list(calls)  # check_claim below calls per_sum too
-        model = chunk_model(u, lo, hi, k)
-        own = {split_key(s) for s, _ in evaluated_splits(u, splits[lo:hi])}
+        model = chunk_model(u, part, parts, k)
+        dealt = dealt_splits(u, part, parts)
+        own = {split_key(s) for s, _ in evaluated_splits(u, dealt)}
         for c in ClaimId:
             called, rows, applicable = model[c]
-            assert part[c][1] == rows, (lo, hi, c)
-            assert {sp for cl, sp in chunk_calls if cl is c} == called, (lo, hi, c)
+            assert chunk[c][1] == rows, (part, parts, c)
+            assert {sp for cl, sp in chunk_calls if cl is c} == called, (part, c)
             if len(called) < applicable:
                 cut_short.add(c)
-            mirrored |= {lo for r in rows if r[:4] not in own}
-            past |= {lo for r in rows if r[:4] > split_key(splits[hi - 1])}
+            mirrored |= {(part, parts) for r in rows if r[:4] not in own}
+            past |= {(part, parts) for r in rows if r[:4] > split_key(dealt[-1])}
     # a small k stops most claims early, and no claim has 10**6 rows
     assert len(cut_short) >= 6 if k < 10**6 else not cut_short
-    # the first k <= 5 rows of each chunk are its own; past them chunks keep
-    # mirror rows, and only the chunk that ends before the last split keeps
-    # rows of splits past its range, since a mirror sorts after its split
-    half = len(splits) // 2
-    assert mirrored == (set() if k <= 5 else {0, 7} if k == 16 else {0, 7, half})
-    assert past == (set() if k <= 5 else {7})
+    # Up to k = 5 only the parts dealt aab as their first word keep a mirror
+    # row: theorem1_deletion's first there is (abb, 0, 1), the mirror of
+    # aab's prefix split (aab, 2, 3), since abb's splits are all left to
+    # their mirrors.  Past k = 5 every part keeps mirror rows, and only part
+    # 2 of 3, whose last word is not the universe's last, keeps rows of
+    # splits past its own last split, since a mirror sorts after its split.
+    assert mirrored == ({(1, 2), (1, 3)} if k <= 5 else set(dealings))
+    assert past == ({(2, 3)} if k == 10**6 else set())
 
 
 def test_eval_chunk_builds_no_per_split_objects(monkeypatch):
     # A split costs one _SplitContext built from (x, cut1, cut2): no
     # DeletionSplit, InterruptSpec or core report, and no anchor_windows.
     u = Universe()
-    splits = split_count(u)
+    splits = len(first_use_splits(u))
     calls = Counter()
 
     def counting(name):
@@ -799,7 +809,7 @@ def test_eval_chunk_builds_no_per_split_objects(monkeypatch):
 
     for name in ("DeletionSplit", "InterruptSpec", "core", "anchor_windows"):
         monkeypatch.setattr(repcore.verify, name, counting(name))
-    part = _eval_chunk((u, 0, splits, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
+    part = _eval_chunk((u, 0, 1, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
     assert any(rows for _, rows in part.values())
     assert calls == Counter()
 
@@ -818,12 +828,12 @@ def test_eval_chunk_builds_no_per_split_objects(monkeypatch):
 
     monkeypatch.setattr(repcore.verify, "_SplitContext", Recorded)
     window_free = [ClaimId.DFT_BOUND, ClaimId.DICHOTOMY, ClaimId.DISTINCT_COUNT]
-    part = _eval_chunk((u, 0, splits, window_free, DEFAULT_MAX_VIOLATIONS))
+    part = _eval_chunk((u, 0, 1, window_free, DEFAULT_MAX_VIOLATIONS))
     assert part[ClaimId.DISTINCT_COUNT][1]
     assert len(contexts) == splits
     assert built("windows") == built("hist") == 0
     contexts.clear()
-    _eval_chunk((u, 0, splits, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
+    _eval_chunk((u, 0, 1, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
     assert len(contexts) == splits
     assert 0 < built("hist") <= built("windows") < splits
     # A both universe builds one context per mirror orbit: {split, mirror}
@@ -832,7 +842,12 @@ def test_eval_chunk_builds_no_per_split_objects(monkeypatch):
     orbits = {frozenset({split_key(s), split_key(mirror_of(s))}) for s in every}
     assert (len(every), len(orbits)) == (6722, 3399)
     contexts.clear()
-    _eval_chunk((both, 0, len(every), list(ClaimId), DEFAULT_MAX_VIOLATIONS))
+    _eval_chunk((both, 0, 1, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
+    assert len(contexts) == len(orbits)
+    # dealt to two parts, the words build the same contexts between them
+    contexts.clear()
+    for part in range(2):
+        _eval_chunk((both, part, 2, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
     assert len(contexts) == len(orbits)
     # the counters see the names the module calls
     calls.clear()
@@ -866,7 +881,7 @@ def test_eval_chunk_keeps_first_k_witnesses(full, k):
     # At k = 10 the two differ (theorem1's sixth witness is renamed), so a
     # chunk that kept its splits' renamed rows would fail here.
     u = RETENTION_UNIVERSE
-    part = _eval_chunk((u, 0, split_count(u), list(ClaimId), k))
+    part = _eval_chunk((u, 0, 1, list(ClaimId), k))
     assert set(part) == set(ClaimId)
     for c in ClaimId:
         checked, kept = part[c]
@@ -953,7 +968,7 @@ def test_eval_chunk_equals_check_claim_spec_by_spec(universe):
     # lists the mismatches once per e1+e2, shared by every spec with that
     # sum; the parent renames them into every word of the split's orbit.
     # check_claim evaluates one spec of one word at a time.
-    whole = _eval_chunk((universe, 0, split_count(universe), list(ClaimId), 10**6))
+    whole = _eval_chunk((universe, 0, 1, list(ClaimId), 10**6))
     expanded = _merge_chunks([whole], 10**6, universe.alphabet_size)
     assert expanded == as_rows(spec_by_spec(universe))
 
@@ -1016,13 +1031,24 @@ def test_run_starts_at_most_one_worker_per_cpu(pools, monkeypatch):
     assert run(u, jobs=10**6) == one
     [pool] = pools
     assert pool.max_workers == 3
-    # the chunk size follows the 3 workers, not the 10**6 jobs asked for
-    assert n_specs > 24 and len(pool.chunks) <= 3 * 8
-    # the chunks are contiguous first-use split ranges that cover the universe
-    ranges = [(lo, hi) for _, lo, hi, _, _ in pool.chunks]
-    assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+    # one chunk per worker, parts 0..2 of 3, not one per job asked for
+    assert [(part, parts) for _, part, parts, _, _ in pool.chunks] == [
+        (0, 3),
+        (1, 3),
+        (2, 3),
+    ]
+    for task in pool.chunks:
+        assert task[0] == u and task[3:] == (list(ClaimId), 10)
+    # between them the parts hold every first-use spec once
     n_pairs = len(exponent_pairs(u.e_sums))
-    assert sum((hi - lo) * n_pairs for lo, hi in ranges) == n_specs
+    dealt = [
+        (x, cut)
+        for _, part, parts, _, _ in pool.chunks
+        for x, cuts in _word_cuts(u, part, parts)
+        for cut in cuts
+    ]
+    assert len(set(dealt)) == len(dealt)
+    assert len(dealt) * n_pairs == n_specs
     # with no CPU count the run stays in process
     monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: None)
     assert run(u, jobs=10**6) == one
