@@ -229,20 +229,6 @@ def _agree(
     return i
 
 
-def border_table(w: str) -> list[int]:
-    """Failure function: border[i] = length of the longest proper border of w[:i+1]."""
-    n = len(w)
-    border = [0] * n
-    k = 0
-    for i in range(1, n):
-        while k and w[k] != w[i]:
-            k = border[k - 1]
-        if w[k] == w[i]:
-            k += 1
-        border[i] = k
-    return border
-
-
 def period_breaks(text: str, n: int) -> Iterator[int]:
     """Positions k < |text| - n with text[k] != text[k + n], ascending.
 
@@ -301,29 +287,39 @@ def rotate(w: str, k: int) -> str:
 def occurrences(pattern: str, text: str) -> list[int]:
     """All positions j with text[j:j+|pattern|] == pattern, ascending.
 
-    Border-table (failure function) scanner, linear in |pattern| + |text|.
+    Hits come from str.find (in C).  If the pattern's smallest period p is
+    at most m/2 (m = |pattern|), a hit at j is followed by one at j + p
+    whenever the p symbols after it read pattern[m-p:], and there is no hit
+    strictly between them: two at distance d < p would make d a period.
+    Such runs are extended p symbols a step; find resumes after the last.
+    Hits found by find alone lie more than m/2 apart (closer ones would
+    give the pattern a period p' <= m/2, a multiple of p, and put a hit
+    at j + p), so the scan is linear in |pattern| + |text|.
 
     >>> occurrences("ab", "abaabab")
     [0, 3, 5]
     >>> occurrences("a", "aaa")
     [0, 1, 2]
+    >>> occurrences("aa", "aaaa")
+    [0, 1, 2]
     """
     m = len(pattern)
     if m == 0:
         raise EmptyPattern("occurrences of empty pattern")
+    # The first half recurs first at the smallest period if that is <= m/2
+    # (Fine and Wilf, as in locate._lengths); p = 0 means no such period.
+    p = pattern.find(pattern[: (m + 1) // 2], 1)
+    if not (0 < p <= m // 2 and pattern.startswith(pattern[p:])):
+        p = 0
+    step = pattern[m - p :]
     out: list[int] = []
-    if m > len(text):
-        return out
-    border = border_table(pattern)
-    k = 0
-    for j, ch in enumerate(text):
-        while k and pattern[k] != ch:
-            k = border[k - 1]
-        if pattern[k] == ch:
-            k += 1
-            if k == m:
-                out.append(j - m + 1)
-                k = border[k - 1]
+    j = text.find(pattern)
+    while j >= 0:
+        out.append(j)
+        while p and text.startswith(step, j + m):
+            j += p
+            out.append(j)
+        j = text.find(pattern, j + 1)
     return out
 
 

@@ -4,7 +4,7 @@ Everything here recomputes results from first principles (plain slicing and
 full enumeration), deliberately ignoring the library's shortcuts.
 """
 
-from repcore import ClaimId, DeletionSplit, InterruptSpec, build, occurrences
+from repcore import ClaimId, DeletionSplit, InterruptSpec, build
 from repcore.errors import EmptyPattern, EmptyWord, InvalidSpec, InvalidSplit
 from repcore.interrupts import iter_splits
 from repcore.verify import (
@@ -56,7 +56,7 @@ def is_primitive_by_square(w):
     """
     if not w:
         raise EmptyWord("is_primitive_by_square of empty word")
-    return occurrences(w, w + w) == [0, len(w)]
+    return occurrences_naive(w, w + w) == [0, len(w)]
 
 
 def core_by_definition(x, cut, e1, e2):

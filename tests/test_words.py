@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from math import factorial
 
@@ -158,6 +159,33 @@ def test_occurrences_examples():
 @given(st.text(alphabet="ab", min_size=1, max_size=8), st.text(alphabet="ab", max_size=64))
 def test_occurrences_matches_naive(pattern, text):
     assert occurrences(pattern, text) == occurrences_naive(pattern, text)
+
+
+def test_occurrences_equals_naive_exhaustively():
+    # periodic patterns, runs that end at the text's end and patterns
+    # longer than the text: 389,082 pairs
+    for sigma, max_text, max_pattern in ((2, 10, 6), (3, 6, 4)):
+        texts = [t for n in range(max_text + 1) for t in words_of_length(n, sigma)]
+        for m in range(1, max_pattern + 1):
+            for pattern in words_of_length(m, sigma):
+                for text in texts:
+                    assert occurrences(pattern, text) == occurrences_naive(
+                        pattern, text
+                    ), (pattern, text)
+
+
+def test_occurrences_of_long_periodic_pattern_within_budget():
+    # a find loop that resumes one symbol after each hit rescans the
+    # pattern at every one of the 200,001 hits; stepping by the period
+    # reads each symbol about once
+    text = "a" * 3 * 10**5
+    for pattern, expected in (
+        ("a" * 10**5, list(range(200_001))),
+        ("a" * (10**5 - 1) + "b", []),
+    ):
+        start = time.perf_counter()
+        assert occurrences(pattern, text) == expected
+        assert time.perf_counter() - start < 5.0
 
 
 def test_cyclic_occurrences_examples():
