@@ -10,7 +10,7 @@ the smallest offenders and the run that causes each.
 Example:
     python scripts/anchor_collisions.py --max-x 5 --forms prefix
 
-A universe the verifier would reject (for example --e-sums 2, --max-x 13,
+A universe the verifier would reject (for example --e-sums 2, --max-x 17,
 --e-sums 3,x or more specs than the cap) ends in a one-line diagnostic on
 stderr and exit code 2.  The specs are streamed, so memory does not grow
 with the universe.

@@ -125,7 +125,6 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from copy import copy
 from dataclasses import dataclass
 from enum import Enum
@@ -133,15 +132,20 @@ from functools import cache, cached_property
 from heapq import merge
 from itertools import groupby, islice, tee
 from math import perm
+from multiprocessing import Pipe, Process
+from multiprocessing.connection import Connection
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import InvalidLimit, InvalidUniverse, NotApplicable, UniverseTooLarge
 
 # The verifier reads _SplitContext's windows and calls none of core,
-# anchor_windows, classify_window, occurrences and cyclic_occurrences.  They
-# stay importable from this module because perfbench/tracing.py patches them
-# here by name and its tests expect every patched name to exist; a traced
-# run reports zero calls to them.
+# anchor_windows, classify_window, occurrences and cyclic_occurrences, and
+# run() forks its workers without a ProcessPoolExecutor.  They stay
+# importable from this module because perfbench/tracing.py patches them here
+# by name and its tests expect every patched name to exist; a traced run
+# reports zero calls to them.
+from concurrent.futures import ProcessPoolExecutor
+
 from .interrupts import (
     FORMS,
     MIN_E_SUM,
@@ -166,7 +170,7 @@ from .words import (
 
 DEFAULT_MAX_CHECKS = 10_000_000
 DEFAULT_MAX_VIOLATIONS = 10
-MAX_X_LEN = 12
+MAX_X_LEN = 16
 
 
 class ClaimId(str, Enum):
@@ -301,6 +305,15 @@ def _split_count(universe: Universe, count_words=count_first_use_words) -> int:
         count_words(n, universe.alphabet_size)
         * sum(1 for _ in iter_splits(n, universe.forms))
         for n in range(universe.min_x, universe.max_x + 1)
+    )
+
+
+def _word_count(universe: Universe) -> int:
+    """Number of first-use words that have splits: the words _word_cuts deals."""
+    return sum(
+        count_first_use_words(n, universe.alphabet_size)
+        for n in range(universe.min_x, universe.max_x + 1)
+        if any(True for _ in iter_splits(n, universe.forms))
     )
 
 
@@ -699,6 +712,59 @@ def _rows(key: tuple, pairs: list, found: dict, limit: int) -> list[tuple]:
     return list(islice(rows, limit))
 
 
+def _send_chunk(send: Connection, task: tuple) -> None:
+    """A worker process's whole job: send the task's chunk, or the exception
+    _eval_chunk raised, to the parent."""
+    try:
+        chunk = _eval_chunk(task)
+    except Exception as exc:
+        chunk = exc
+    send.send(chunk)
+
+
+def _eval_parts(tasks: list[tuple]) -> list[_Chunk]:
+    """_eval_chunk of every task, in order: the first here, each other one in
+    a child process.
+
+    Under the fork start method a child gets its task through the fork, so
+    nothing is pickled on the way in; it sends its chunk back once, through
+    a one-way pipe.  A child's exception is raised again here, and a child
+    that exits without sending raises RuntimeError naming its part and exit
+    code.  If anything fails, the children are terminated; every child is
+    joined before this returns.
+    """
+    children = []
+    try:
+        for task in tasks[1:]:
+            recv, send = Pipe(duplex=False)
+            child = Process(target=_send_chunk, args=(send, task), daemon=True)
+            child.start()
+            send.close()  # so that a child's death reads as EOFError
+            children.append((child, recv))
+        chunks = [_eval_chunk(tasks[0])]
+        for part, (child, recv) in enumerate(children, 1):
+            try:
+                chunk = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"verify part {part} of {len(tasks)} exited with code"
+                    f" {child.exitcode} before sending its chunk"
+                ) from None
+            if isinstance(chunk, Exception):
+                raise chunk
+            chunks.append(chunk)
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            child.join()
+            recv.close()
+    return chunks
+
+
 def _merge_chunks(
     parts: list[_Chunk], max_violations: int, alphabet_size: int
 ) -> _Chunk:
@@ -747,15 +813,18 @@ def run(
     evaluated (no early exit), through the first-use spec of its orbit, and
     chunk results merge in canonical order.  Each worker runs one chunk,
     part `part` of `workers` (_word_cuts deals the first-use words out by
-    canonical index), so the parent holds no spec and sends each worker
-    five small values; one worker runs its chunk in process.  Each chunk
-    keeps only its first max_violations identity rows per claim and counts
-    the rest of its assertions, so memory is bounded by what is reported.
+    canonical index), so the parent holds no spec.  The calling process
+    runs part 0 itself and forks one child for each further part, which
+    gets its five small values through the fork and sends back only its
+    chunk; one worker starts no process.  Each chunk keeps only its first
+    max_violations identity rows per claim and counts the rest of its
+    assertions, so memory is bounded by what is reported.
     _merge_chunks renames the splits of the first max_violations of them
     and keeps the first max_violations rows of the whole universe, for any
     dealing.  Only those rows become Witnesses, and each reported split and
-    spec is one object, shared by every claim that reports it.  The pool
-    starts at most one worker per CPU, whatever jobs asks for.
+    spec is one object, shared by every claim that reports it.  There are
+    at most as many workers as CPUs and as first-use words with splits,
+    whatever jobs asks for, so at most one process per further CPU starts.
     """
     if max_violations < 1:
         raise InvalidLimit(f"max_violations must be >= 1, got {max_violations}")
@@ -773,17 +842,12 @@ def run(
         max_checks,
         "specs to evaluate (one per letter-renaming orbit)",
     )
-    splits = _split_count(universe)
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers == 1 or splits < 2:
-        chunks = [_eval_chunk((universe, 0, 1, claim_list, max_violations))]
-    else:
-        tasks = [
-            (universe, part, workers, claim_list, max_violations)
-            for part in range(workers)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_eval_chunk, tasks))
+    workers = min(jobs, os.cpu_count() or 1, _word_count(universe)) or 1
+    tasks = [
+        (universe, part, workers, claim_list, max_violations)
+        for part in range(workers)
+    ]
+    chunks = _eval_parts(tasks)
     split_of, spec_of = cache(DeletionSplit), cache(InterruptSpec)
 
     def witness(_n, sx, cut1, cut2, e1, e2, *violation) -> Witness:

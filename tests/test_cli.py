@@ -336,11 +336,11 @@ def test_domain_errors_exit_2(capsys):
 def test_verify_cap_rejects_before_any_work(capsys, monkeypatch):
     # 5 letters, --forms both --max-x 12 exceeds the default --max-checks:
     # the run ends in one diagnostic line before a chunk is evaluated, a
-    # pool started or a word enumerated.
+    # process started or a word enumerated.
     def no_work(*args, **kwargs):
         raise AssertionError("work started on a rejected universe")
 
-    monkeypatch.setattr(repcore.verify, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(repcore.verify, "Process", no_work)
     monkeypatch.setattr(repcore.verify, "_eval_chunk", no_work)
     monkeypatch.setattr(repcore.verify, "first_use_words", no_work)
     for fmt in ([], ["--json"]):

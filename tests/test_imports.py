@@ -19,6 +19,7 @@ TRACER_ONLY = {
     ("verify", "anchor_windows"),
     ("verify", "occurrences"),
     ("verify", "cyclic_occurrences"),
+    ("verify", "ProcessPoolExecutor"),
     ("locate", "build"),
     ("locate", "core"),
     ("locate", "power_prefix"),

@@ -35,7 +35,7 @@ def test_anchor_collisions_counts_the_uniqueness_failures(child_env):
     "argv, message",
     [
         (["--e-sums", "2"], "InvalidUniverse: every e1+e2 must be >= 3, got (2,)"),
-        (["--max-x", "13"], "InvalidUniverse: max_x is capped at 12"),
+        (["--max-x", "17"], "InvalidUniverse: max_x is capped at 16"),
         (
             ["--e-sums", "3,x"],
             "--e-sums expects a comma-separated integer list, got '3,x'",
@@ -45,7 +45,7 @@ def test_anchor_collisions_counts_the_uniqueness_failures(child_env):
             "UniverseTooLarge: 15188942967210923300 specs exceed the cap 10000000",
         ),
     ],
-    ids=["e-sum-below-3", "max-x-13", "e-sums-not-integers", "over-the-cap"],
+    ids=["e-sum-below-3", "max-x-17", "e-sums-not-integers", "over-the-cap"],
 )
 def test_anchor_collisions_rejects_bad_universe_in_one_line(child_env, argv, message):
     proc = subprocess.run(

@@ -1,10 +1,15 @@
+import multiprocessing
+import os
 import pickle
 import random
+import signal
+import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from copy import copy
 from dataclasses import replace
 from itertools import groupby
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +24,7 @@ from repcore import (
     run,
 )
 from repcore.errors import (
+    InternalBoundViolation,
     InvalidLimit,
     InvalidUniverse,
     NotApplicable,
@@ -36,6 +42,7 @@ from repcore.verify import (
     _eval_chunk,
     _merge_chunks,
     _SplitContext,
+    _word_count,
     _word_cuts,
     applies,
     enumerate_specs,
@@ -110,8 +117,8 @@ def test_universe_validation():
         Universe(e_sums=())
     with pytest.raises(InvalidUniverse):
         Universe(min_x=5, max_x=4)
-    with pytest.raises(InvalidUniverse):
-        Universe(max_x=13)
+    with pytest.raises(InvalidUniverse, match="max_x is capped at 16"):
+        Universe(max_x=17)
     with pytest.raises(InvalidUniverse):
         Universe(forms="sideways")
     # e_sums normalize to a sorted deduplicated tuple
@@ -989,61 +996,72 @@ def test_run_reports_first_k_of_full_list(full, jobs, k, monkeypatch):
         assert rep.counterexamples == tuple(witnesses[:k]), rep.claim
 
 
-class InlinePool:
-    """Stands in for ProcessPoolExecutor: records the worker count and the
-    chunks it is asked for, and maps them in this process."""
+class InlineProcess:
+    """Stands in for multiprocessing.Process: records its task and, when
+    started, runs its target in this process.  The target sends the chunk
+    into the real pipe, and run() receives it as it would from a child."""
 
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-        self.chunks = []
+    def __init__(self, target, args, daemon):
+        self.target, self.args = target, args
+        self.task = args[-1]
 
-    def __enter__(self):
-        return self
+    def start(self):
+        self.target(*self.args)
 
-    def __exit__(self, *exc):
-        return False
+    def join(self):
+        pass
 
-    def map(self, fn, tasks):
-        self.chunks = list(tasks)
-        return map(fn, self.chunks)
+    def terminate(self):
+        pass
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """Every InlinePool that run() starts, in order."""
-    started = []
+def fan_out(monkeypatch):
+    """Every InlineProcess that run() starts (processes) and every task
+    _eval_chunk runs in this process (evaluated): the caller's part 0 and
+    the inline children's parts."""
+    seen = SimpleNamespace(processes=[], evaluated=[])
+    eval_chunk = repcore.verify._eval_chunk
 
-    def inline_pool(max_workers):
-        started.append(InlinePool(max_workers))
-        return started[-1]
+    def inline_process(**kwargs):
+        seen.processes.append(InlineProcess(**kwargs))
+        return seen.processes[-1]
 
-    assert repcore.verify.ProcessPoolExecutor is ProcessPoolExecutor
-    monkeypatch.setattr(repcore.verify, "ProcessPoolExecutor", inline_pool)
-    return started
+    def recorded(task):
+        seen.evaluated.append(task)
+        return eval_chunk(task)
+
+    assert repcore.verify.Process is multiprocessing.Process
+    monkeypatch.setattr(repcore.verify, "Process", inline_process)
+    monkeypatch.setattr(repcore.verify, "_eval_chunk", recorded)
+    return seen
 
 
-def test_run_starts_at_most_one_worker_per_cpu(pools, monkeypatch):
+def test_run_starts_at_most_one_worker_per_cpu(fan_out, monkeypatch):
     monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 3)
     u = Universe(2, 2, 4, (3, 4), "both")
     n_specs = len(representative_specs(u))
     one = run(u, jobs=1)
-    assert pools == []  # one job evaluates in process
+    assert fan_out.processes == []  # one job evaluates in process
+    assert [task[1:3] for task in fan_out.evaluated] == [(0, 1)]
+    fan_out.evaluated.clear()
     assert run(u, jobs=10**6) == one
-    [pool] = pools
-    assert pool.max_workers == 3
-    # one chunk per worker, parts 0..2 of 3, not one per job asked for
-    assert [(part, parts) for _, part, parts, _, _ in pool.chunks] == [
+    # one chunk per worker, parts 0..2 of 3, not one per job asked for: the
+    # caller runs part 0 and starts a process for each of the other two
+    tasks = sorted(fan_out.evaluated, key=lambda task: task[1])
+    assert [(part, parts) for _, part, parts, _, _ in tasks] == [
         (0, 3),
         (1, 3),
         (2, 3),
     ]
-    for task in pool.chunks:
+    assert [p.task for p in fan_out.processes] == tasks[1:]
+    for task in tasks:
         assert task[0] == u and task[3:] == (list(ClaimId), 10)
     # between them the parts hold every first-use spec once
     n_pairs = len(exponent_pairs(u.e_sums))
     dealt = [
         (x, cut)
-        for _, part, parts, _, _ in pool.chunks
+        for _, part, parts, _, _ in tasks
         for x, cuts in _word_cuts(u, part, parts)
         for cut in cuts
     ]
@@ -1052,10 +1070,10 @@ def test_run_starts_at_most_one_worker_per_cpu(pools, monkeypatch):
     # with no CPU count the run stays in process
     monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: None)
     assert run(u, jobs=10**6) == one
-    assert len(pools) == 1
+    assert len(fan_out.processes) == 2
 
 
-def test_run_ships_small_chunks_and_holds_no_specs(pools, monkeypatch):
+def test_run_ships_small_chunks_and_holds_no_specs(fan_out, monkeypatch):
     # Workers enumerate their own splits: each chunk is the universe, a split
     # range, the claims and the witness limit, whatever the universe's size.
     monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 2)
@@ -1067,11 +1085,109 @@ def test_run_ships_small_chunks_and_holds_no_specs(pools, monkeypatch):
 
     monkeypatch.setattr(repcore.verify, "enumerate_specs", no_specs)
     assert run(u, jobs=1) == one
+    assert fan_out.processes == []
     assert run(u, jobs=2) == one
-    [pool] = pools
-    assert len(pool.chunks) > 1
-    for task in pool.chunks:
+    assert len(fan_out.processes) == 1
+    assert len(fan_out.evaluated) > 1
+    for task in fan_out.evaluated:
         assert len(pickle.dumps(task, pickle.HIGHEST_PROTOCOL)) < 1000, task
+
+
+@pytest.mark.parametrize(
+    "universe, jobs, workers",
+    [
+        (Universe(2, 2, 2, (3, 4), "both"), 2, 1),
+        (Universe(2, 1, 1, (3,), "both"), 2, 1),
+        (Universe(3, 2, 3, (3,), "prefix"), 8, 5),
+    ],
+    ids=["one-word", "no-split", "ternary-x2-3"],
+)
+def test_run_starts_no_worker_that_gets_no_word(
+    universe, jobs, workers, fan_out, monkeypatch
+):
+    # _word_cuts deals words, not splits, so run() starts at most one worker
+    # per first-use word with splits: "ab" alone has several splits under
+    # both forms, but a second part would be dealt nothing.
+    monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 8)
+    assert _word_count(universe) == len(words_with_splits(universe))
+    one = run(universe, jobs=1)
+    assert run(universe, jobs=jobs) == one
+    assert len(fan_out.processes) == workers - 1
+    assert {task[2] for task in fan_out.evaluated} == {1, workers}
+
+
+def test_word_count_counts_the_words_dealt():
+    for universe in [
+        Universe(2, 1, 8, (3,), forms) for forms in ("prefix", "deletion", "both")
+    ] + [Universe(4, 1, 6, (3,), "deletion"), Universe(26, 2, 4, (3,), "prefix")]:
+        dealt = [x for x, _ in _word_cuts(universe, 0, 1)]
+        assert _word_count(universe) == len(dealt), universe
+
+
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a patched _eval_chunk reaches a worker only through fork",
+)
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the caller if the block runs longer than seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def failing_part(monkeypatch, fail):
+    """Patch _eval_chunk so that part 1 calls fail(); the other parts run."""
+    eval_chunk = repcore.verify._eval_chunk
+
+    def patched(task):
+        if task[1] == 1:
+            fail()
+        return eval_chunk(task)
+
+    monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(repcore.verify, "_eval_chunk", patched)
+
+
+@needs_fork
+def test_run_forks_workers_and_leaves_none_running(monkeypatch):
+    monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 2)
+    u = Universe(2, 2, 6, (3, 4), "both")
+    with deadline(30):
+        assert run(u, jobs=2) == run(u, jobs=1)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_run_raises_a_workers_exception(monkeypatch):
+    def fail():
+        raise InternalBoundViolation("raised in part 1")
+
+    failing_part(monkeypatch, fail)
+    with deadline(30), pytest.raises(InternalBoundViolation, match="part 1"):
+        run(Universe(2, 2, 6, (3, 4), "both"), jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_run_reports_a_worker_that_dies(monkeypatch):
+    # A child that exits without sending its chunk must not hang the caller.
+    failing_part(monkeypatch, lambda: os._exit(3))
+    start = time.perf_counter()
+    with deadline(30), pytest.raises(RuntimeError, match="part 1 of 2 .* code 3 "):
+        run(Universe(2, 2, 6, (3, 4), "both"), jobs=2)
+    assert time.perf_counter() - start < 10
+    assert multiprocessing.active_children() == []
 
 
 def test_run_rejects_jobs_below_one():
