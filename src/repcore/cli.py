@@ -234,11 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_occ.set_defaults(func=_cmd_occurrences)
 
     p_verify = subs.add_parser("verify", help="exhaustively check claims")
-    p_verify.add_argument("--alphabet", type=int, default=2)
-    p_verify.add_argument("--min-x", type=int, default=2)
-    p_verify.add_argument("--max-x", type=int, default=8)
-    p_verify.add_argument("--e-sums", default="3,4")
-    p_verify.add_argument("--forms", choices=FORMS, default="prefix")
+    default = Universe()
+    p_verify.add_argument("--alphabet", type=int, default=default.alphabet_size)
+    p_verify.add_argument("--min-x", type=int, default=default.min_x)
+    p_verify.add_argument("--max-x", type=int, default=default.max_x)
+    p_verify.add_argument("--e-sums", default=",".join(map(str, default.e_sums)))
+    p_verify.add_argument("--forms", choices=FORMS, default=default.forms)
     p_verify.add_argument("--claims", default="all")
     p_verify.add_argument("--max-violations", type=int,
                           default=DEFAULT_MAX_VIOLATIONS)
@@ -259,9 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_text_source(p_scan)
     p_scan.set_defaults(func=_cmd_scan)
 
-    # Added last, so every subcommand's usage line ends with [--json].
+    # Added last, so every subcommand's usage line ends with [--json].  Each
+    # subcommand reports its usage errors with its own parser.
     for sub in subs.choices.values():
         sub.add_argument("--json", action="store_true")
+        sub.set_defaults(parser=sub)
     return parser
 
 
@@ -269,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code, doc, lines = args.func(args, parser)
+        code, doc, lines = args.func(args, args.parser)
     except RepcoreError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 2

@@ -11,11 +11,12 @@ windows are anchored and not, |x2|, |x|, note2's factor count), so a chunk
 sums the stats per split form and counts every claim once at the end.
 Its per_sum lists a spec's mismatches; specs with the same e1+e2 have the
 same counts, so it runs once per exponent sum, and only while the claim
-can still report rows.  Which claims are stated for a split depends only
-on its form (and its mirror's), so a chunk lists them once per pair of
-forms, not once per split.  Each worker runs one chunk: the first-use
-words are dealt out among the chunks by canonical index, and a worker
-enumerates its words itself.
+can still report rows.  dft_bound has no per_sum: core_lengths refuses a
+split that breaks it before its context exists.  A chunk keeps one list
+of the claims that can still report rows, each with the two forms it is
+stated for, and checks each split against it.  Each worker runs one
+chunk: the first-use words are dealt out among the chunks by canonical
+index, and a worker enumerates its words itself.
 
 Renaming the letters of x injectively keeps every claim's status, count
 and factor pattern, since each claim reads only which positions of W hold
@@ -296,25 +297,28 @@ def _check_size(count: int, max_checks: int, what: str) -> None:
         raise UniverseTooLarge(f"{count} {what} exceed the cap {max_checks}")
 
 
+def _lengths(universe: Universe) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """(|x|, its (cut1, cut2) list) for each length of the universe that has
+    splits, ascending."""
+    for n in range(universe.min_x, universe.max_x + 1):
+        cuts = list(iter_splits(n, universe.forms))
+        if cuts:
+            yield n, cuts
+
+
 def _split_count(universe: Universe, count_words=count_first_use_words) -> int:
     """Number of splits (x, cut1, cut2) in the universe, by default first-use ones.
 
     count_words(n, k) counts the words x of length n.
     """
-    return sum(
-        count_words(n, universe.alphabet_size)
-        * sum(1 for _ in iter_splits(n, universe.forms))
-        for n in range(universe.min_x, universe.max_x + 1)
-    )
+    k = universe.alphabet_size
+    return sum(count_words(n, k) * len(cuts) for n, cuts in _lengths(universe))
 
 
 def _word_count(universe: Universe) -> int:
     """Number of first-use words that have splits: the words _word_cuts deals."""
-    return sum(
-        count_first_use_words(n, universe.alphabet_size)
-        for n in range(universe.min_x, universe.max_x + 1)
-        if any(True for _ in iter_splits(n, universe.forms))
-    )
+    k = universe.alphabet_size
+    return sum(count_first_use_words(n, k) for n, _ in _lengths(universe))
 
 
 def _word_cuts(
@@ -327,15 +331,9 @@ def _word_cuts(
     i % parts == part, with all of its (cut1, cut2); so the part's splits
     come in canonical order: (|x|, x, cut1, cut2).
     """
-    i = 0
-    for n in range(universe.min_x, universe.max_x + 1):
-        cuts = list(iter_splits(n, universe.forms))
-        if not cuts:
-            continue
-        for x in first_use_words(n, universe.alphabet_size):
-            if i % parts == part:
-                yield x, cuts
-            i += 1
+    k = universe.alphabet_size
+    words = ((x, cuts) for n, cuts in _lengths(universe) for x in first_use_words(n, k))
+    return islice(words, part, None, parts)
 
 
 def enumerate_specs(
@@ -351,8 +349,7 @@ def enumerate_specs(
     if not splits:
         return
     pairs = exponent_pairs(universe.e_sums)
-    for n in range(universe.min_x, universe.max_x + 1):
-        cuts = list(iter_splits(n, universe.forms))
+    for n, cuts in _lengths(universe):
         for x in primitive_words(n, universe.alphabet_size):
             for cut1, cut2 in cuts:
                 split = DeletionSplit(x, cut1, cut2)
@@ -468,9 +465,10 @@ class _SplitContext:
 # of assertions the claim evaluates on a spec with e1+e2 = s, for a split
 # with stats t; it is linear in t, so a chunk applies it to the sum of its
 # splits' stats.  per_sum(ctx, s) lists the (factor, expected, actual)
-# violations of such a spec, in factor order; a chunk calls it only while
-# it has room for the claim's rows, and check_claim for its one spec.  A
-# cyclic claim is its linear twin with wraparound = ctx.xx[1:-1].
+# violations of such a spec, in factor order; a chunk calls it for a split
+# stated for the claim or for its mirror while it has room for the claim's
+# rows, and check_claim for its one spec.  A per_sum of None lists nothing.
+# A cyclic claim is its linear twin with wraparound = ctx.xx[1:-1].
 _Count = Callable[[_Stats, int], int]
 _PerSum = Callable[[_SplitContext, int], list[tuple[str, int, int]]]
 # Per claim: (assertions evaluated, violation rows), for a chunk or a run.
@@ -489,11 +487,6 @@ def _mismatches(
     want, extra, xx = expected or s, s - MIN_E_SUM, ctx.xx
     counts = ((f, hist[f] + extra * (f in xx) + (f in wraparound)) for f in factors)
     return sorted((f, want, a) for f, a in counts if a != want)
-
-
-def _dft_bound(ctx: _SplitContext, s: int) -> list[tuple[str, int, int]]:
-    actual = ctx.p + ctx.s
-    return [("", ctx.n - 2, actual)] if actual > ctx.n - 2 else []
 
 
 def _dichotomy(ctx: _SplitContext, s: int) -> list[tuple[str, int, int]]:
@@ -523,8 +516,10 @@ def _unique(ctx: _SplitContext, s: int) -> list[tuple[str, int, int]]:
     return _mismatches(ctx, s, ctx.anchored, ctx.hist, 1)
 
 
-_CLAIMS: dict[ClaimId, tuple[_Count, _PerSum]] = {
-    ClaimId.DFT_BOUND: (lambda t, s: t.splits, _dft_bound),
+_CLAIMS: dict[ClaimId, tuple[_Count, _PerSum | None]] = {
+    # core_lengths raises InternalBoundViolation for p + s > |x| - 2 before
+    # a context exists, so every context satisfies the bound: no per_sum.
+    ClaimId.DFT_BOUND: (lambda t, s: t.splits, None),
     ClaimId.THEOREM1: (lambda t, s: t.anchored, _unique),
     ClaimId.THEOREM1_DELETION: (lambda t, s: t.anchored, _unique),
     # Every window of W is one assertion: (e1+e2)·|x| - |x2| + 1 of them.
@@ -560,7 +555,7 @@ def check_claim(claim: ClaimId, spec: InterruptSpec) -> SpecCheck:
     split, s = spec.split, spec.e1 + spec.e2
     ctx = _SplitContext(split.x, split.cut1, split.cut2)
     count, per_sum = _CLAIMS[claim]
-    violations = per_sum(ctx, s)
+    violations = per_sum(ctx, s) if per_sum else []
     return SpecCheck(count(ctx.stats, s), tuple(Witness(spec, *v) for v in violations))
 
 
@@ -604,45 +599,34 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
     with all of its splits and every (e1, e2) of the universe, standing for
     every split of its orbit, k!/(k-m)! words for m distinct letters.  The
     worker enumerates its words itself, in canonical order; x+x, the orbit
-    size and x's mirror word are computed once per word, and the claims to
-    visit per (form, mirror form) once per chunk and again when a claim
-    runs out of room.  A split whose mirror is in the universe and sorts
-    before it is left to the mirror's chunk; any other split costs one
-    _SplitContext, which also stands for its mirror.  Its stats are summed
+    size and x's mirror word are computed once per word, and the list of
+    claims with a per_sum once per chunk.  A split whose mirror is in the
+    universe and sorts before it is left to the mirror's chunk; any other
+    split costs one _SplitContext, which also stands for its mirror, and is
+    checked against each claim still in the list.  Its stats are summed
     per form, times the orbit size, once for the split and once more, under
     the mirror's form, for a mirror that is not the split itself; each
     claim's count is arithmetic in those sums at the end, and depends only
     on e1+e2.  The chunk renames nothing but the mirror's factors, so its
     rows are identity rows (σ = id) of its splits and their mirrors, and it
     keeps the first max_violations of them per claim, in row order.  A
-    claim calls per_sum for a split stated for it or for its mirror until
-    it holds max_violations rows of the chunk's own splits; by the module
-    docstring no row after those can rank.  _merge_chunks renames the rows
-    that rank.
+    claim calls per_sum for a split stated for it or for its mirror, once
+    per exponent sum, until it holds max_violations rows of the chunk's own
+    splits, and then leaves the list; by the module docstring no row after
+    those can rank.  A claim without a per_sum (dft_bound) is only counted.
+    _merge_chunks renames the rows that rank.
     """
     universe, part, parts, claims, max_violations = args
-    # read only by _rows, so a chunk that meets no split builds no pairs
-    pairs = cache(lambda: exponent_pairs(universe.e_sums))
+    sums = universe.e_sums
     held = {c: _Held(max_violations) for c in claims}
-    open_claims = list(claims)
-
-    def visits(form: bool, back_form: bool | None) -> list:
-        """(claim, per_sum, rows, stated for the split, stated for the
-        mirror) per claim with room for rows that is stated for a split of
-        the form or for its mirror; back_form is the mirror's form, None
-        when the split has no mirror."""
-        entries = []
-        for c in open_claims:
-            own = _stated_for(c, form)
-            back = back_form is not None and _stated_for(c, back_form)
-            if own or back:
-                entries.append((c, _CLAIMS[c][1], held[c], own, back))
-        return entries
-
-    # Per (form, mirror form): the claims a split visits, rebuilt when a
-    # claim runs out of room.  False is the deletion form, True the prefix.
-    form_pairs = [(f, b) for f in (False, True) for b in (None, False, True)]
-    plans = {fb: visits(*fb) for fb in form_pairs}
+    # (per_sum, rows, stated for (deletion, prefix)) per claim that has a
+    # per_sum and room for rows; a claim leaves once it holds max_violations
+    # rows of the chunk's own splits.
+    room = [
+        (per_sum, held[c], (_stated_for(c, False), _stated_for(c, True)))
+        for c in claims
+        if (per_sum := _CLAIMS[c][1]) is not None
+    ]
     # Per form (False: deletion, True: prefix): the sums of the splits'
     # stats times their orbit sizes.
     totals = {form: [0] * len(_Stats._fields) for form in (False, True)}
@@ -666,17 +650,21 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
                 if mirror == key:
                     mirror = None
             ctx = _SplitContext(x, cut1, cut2, xx)
-            form, back_form = cut2 == n, None if mirror is None else not cut1
+            form = cut2 == n
             stats[form].append(ctx.stats)
-            if back_form is not None:
-                stats[back_form].append(ctx.stats)
-            closed = False
-            for c, per_sum, kept, own, back in plans[form, back_form]:
-                found = {s: per_sum(ctx, s) for s in universe.e_sums}
+            if mirror is not None:
+                stats[not cut1].append(ctx.stats)
+            for entry in room[:]:
+                per_sum, kept, stated = entry
+                own = stated[form]
+                back = mirror is not None and stated[not cut1]
+                if not (own or back):
+                    continue
+                found = {s: per_sum(ctx, s) for s in sums}
                 if not any(found.values()):
                     continue
                 if own:
-                    kept.add(_rows(key, pairs(), found, max_violations), True)
+                    kept.add(_rows(key, sums, found, max_violations), True)
                 if back:
                     found = {
                         s: sorted(
@@ -684,12 +672,9 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
                         )
                         for s, v in found.items()
                     }
-                    kept.add(_rows(mirror, pairs(), found, max_violations), False)
+                    kept.add(_rows(mirror, sums, found, max_violations), False)
                 if kept.own >= max_violations:
-                    open_claims.remove(c)
-                    closed = True
-            if closed:
-                plans = {fb: visits(*fb) for fb in form_pairs}
+                    room.remove(entry)
         for form, split_stats in stats.items():
             if split_stats:
                 totals[form] = [
@@ -698,17 +683,27 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
                 ]
     checked = dict.fromkeys(claims, 0)
     for form, total in totals.items():
-        sums = _Stats(*total)
+        t = _Stats(*total)
         for c in claims:
             if _stated_for(c, form):
                 count = _CLAIMS[c][0]
-                checked[c] += sum((s - 1) * count(sums, s) for s in universe.e_sums)
+                checked[c] += sum((s - 1) * count(t, s) for s in sums)
     return {c: (checked[c], sorted(held[c].rows)[:max_violations]) for c in claims}
 
 
-def _rows(key: tuple, pairs: list, found: dict, limit: int) -> list[tuple]:
-    """The first limit rows of split key, given its violations per e1+e2."""
-    rows = (key + (e1, e2, *v) for e1, e2 in pairs for v in found[e1 + e2])
+def _rows(key: tuple, sums: tuple, found: dict, limit: int) -> list[tuple]:
+    """The first limit rows of split key, given its violations per e1+e2.
+
+    sums are the universe's exponent sums, ascending, so (e1, e2 = s - e1)
+    runs in exponent_pairs' order: e1 ascending, then s.
+    """
+    rows = (
+        key + (e1, s - e1, *v)
+        for e1 in range(1, sums[-1])
+        for s in sums
+        if s > e1
+        for v in found[s]
+    )
     return list(islice(rows, limit))
 
 

@@ -266,7 +266,8 @@ def run_full(universe, claims=None, max_violations=10, jobs=1, max_checks=None):
                 count, per_sum = _CLAIMS[c]
                 checked[c] += sum(count(ctx.stats, e1 + e2) for e1, e2 in pairs)
                 for spec in specs:
-                    if len(kept[c]) >= max_violations:
+                    # a claim with no per_sum (dft_bound) lists nothing
+                    if per_sum is None or len(kept[c]) >= max_violations:
                         break
                     kept[c].extend(
                         Witness(spec, f, want, actual)

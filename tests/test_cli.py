@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import repcore.cli
+import repcore.interrupts
 import repcore.verify
 from repcore.cli import main
 
@@ -282,6 +283,24 @@ def test_usage_errors_exit_2():
         assert exc.value.code == 2, argv
 
 
+def test_usage_errors_show_the_subcommands_usage(capsys):
+    # A subcommand's own usage errors print its usage line, which lists the
+    # flag at fault, not the top-level list of subcommands.
+    for argv, usage in (
+        (["verify", "--e-sums", "three"], "usage: repcore verify "),
+        (["core", "--x", "ab", "--cut", "1", "--cut1", "0", "--cut2", "2",
+          "--e1", "1", "--e2", "2"], "usage: repcore core "),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(usage), captured.err
+        last = captured.err.splitlines()[-1]
+        assert last.startswith(f"repcore {argv[0]}: error: "), last
+
+
 def test_text_file_errors_exit_2(tmp_path, capsys):
     non_ascii = tmp_path / "non_ascii.txt"
     non_ascii.write_text("aba\u00e4bab\n", encoding="utf-8")
@@ -297,7 +316,8 @@ def test_text_file_errors_exit_2(tmp_path, capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             last = captured.err.splitlines()[-1]
-            assert last.startswith(f"repcore: error: --text-file {str(path)!r}: ")
+            prefix = f"repcore {argv[0]}: error: --text-file {str(path)!r}: "
+            assert last.startswith(prefix)
             assert reason in last
 
 
@@ -331,6 +351,21 @@ def test_domain_errors_exit_2(capsys):
     assert code == 2 and err.startswith("InvalidUniverse:")
     code, _, err = run_cli(capsys, "verify", "--max-x", "8", "--max-checks", "10")
     assert code == 2 and err.startswith("UniverseTooLarge:")
+
+
+def test_broken_dft_bound_ends_verify_with_exit_2(capsys, monkeypatch):
+    # dft_bound lists no row: core_lengths refuses a split whose p + s
+    # exceeds |x| - 2 before its context exists.  With lcp overstating p,
+    # that refusal ends the run as one diagnostic line, and nothing is
+    # printed on stdout, text or --json.
+    monkeypatch.setattr(repcore.interrupts, "lcp", lambda a, b: len(a))
+    for fmt in ([], ["--json"]):
+        code, out, err = run_cli(
+            capsys, "verify", "--max-x", "3", "--claims", "dft_bound", *fmt
+        )
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("InternalBoundViolation: ")
 
 
 def test_verify_cap_rejects_before_any_work(capsys, monkeypatch):
