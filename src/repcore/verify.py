@@ -3,20 +3,23 @@
 Each claim is a per-spec assertion about how often the length-|x| (or, for
 note2, length-(|x|-1)) factors of W occur.  The alteration is fixed by the
 split (x, cut1, cut2); the exponents only repeat x around it.  So the split
-is the unit of work: each is evaluated once, from its shortest word
+is the unit of work: it is read from its shortest word
 W0 = x·x1·x3·x·x (e1 = 1, e2 = MIN_E_SUM - 1), into one context of plain
 values.  A table maps each claim to two functions.  Its count is
-arithmetic in a few per-split stats (the orbit size, how many distinct
-windows are anchored and not, |x2|, |x|, note2's factor count), so a chunk
-sums the stats per split form and counts every claim once at the end.
+arithmetic in a few per-split stats (how many distinct windows are
+anchored, |x2|, |x|, note2's factor count), which are the same on every
+split of a configuration (below), so a chunk sums them per split form,
+one context per configuration, and counts every claim once at the end.
 Its per_sum lists a spec's mismatches; specs with the same e1+e2 have the
 same counts, so it runs once per exponent sum, and only while the claim
-can still report rows.  dft_bound has no per_sum: core_lengths refuses a
-split that breaks it before its context exists.  A chunk keeps one list
-of the claims that can still report rows, each with the two forms it is
-stated for, and checks each split against it.  Each worker runs one
-chunk: the first-use words are dealt out among the chunks by canonical
-index, and a worker enumerates its words itself.
+can still report rows.  dft_bound and dichotomy have no per_sum:
+core_lengths refuses a split that breaks the bound, and the rotation test
+one that would break the dichotomy, before its context exists.  For the
+rows a chunk walks its splits in canonical order with one list of the
+claims that can still report rows, each with the two forms it is stated
+for, and stops when the list is empty.  Each worker runs one chunk: the
+first-use words, and the configuration classes, are dealt out among the
+chunks by canonical index, and a worker enumerates its share itself.
 
 Renaming the letters of x injectively keeps every claim's status, count
 and factor pattern, since each claim reads only which positions of W hold
@@ -40,14 +43,15 @@ with cut1 = 0; theorem1 and theorem1_deletion are one assertion stated for
 the two forms.  With x^R renamed to its first-use word m by a table τ, the
 mirror of the first-use split (x, cut1, cut2) is (m, |x|-cut2, |x|-cut1).
 It is in the universe always for --forms both, when cut1 > 0 for
-deletion (its cut2 is |x|-cut1), and never for prefix.  A chunk evaluates
-a split unless its mirror is in the universe and sorts before it (under
-both, no split of a word with m < x), and a split evaluated stands for its
-mirror too unless it is its own: the mirror's stats are the split's
-(|x2| and the window counts are kept), and its violations are the
-split's with each factor f replaced by τ(f^R) and sorted again.  So each
-mirror orbit costs one context.  test_every_spec_equals_its_mirror checks
-the mirror fact on every spec of two universes.
+deletion (its cut2 is |x|-cut1), and never for prefix.  A chunk's walk
+evaluates a split unless its mirror is in the universe and sorts before
+it (under both, no split of a word with m < x), and a split evaluated
+stands for its mirror too unless it is its own: the mirror's stats are
+the split's (|x2| and the window counts are kept), and its violations are
+the split's with each factor f replaced by τ(f^R) and sorted again.  So
+each mirror orbit the walk reaches costs one context.
+test_every_spec_equals_its_mirror checks the mirror fact on every spec of
+two universes.
 
 Which rows rank follows from row order.  Splits come in canonical order
 (|x|, x, cut1, cut2), and x is the smallest word of its orbit, so every
@@ -71,7 +75,10 @@ mirror sorts after its split, so a row not produced yet (of the split in
 hand, a later split or their mirrors) sorts after every row of an
 earlier split.  So once a claim holds K rows of the chunk's own splits,
 it calls per_sum no more; mirror rows do not count, since a mirror can
-sort after splits still to come.
+sort after splits still to come.  A claim stated for no form the universe
+holds never lists a row.  So when every other claim holds its K rows, no
+split still to come can add a row that ranks, and the walk stops; the
+counts do not need it.
 
 Count rule: a window f of length |x| or |x|-1 occurs
 count_W0(f) + (e1+e2-MIN_E_SUM)·(f in x+x) times in W.
@@ -113,8 +120,46 @@ dichotomy has no violation, and the distinct count is |x| plus the
 anchored windows that do not occur in x+x.  These follow from W0's
 symbols for whatever p and s the context holds, not from the theorem:
 with p and s right the stretches are in phase by their definition (lcp
-and lcs), a p or s that overstates the agreement fails the test, and
-then every stat and violation is read from all of W0's windows.
+and lcs), and a p or s that overstates the agreement fails the test.  So
+a context whose test fails raises InternalBoundViolation, as core_lengths
+does for a broken bound, and the run ends; WindowScan in tests/oracles.py
+reads every stat, dichotomy and distinct count from all of W0's windows.
+
+Configurations.  Rotate x by r and shift both cuts by -r: the record is
+the same bi-infinite word, x^∞ up to the junction and x^∞ jumped ahead by
+d = |x2| after it, read from another start.  With L the Lyndon rotation
+of x, u = rotate(L, a) and v = rotate(L, a+d) for a junction phase a, and
+(L, a, d) is the split's configuration.  Of the |x| rotations, the
+|x|-d+1 whose cuts stay in 0 <= cut1 < cut2 <= |x| are splits of the
+model: one prefix split, the prefix member (rotate(L, a+d), |x|-d, |x|),
+and |x|-d deletion splits.  Every split of a configuration has the same
+stats.  |x| and |x2| are fixed, and p and s are read from u and v.  The
+anchored windows are the length-|x| windows of W0[lo : hi+|x|-1] =
+u[p+1:]·v[:|x|-s-1], which reads only u and v.  note2's factors are the
+length-(|x|-1) windows that hold u[|x|-s:]·v[:p].  Those of W0 that cross
+the junction lie in u[2:]·v[:|x|-2], and the others lie in the head x·x1,
+a factor of x^∞, or in the tail x[cut2:]·x·x, whose 2|x|-cut2+2 > |x|
+consecutive windows of x^∞ hold every (|x|-1)-factor of x^∞: so the set
+of short windows is the crossing ones and the (|x|-1)-factors of x^∞,
+the same for every rotation of x.  Renaming keeps the stats too, so a
+chunk counts per class of words closed under rotation and renaming.  Its
+representative x is the first-use word that no first-use renaming of a
+rotation of x sorts before; a first-use renaming never sorts after the
+word it renames, so x is a Lyndon word.  The rotations that map x to a
+renaming of x are the multiples of the smallest one, g (a subgroup of the
+rotations), so the class holds g·k!/(k-m)! words for m distinct letters,
+and its configurations of jump d are those of phases a < g.  The class's
+(word, cut1) pairs whose junction phase is a modulo g are the splits of
+configuration (x, a, d): k!/(k-m)! prefix splits and (|x|-d)·k!/(k-m)!
+deletion splits, the weights of its stats in the per-form sums.  Reading
+backwards maps the class of x onto the class of x^R and its splits of
+jump d onto theirs, keeping the stats; each configuration has one prefix
+split and |x|-d deletion splits, so the two classes' per-form sums are
+equal.  A class whose mirror class's representative sorts first is
+skipped, and one whose mirror class's representative sorts after it
+counts twice.  test_every_split_has_its_configurations_stats and
+test_count_pass_equals_the_sum_over_splits check this on small
+universes.
 
 Gating claims are expected to hold (a failure fails the run); reported
 claims record their empirical status and never gate, because the
@@ -137,7 +182,13 @@ from multiprocessing import Pipe, Process
 from multiprocessing.connection import Connection
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .errors import InvalidLimit, InvalidUniverse, NotApplicable, UniverseTooLarge
+from .errors import (
+    InternalBoundViolation,
+    InvalidLimit,
+    InvalidUniverse,
+    NotApplicable,
+    UniverseTooLarge,
+)
 
 # The verifier reads _SplitContext's windows and calls none of core,
 # anchor_windows, classify_window, occurrences and cyclic_occurrences, and
@@ -167,6 +218,7 @@ from .words import (
     occurrences,
     primitive_words,
     renamings,
+    rotate,
 )
 
 DEFAULT_MAX_CHECKS = 10_000_000
@@ -374,14 +426,15 @@ def applies(claim: ClaimId, spec: InterruptSpec) -> bool:
 class _Stats(NamedTuple):
     """The per-split numbers every claim's assertion count is arithmetic in.
 
-    A split contributes (1, |anchored|, |non_anchored|, |x|, |x2|, note2's
-    factor count); a chunk sums them per form, each times the split's
-    orbit size.
+    A split contributes (1, |anchored|, |x|, |x2|, note2's factor count);
+    every split of one configuration contributes the same (module
+    docstring), and a chunk sums them per form, each configuration times
+    the number of splits it stands for.  The non-anchored windows are the
+    |x| rotations of x, so their count is x_len.
     """
 
     splits: int
     anchored: int
-    non_anchored: int
     x_len: int
     x2_len: int
     note2: int
@@ -398,16 +451,16 @@ class _SplitContext:
     (e1 = 1, e2 = MIN_E_SUM - 1), whose junction is |x| + cut1: the windows
     at lo = cut1+p+1 .. hi-1 = |x|+cut1-s-1 contain the core and are
     anchored, the others are not.  Only the anchored ones are sliced up
-    front.  in_phase is the rotation test of the module docstring: when it
-    holds, the non-anchored windows are exactly the |x| rotations of x, so
-    the stats, dichotomy and distinct_count need no other window.  stats
-    holds the split's _Stats.
+    front.  The rotation test of the module docstring must hold, or the
+    context raises InternalBoundViolation: then the non-anchored windows
+    are exactly the |x| rotations of x, so the stats, dichotomy and
+    distinct_count need no other window.  stats holds the split's _Stats.
 
     A claim's per_sum reads the context and lists its violations as plain
     (factor, expected, actual) values, which _eval_chunk turns into rows.
     windows lists W0's length-|x| windows, non_anchored is the set of those
     outside lo..hi-1 and hist counts them; all three are built only when
-    read, by a claim that counts occurrences or when in_phase fails.
+    read, by a claim that counts occurrences.
     note2_linear counts the length-(|x|-1) windows (short) in the boundary
     case.  By the count rule in the module docstring, a window f of either
     length occurs h[f] + (s - MIN_E_SUM)·(f in xx) times in a spec with
@@ -425,8 +478,13 @@ class _SplitContext:
         self.p, self.s = p, s = core_lengths(x, u, v)
         self.word = word = x + x[:cut1] + x[cut2:] + xx
         self.lo, self.hi = lo, hi = cut1 + p + 1, n + cut1 - s
+        x4 = xx + xx
+        if not (x4.startswith(word[: lo + n - 1]) and x4.endswith(word[hi:])):
+            raise InternalBoundViolation(
+                f"p = {p}, s = {s} fail the rotation test for x = {x!r},"
+                f" cuts ({cut1}, {cut2})"
+            )
         self.anchored = {word[j : j + n] for j in range(lo, hi)}
-        self.in_phase = self._in_phase()
         # note2 is stated for the boundary case p + s = |x| - 2 only: its
         # factors are the length-(|x|-1) windows holding the core without
         # its two outer symbols.
@@ -435,17 +493,7 @@ class _SplitContext:
             m, sp = n - 1, u[n - s :] + v[:p]
             self.short = [word[j : j + m] for j in range(len(word) - m + 1)]
             self.note2 = {f for f in self.short if sp in f}
-        non_anchored = n if self.in_phase else len(self.non_anchored)
-        self.stats = _Stats(
-            1, len(self.anchored), non_anchored, n, cut2 - cut1, len(self.note2)
-        )
-
-    def _in_phase(self) -> bool:
-        """W0[:lo+|x|-1] is a prefix and W0[hi:] a suffix of x^4."""
-        x4, word = self.xx * 2, self.word
-        return x4.startswith(word[: self.lo + self.n - 1]) and x4.endswith(
-            word[self.hi :]
-        )
+        self.stats = _Stats(1, len(self.anchored), n, cut2 - cut1, len(self.note2))
 
     @cached_property
     def windows(self) -> list[str]:
@@ -489,19 +537,10 @@ def _mismatches(
     return sorted((f, want, a) for f, a in counts if a != want)
 
 
-def _dichotomy(ctx: _SplitContext, s: int) -> list[tuple[str, int, int]]:
-    # A length-|x| factor is a rotation of x exactly when it occurs in x+x.
-    if ctx.in_phase:
-        return []
-    bad = [f for f in ctx.non_anchored if f not in ctx.xx]
-    return [(f, 1, 0) for f in sorted(bad)]
-
-
 def _distinct_count(ctx: _SplitContext, s: int) -> list[tuple[str, int, int]]:
-    if ctx.in_phase:
-        distinct = ctx.n + sum(f not in ctx.xx for f in ctx.anchored)
-    else:
-        distinct = len(ctx.anchored | ctx.non_anchored)
+    # the |x| rotations, and the anchored windows that are none of them (a
+    # length-|x| factor is a rotation of x exactly when it occurs in x+x)
+    distinct = ctx.n + sum(f not in ctx.xx for f in ctx.anchored)
     expected = 2 * ctx.n - ctx.p - ctx.s - 1
     return [("", expected, distinct)] if distinct != expected else []
 
@@ -523,7 +562,9 @@ _CLAIMS: dict[ClaimId, tuple[_Count, _PerSum | None]] = {
     ClaimId.THEOREM1: (lambda t, s: t.anchored, _unique),
     ClaimId.THEOREM1_DELETION: (lambda t, s: t.anchored, _unique),
     # Every window of W is one assertion: (e1+e2)·|x| - |x2| + 1 of them.
-    ClaimId.DICHOTOMY: (lambda t, s: s * t.x_len - t.x2_len + t.splits, _dichotomy),
+    # A context exists only once the rotation test holds, which makes every
+    # non-anchored window a rotation of x: no per_sum.
+    ClaimId.DICHOTOMY: (lambda t, s: s * t.x_len - t.x2_len + t.splits, None),
     ClaimId.DISTINCT_COUNT: (lambda t, s: t.splits, _distinct_count),
     ClaimId.CORE_CYCLIC_UNIQUE: (
         lambda t, s: t.anchored,
@@ -531,11 +572,11 @@ _CLAIMS: dict[ClaimId, tuple[_Count, _PerSum | None]] = {
     ),
     ClaimId.NOTE2_LINEAR: (lambda t, s: t.note2, _note2_linear),
     ClaimId.NOTE3_LINEAR: (
-        lambda t, s: t.non_anchored,
+        lambda t, s: t.x_len,
         lambda ctx, s: _mismatches(ctx, s, ctx.non_anchored, ctx.hist),
     ),
     ClaimId.NOTE3_CYCLIC: (
-        lambda t, s: t.non_anchored,
+        lambda t, s: t.x_len,
         lambda ctx, s: _mismatches(
             ctx, s, ctx.non_anchored, ctx.hist, None, ctx.xx[1:-1]
         ),
@@ -559,18 +600,6 @@ def check_claim(claim: ClaimId, spec: InterruptSpec) -> SpecCheck:
     return SpecCheck(count(ctx.stats, s), tuple(Witness(spec, *v) for v in violations))
 
 
-def _mirror(x: str) -> tuple[str, dict[int, int]]:
-    """(m, τ): x read backwards, renamed by the str.translate table τ into
-    the first-use word m of its orbit.
-
-    >>> _mirror("aab")[0], _mirror("abb")[0], _mirror("abba")[0]
-    ('abb', 'aab', 'abba')
-    """
-    back = x[::-1]
-    tau = str.maketrans("".join(dict.fromkeys(back)), LETTERS[: len(set(x))])
-    return back.translate(tau), tau
-
-
 class _Held:
     """One claim's rows in a chunk: at least the first k of the rows added,
     unsorted, and how many of the rows added are of the chunk's own splits,
@@ -591,55 +620,126 @@ class _Held:
             del self.rows[self.k :]
 
 
+def _forms(universe: Universe) -> tuple[bool, ...]:
+    """The split forms the universe holds (False: deletion, True: prefix)."""
+    forms = {"prefix": (True,), "deletion": (False,), "both": (False, True)}
+    return forms[universe.forms]
+
+
+def _first_use(w: str) -> tuple[str, dict[int, int]]:
+    """(f, τ): w renamed by the str.translate table τ into the first-use word
+    f of its orbit.
+
+    >>> _first_use("bbab")[0], _first_use("baa")[0], _first_use("cab")[0]
+    ('aaba', 'abb', 'abc')
+    """
+    tau = str.maketrans("".join(dict.fromkeys(w)), LETTERS[: len(set(w))])
+    return w.translate(tau), tau
+
+
+def _classes(universe: Universe) -> Iterator[tuple[str, int, int]]:
+    """(x, g, pairs) per class of configurations of the universe, in
+    canonical order (|x|, x), leaving out each class whose mirror class
+    sorts first.
+
+    x is the class's representative: a first-use word that no first-use
+    renaming of one of its rotations sorts before.  Such an x is a Lyndon
+    word, so a plain compare with its rotations rejects most words before
+    any renaming.  g is the smallest rotation of x whose first-use renaming
+    is x (|x| if none is), and pairs is 2 when the mirror class's
+    representative sorts after x, 1 when it is x.
+
+    >>> [c for c in _classes(Universe(max_x=7)) if c[1] < len(c[0]) or c[2] > 1]
+    [('ab', 1, 1), ('aabb', 2, 1), ('aaabbb', 3, 1), ('aaababb', 7, 2)]
+    """
+    for n, _ in _lengths(universe):
+        for x in first_use_words(n, universe.alphabet_size):
+            xx = x + x
+            turns = [xx[r : r + n] for r in range(1, n)]
+            if min(turns) < x:  # not a Lyndon word
+                continue
+            named = [_first_use(w)[0] for w in turns]
+            if min(named) < x:
+                continue
+            # the rotations of x^R are the reversed rotations of x
+            back = min(_first_use(w[::-1])[0] for w in (x, *turns))
+            if back >= x:
+                yield x, named.index(x) + 1 if x in named else n, 1 + (back > x)
+
+
+def _totals(universe: Universe, part: int, parts: int) -> dict[bool, _Stats]:
+    """Per form of the universe: the sum of the _Stats of every split of
+    every x, over the classes of configurations that _classes yields with
+    canonical index i % parts == part.
+
+    A class (x, g, pairs) has one configuration per phase a < g and jump
+    d in 1..|x|-1, read from its prefix member (rotate(x, a+d), |x|-d,
+    |x|).  It stands for k!/(k-m)! splits per prefix member and
+    (|x|-d)·k!/(k-m)! deletion splits, for m distinct letters, each times
+    pairs (module docstring).
+    """
+    k = universe.alphabet_size
+    totals = {form: [0] * len(_Stats._fields) for form in _forms(universe)}
+    for x, g, pairs in islice(_classes(universe), part, None, parts):
+        n, size = len(x), perm(k, len(set(x))) * pairs
+        for d in range(1, n):
+            stats = [_SplitContext(rotate(x, a + d), n - d, n).stats for a in range(g)]
+            col = [sum(c) for c in zip(*stats)]
+            for form, total in totals.items():
+                weight = size if form else size * (n - d)
+                totals[form] = [t + weight * c for t, c in zip(total, col)]
+    return {form: _Stats(*total) for form, total in totals.items()}
+
+
 def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
     """Per claim: (assertions evaluated, the chunk's first max_violations rows).
 
-    args is (universe, part, parts, claims, max_violations), and the chunk
-    is the first-use words _word_cuts deals to part `part` of `parts`, each
-    with all of its splits and every (e1, e2) of the universe, standing for
-    every split of its orbit, k!/(k-m)! words for m distinct letters.  The
-    worker enumerates its words itself, in canonical order; x+x, the orbit
-    size and x's mirror word are computed once per word, and the list of
-    claims with a per_sum once per chunk.  A split whose mirror is in the
-    universe and sorts before it is left to the mirror's chunk; any other
-    split costs one _SplitContext, which also stands for its mirror, and is
-    checked against each claim still in the list.  Its stats are summed
-    per form, times the orbit size, once for the split and once more, under
-    the mirror's form, for a mirror that is not the split itself; each
-    claim's count is arithmetic in those sums at the end, and depends only
-    on e1+e2.  The chunk renames nothing but the mirror's factors, so its
-    rows are identity rows (σ = id) of its splits and their mirrors, and it
-    keeps the first max_violations of them per claim, in row order.  A
-    claim calls per_sum for a split stated for it or for its mirror, once
-    per exponent sum, until it holds max_violations rows of the chunk's own
-    splits, and then leaves the list; by the module docstring no row after
-    those can rank.  A claim without a per_sum (dft_bound) is only counted.
-    _merge_chunks renames the rows that rank.
+    args is (universe, part, parts, claims, max_violations).  The counts
+    come from _totals over the configuration classes dealt to part `part`
+    of `parts`: each claim's count is arithmetic in the per-form sums of
+    their stats, and depends only on e1+e2.
+
+    The rows come from a walk over the first-use words _word_cuts deals to
+    the part, each with all of its splits and every (e1, e2) of the
+    universe, standing for every split of its orbit.  The worker enumerates
+    its words itself, in canonical order; x+x and x's mirror word are
+    computed once per word.  A split whose mirror is in the universe and
+    sorts before it is left to the mirror's chunk; any other split costs
+    one _SplitContext, which also stands for its mirror, and is checked
+    against each claim with room.  The chunk renames nothing but the
+    mirror's factors, so its rows are identity rows (σ = id) of its splits
+    and their mirrors, and it keeps the first max_violations of them per
+    claim, in row order.  The claims with room are those with a per_sum
+    and stated for a form the universe holds.  A claim calls per_sum for a
+    split stated for it or for its mirror, once per exponent sum, until it
+    holds max_violations rows of the chunk's own splits, and then has no
+    room; by the module docstring no row after those can rank.  The walk
+    stops when no claim has room.  _merge_chunks renames the rows that
+    rank.
     """
     universe, part, parts, claims, max_violations = args
-    sums = universe.e_sums
+    sums, forms = universe.e_sums, _forms(universe)
     held = {c: _Held(max_violations) for c in claims}
-    # (per_sum, rows, stated for (deletion, prefix)) per claim that has a
-    # per_sum and room for rows; a claim leaves once it holds max_violations
-    # rows of the chunk's own splits.
-    room = [
-        (per_sum, held[c], (_stated_for(c, False), _stated_for(c, True)))
-        for c in claims
-        if (per_sum := _CLAIMS[c][1]) is not None
-    ]
-    # Per form (False: deletion, True: prefix): the sums of the splits'
-    # stats times their orbit sizes.
-    totals = {form: [0] * len(_Stats._fields) for form in (False, True)}
+    # (per_sum, rows, stated for (deletion, prefix)) per claim with room; a
+    # claim leaves once it holds max_violations rows of the chunk's own
+    # splits.
+    room = []
+    for c in claims:
+        per_sum, stated = _CLAIMS[c][1], (_stated_for(c, False), _stated_for(c, True))
+        if per_sum is not None and any(stated[f] for f in forms):
+            room.append((per_sum, held[c], stated))
     paired = universe.forms != "prefix"
     for x, cuts in _word_cuts(universe, part, parts):
+        if not room:
+            break
         n, xx = len(x), x + x
         if paired:
-            m, tau = _mirror(x)
+            m, tau = _first_use(x[::-1])
             if m < x and universe.forms == "both":
                 continue
-        size = perm(universe.alphabet_size, len(set(x)))
-        stats: dict[bool, list[_Stats]] = {False: [], True: []}
         for cut1, cut2 in cuts:
+            if not room:
+                break
             key, mirror = (n, x, cut1, cut2), None
             # the mirror is in a both universe always, in a deletion
             # universe when cut1 > 0; it is prefix form when cut1 = 0
@@ -650,13 +750,9 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
                 if mirror == key:
                     mirror = None
             ctx = _SplitContext(x, cut1, cut2, xx)
-            form = cut2 == n
-            stats[form].append(ctx.stats)
-            if mirror is not None:
-                stats[not cut1].append(ctx.stats)
             for entry in room[:]:
                 per_sum, kept, stated = entry
-                own = stated[form]
+                own = stated[cut2 == n]
                 back = mirror is not None and stated[not cut1]
                 if not (own or back):
                     continue
@@ -675,15 +771,8 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
                     kept.add(_rows(mirror, sums, found, max_violations), False)
                 if kept.own >= max_violations:
                     room.remove(entry)
-        for form, split_stats in stats.items():
-            if split_stats:
-                totals[form] = [
-                    t + size * sum(col)
-                    for t, col in zip(totals[form], zip(*split_stats))
-                ]
     checked = dict.fromkeys(claims, 0)
-    for form, total in totals.items():
-        t = _Stats(*total)
+    for form, t in _totals(universe, part, parts).items():
         for c in claims:
             if _stated_for(c, form):
                 count = _CLAIMS[c][0]
@@ -805,9 +894,10 @@ def run(
     """Evaluate claims over every spec of the universe.
 
     Output is deterministic and identical for any job count: every spec is
-    evaluated (no early exit), through the first-use spec of its orbit, and
-    chunk results merge in canonical order.  Each worker runs one chunk,
-    part `part` of `workers` (_word_cuts deals the first-use words out by
+    counted, through its configuration, its rows are found unless they
+    cannot rank, and chunk results merge in canonical order.  Each worker
+    runs one chunk, part `part` of `workers` (_word_cuts deals the
+    first-use words and _totals the configuration classes out by
     canonical index), so the parent holds no spec.  The calling process
     runs part 0 itself and forks one child for each further part, which
     gets its five small values through the fork and sends back only its

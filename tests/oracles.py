@@ -4,6 +4,8 @@ Everything here recomputes results from first principles (plain slicing and
 full enumeration), deliberately ignoring the library's shortcuts.
 """
 
+from collections import Counter
+
 from repcore import ClaimId, DeletionSplit, InterruptSpec, build
 from repcore.errors import EmptyPattern, EmptyWord, InvalidSpec, InvalidSplit
 from repcore.interrupts import iter_splits
@@ -12,6 +14,7 @@ from repcore.verify import (
     ClaimReport,
     Witness,
     _SplitContext,
+    _Stats,
     applies,
     exponent_pairs,
 )
@@ -208,6 +211,45 @@ def evaluate_naive(claim, spec):
     if claim is ClaimId.NOTE3_CYCLIC:
         return len(others), mismatches(others, cyclic, e_total)
     raise AssertionError(f"unhandled claim {claim}")
+
+
+class WindowScan:
+    """A split's stats, dichotomy and distinct count read from all of W0's windows.
+
+    The slow twin of repcore.verify._SplitContext: the same attributes the
+    claims' per_sums read, built with no rotation test.  p and s come from
+    lcp_naive and lcs_naive, W0 = x·x1·x3·x·x is sliced into every window,
+    the non-anchored windows are all of those outside lo..hi-1, and
+    dichotomy and distinct_count read them as the claims state them.
+    """
+
+    def __init__(self, x, cut1, cut2):
+        self.x, self.cut1, self.cut2 = x, cut1, cut2
+        self.n = n = len(x)
+        self.xx = xx = x + x
+        u, v = xx[cut1 : cut1 + n], xx[cut2 : cut2 + n]
+        self.p, self.s = p, s = lcp_naive(v, u), lcs_naive(u, v)
+        self.word = word = x + x[:cut1] + x[cut2:] + xx
+        self.lo, self.hi = lo, hi = cut1 + p + 1, n + cut1 - s
+        self.windows = [word[j : j + n] for j in range(len(word) - n + 1)]
+        self.anchored = set(self.windows[lo:hi])
+        self.non_anchored = set(self.windows[:lo]) | set(self.windows[hi:])
+        self.hist = Counter(self.windows)
+        self.short = [word[j : j + n - 1] for j in range(len(word) - n + 2)]
+        # the core without its two outer symbols, in the boundary case only
+        inner = word[n + cut1 - s : n + cut1 + p]
+        self.note2 = {f for f in self.short if inner in f} if p + s == n - 2 else set()
+        self.stats = _Stats(1, len(self.anchored), n, cut2 - cut1, len(self.note2))
+
+    def dichotomy(self, s):
+        """Non-anchored windows that are no rotation of x."""
+        rotations = {self.xx[k : k + self.n] for k in range(self.n)}
+        return [(f, 1, 0) for f in sorted(self.non_anchored - rotations)]
+
+    def distinct_count(self, s):
+        distinct = len(set(self.windows))
+        expected = 2 * self.n - self.p - self.s - 1
+        return [("", expected, distinct)] if distinct != expected else []
 
 
 def phase_segments_naive(text, x):

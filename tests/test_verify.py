@@ -9,11 +9,13 @@ from contextlib import contextmanager
 from copy import copy
 from dataclasses import replace
 from itertools import groupby
+from math import perm
 from types import SimpleNamespace
 
 import pytest
 
 import oracles
+import repcore.cli
 import repcore.verify
 from repcore import (
     ClaimId,
@@ -37,11 +39,13 @@ from repcore.verify import (
     GATING_CLAIMS,
     REPORTED_CLAIMS,
     Witness,
-    _dichotomy,
+    _classes,
     _distinct_count,
     _eval_chunk,
     _merge_chunks,
+    _split_count,
     _SplitContext,
+    _totals,
     _word_count,
     _word_cuts,
     applies,
@@ -50,7 +54,13 @@ from repcore.verify import (
     exponent_pairs,
     verdict,
 )
-from repcore.words import first_use_words, is_primitive, renamings
+from repcore.words import (
+    count_primitive_words,
+    first_use_words,
+    is_primitive,
+    renamings,
+    rotate,
+)
 
 from oracles import evaluate_naive, run_full
 
@@ -61,7 +71,13 @@ def prefix_spec(x, cut, e1, e2):
 
 def is_first_use(x):
     """x's letters first appear in the order a, b, c, ..."""
-    return "".join(dict.fromkeys(x)) == "abcdefghijklmnopqrstuvwxyz"[: len(set(x))]
+    return first_use(x) == x
+
+
+def first_use(w):
+    """w with its letters renamed a, b, c, ... in the order they first appear."""
+    used = "".join(dict.fromkeys(w))
+    return w.translate(str.maketrans(used, "abcdefghijklmnopqrstuvwxyz"[: len(used)]))
 
 
 def representative_specs(universe):
@@ -443,17 +459,11 @@ def test_check_claim_equals_naive_oracle_on_long_x():
     assert {ClaimId.THEOREM1, ClaimId.NOTE2_LINEAR} <= failing
 
 
-class WindowScan(_SplitContext):
-    """The split context with the rotation test forced false, so its stats
-    and violations are read from all of W0's windows."""
-
-    def _in_phase(self):
-        return False
-
-
 def test_fast_context_equals_the_window_scan():
     # The rotation test (module docstring of repcore.verify) replaces the
-    # non-anchored window set in the stats, dichotomy and distinct_count.
+    # non-anchored window set in the stats, dichotomy and distinct_count:
+    # the non-anchored windows are the |x| rotations of x, and dichotomy
+    # has no per_sum.  oracles.WindowScan reads all of W0's windows.
     splits = 0
     for k, max_x in [(2, 10), (3, 6)]:
         for n in range(1, max_x + 1):
@@ -461,24 +471,28 @@ def test_fast_context_equals_the_window_scan():
             for x in first_use_words(n, k):
                 for cut1, cut2 in cuts:
                     fast = _SplitContext(x, cut1, cut2)
-                    slow = WindowScan(x, cut1, cut2)
-                    assert fast.in_phase and not slow.in_phase
+                    slow = oracles.WindowScan(x, cut1, cut2)
                     assert fast.stats == slow.stats, (x, cut1, cut2)
-                    for c, (_, per_sum) in _CLAIMS.items():
-                        if per_sum is None:  # dft_bound lists nothing
-                            continue
-                        for s in (3, 4, 6):
-                            want = per_sum(slow, s)
-                            assert per_sum(fast, s) == want, (x, cut1, cut2, c, s)
+                    assert len(slow.non_anchored) == fast.stats.x_len
+                    for s in (3, 4, 6):
+                        assert slow.dichotomy(s) == []
+                        want = slow.distinct_count(s)
+                        assert _distinct_count(fast, s) == want, (x, cut1, cut2, s)
+                        for c, (_, per_sum) in _CLAIMS.items():
+                            if per_sum is not None:
+                                want = per_sum(slow, s)
+                                assert per_sum(fast, s) == want, (x, cut1, cut2, c, s)
                     splits += 1
     assert splits == 47_550
+    assert _CLAIMS[ClaimId.DICHOTOMY][1] is None
 
 
-def test_rotation_test_fails_on_an_overstated_core(monkeypatch):
+def test_rotation_test_fails_on_an_overstated_core(monkeypatch, capsys):
     # With p one too large, the window that ends on the first mismatch past
     # the junction counts as non-anchored; it is no rotation of x, so the
-    # rotation test fails and dichotomy reports it, as the slicing oracle
-    # does when given the same core.
+    # rotation test fails and the context raises InternalBoundViolation, as
+    # core_lengths does for a broken bound.  The window scan, given the same
+    # core, reports that window as a dichotomy violation.
     split = DeletionSplit("aabbb", 3, 4)
     n = len(split.x)
     xx = split.x * 2
@@ -489,27 +503,101 @@ def test_rotation_test_fails_on_an_overstated_core(monkeypatch):
         p, s = core_lengths(x, u, v)
         return p + 1, s
 
-    def overstated_core(spec):
-        p, s, _, start, end, junction = core_by_continuation(spec)
-        return p + 1, s, build(spec)[start : end + 1], start, end + 1, junction
-
-    core_by_continuation = oracles.core_by_continuation
     monkeypatch.setattr(repcore.verify, "core_lengths", overstated)
-    monkeypatch.setattr(oracles, "core_by_continuation", overstated_core)
-    ctx = _SplitContext(split.x, split.cut1, split.cut2)
-    assert (ctx.p, ctx.s) == (p + 1, s)
-    assert not ctx.in_phase
-    spec = InterruptSpec(split, 1, 2)
-    for claim, per_sum in [
-        (ClaimId.DICHOTOMY, _dichotomy),
-        (ClaimId.DISTINCT_COUNT, _distinct_count),
-    ]:
-        _, want = evaluate_naive(claim, spec)
-        assert want, claim
-        assert per_sum(ctx, 3) == [(w.factor, w.expected, w.actual) for w in want]
+    with pytest.raises(InternalBoundViolation, match="rotation test"):
+        _SplitContext(split.x, split.cut1, split.cut2)
+    monkeypatch.setattr(oracles, "lcp_naive", lambda a, b: p + 1)
+    monkeypatch.setattr(oracles, "lcs_naive", lambda a, b: s)
+    slow = oracles.WindowScan(split.x, split.cut1, split.cut2)
     # W0 = aabbb·aab·b·aabbbaabbb; the window W0[5:10] ends on W0[9], the
     # first symbol past the junction (8) out of phase with x^∞
-    assert _dichotomy(ctx, 3) == [("aabba", 1, 0)]
+    assert slow.dichotomy(3) == [("aabba", 1, 0)]
+    # the same patch ends a verify run with one diagnostic line, exit 2
+    for fmt in ([], ["--json"]):
+        code = repcore.cli.main(["verify", "--max-x", "5", *fmt])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("InternalBoundViolation: ")
+
+
+def junction_key(x, cut1, cut2):
+    """u·v, the two rotations of x that meet at the split's junction, renamed
+    together to first-use letters.  It names the split's configuration:
+    x^∞ read up to the junction, then on past a jump of |x2|."""
+    n, xx = len(x), x + x
+    return first_use(xx[cut1 : cut1 + n] + xx[cut2 : cut2 + n])
+
+
+def configuration_stats(universe):
+    """Per junction key: the stats of each configuration _totals reads, built
+    on its prefix member as _totals builds it.  No two share a key."""
+    found = {}
+    for x, g, _ in _classes(universe):
+        n = len(x)
+        for d in range(1, n):
+            for a in range(g):
+                w = rotate(x, a + d)
+                key = junction_key(w, n - d, n)
+                assert key not in found, (x, a, d)
+                found[key] = _SplitContext(w, n - d, n).stats
+    return found
+
+
+@pytest.mark.parametrize("k, max_x", [(2, 10), (3, 6)], ids=["binary", "ternary"])
+def test_every_split_has_its_configurations_stats(k, max_x):
+    # Every first-use split of both forms has the stats of its configuration,
+    # or, when its mirror class sorts first, of its mirror's configuration
+    # (the key of W read backwards); and every configuration is some split's.
+    u = Universe(k, 1, max_x, (3,), "both")
+    stats, hit = configuration_stats(u), set()
+    for split in first_use_splits(u):
+        key = junction_key(split.x, split.cut1, split.cut2)
+        if key not in stats:
+            key = first_use(key[::-1])
+        assert _SplitContext(split.x, split.cut1, split.cut2).stats == stats[key], split
+        hit.add(key)
+    assert hit == set(stats)
+    # words fixed by a rotation and a renaming, such as aabb (rotated by 2,
+    # bbaa) and aabbcc, have fewer phases than letters
+    fixed = {x for x, g, _ in _classes(u) if g < len(x)}
+    want = {"aabb", "aaabbb"} if k == 2 else {"aabb", "aabbcc", "abac"}
+    assert want <= fixed
+
+
+@pytest.mark.parametrize(
+    "universe",
+    [
+        Universe(2, 1, 10, (3,), "both"),
+        Universe(3, 1, 6, (3,), "both"),
+        Universe(4, 2, 6, (3,), "both"),
+        Universe(2, 2, 9, (3,), "prefix"),
+        Universe(3, 3, 6, (3,), "deletion"),
+    ],
+    ids=["binary", "ternary", "4-letter", "binary-prefix", "ternary-deletion"],
+)
+def test_count_pass_equals_the_sum_over_splits(universe):
+    # _totals weights each configuration by the splits it stands for, over
+    # every x of every orbit, and pairs mirror classes: per form it equals
+    # the stats of every first-use split times its orbit size, for any
+    # dealing, and its splits column is the universe's count of splits.
+    k = universe.alphabet_size
+    want = {form: [0] * 5 for form in (False, True)}
+    for split in first_use_splits(universe):
+        size = perm(k, len(set(split.x)))
+        stats = _SplitContext(split.x, split.cut1, split.cut2).stats
+        form = want[split.is_prefix_form]
+        form[:] = [t + size * c for t, c in zip(form, stats)]
+    for parts in (1, 2, 3):
+        got = {}
+        for part in range(parts):
+            for form, t in _totals(universe, part, parts).items():
+                got[form] = [a + b for a, b in zip(got.get(form, [0] * 5), t)]
+        assert got == {form: t for form, t in want.items() if any(t)}, parts
+    for form, name in ((False, "deletion"), (True, "prefix")):
+        if form in got:
+            only = replace(universe, forms=name)
+            assert got[form][0] == _split_count(only, count_primitive_words)
 
 
 # theorem1_deletion first fails on first-use spec 45 (split 9, x = aba, the
@@ -548,10 +636,8 @@ def split_key(split):
 def mirror_of(split):
     """The split read backwards, (x^R, |x|-cut2, |x|-cut1), with x^R renamed
     to the first-use word of its orbit."""
-    n, back = len(split.x), split.x[::-1]
-    used = "".join(dict.fromkeys(back))
-    table = str.maketrans(used, "abcdefghijklmnopqrstuvwxyz"[: len(used)])
-    return DeletionSplit(back.translate(table), n - split.cut2, n - split.cut1)
+    n = len(split.x)
+    return DeletionSplit(first_use(split.x[::-1]), n - split.cut2, n - split.cut1)
 
 
 def in_forms(split, forms):
@@ -825,6 +911,8 @@ def test_eval_chunk_builds_no_per_split_objects(monkeypatch):
     assert any(rows for _, rows in part.values())
     assert calls == Counter()
 
+    # A chunk builds one context per configuration for the counts, and one
+    # per split it walks for rows; the walk stops once no claim has room.
     # A context slices W0's windows, and counts them, only for a claim that
     # reads occurrence counts while it has room for rows: never for the
     # claims the rotation test decides.
@@ -839,28 +927,39 @@ def test_eval_chunk_builds_no_per_split_objects(monkeypatch):
         return sum(name in vars(ctx) for ctx in contexts)
 
     monkeypatch.setattr(repcore.verify, "_SplitContext", Recorded)
-    window_free = [ClaimId.DFT_BOUND, ClaimId.DICHOTOMY, ClaimId.DISTINCT_COUNT]
-    part = _eval_chunk((u, 0, 1, window_free, DEFAULT_MAX_VIOLATIONS))
+    configurations = len(configuration_stats(u))
+    assert (splits, configurations) == (1438, 1284)
+    _totals(u, 0, 1)
+    assert len(contexts) == configurations
+    contexts.clear()
+    # dft_bound and dichotomy list no row, so no split is walked at all
+    part = _eval_chunk((u, 0, 1, [ClaimId.DFT_BOUND, ClaimId.DICHOTOMY], 10))
+    assert part[ClaimId.DICHOTOMY][0] > 0
+    assert len(contexts) == configurations
+    contexts.clear()
+    part = _eval_chunk((u, 0, 1, [ClaimId.DISTINCT_COUNT], DEFAULT_MAX_VIOLATIONS))
     assert part[ClaimId.DISTINCT_COUNT][1]
-    assert len(contexts) == splits
+    assert configurations < len(contexts) < splits
     assert built("windows") == built("hist") == 0
     contexts.clear()
     _eval_chunk((u, 0, 1, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
-    assert len(contexts) == splits
-    assert 0 < built("hist") <= built("windows") < splits
-    # A both universe builds one context per mirror orbit: {split, mirror}
+    assert len(contexts) == configurations + 9
+    assert 0 < built("hist") <= built("windows") <= 9
+    # A both universe has the same configurations; today's walk visits 23
+    # of its 3,399 mirror orbits of splits.
     both = Universe(2, 2, 8, (3, 4), "both")
     every = first_use_splits(both)
     orbits = {frozenset({split_key(s), split_key(mirror_of(s))}) for s in every}
     assert (len(every), len(orbits)) == (6722, 3399)
+    assert len(configuration_stats(both)) == configurations
     contexts.clear()
     _eval_chunk((both, 0, 1, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
-    assert len(contexts) == len(orbits)
-    # dealt to two parts, the words build the same contexts between them
+    assert len(contexts) == configurations + 23
+    # dealt to two parts, the configurations are counted once between them
     contexts.clear()
     for part in range(2):
-        _eval_chunk((both, part, 2, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
-    assert len(contexts) == len(orbits)
+        _totals(both, part, 2)
+    assert len(contexts) == configurations
     # the counters see the names the module calls
     calls.clear()
     next(enumerate_specs(u))
