@@ -35,23 +35,15 @@ occurs at most once per spec and claim.
 Reading a record backwards gives another one.  x^R = x3^R·x2^R·x1^R, so W
 read backwards is build(x^R, |x|-cut2, |x|-cut1, e2, e1): u and v become
 v^R and u^R, p and s swap, and the core, the anchored windows and the
-rotations of x become those of the reversed word.  A factor f occurs as
-often in W as f^R in W^R, so each claim makes on the mirror spec the
-assertions it makes on the spec, with each factor reversed, and finds the
-same violations.  A prefix split (cut2 = |x|) mirrors to a deletion split
-with cut1 = 0; theorem1 and theorem1_deletion are one assertion stated for
-the two forms.  With x^R renamed to its first-use word m by a table τ, the
-mirror of the first-use split (x, cut1, cut2) is (m, |x|-cut2, |x|-cut1).
-It is in the universe always for --forms both, when cut1 > 0 for
-deletion (its cut2 is |x|-cut1), and never for prefix.  A chunk's walk
-evaluates a split unless its mirror is in the universe and sorts before
-it (under both, no split of a word with m < x), and a split evaluated
-stands for its mirror too unless it is its own: the mirror's stats are
-the split's (|x2| and the window counts are kept), and its violations are
-the split's with each factor f replaced by τ(f^R) and sorted again.  So
-each mirror orbit the walk reaches costs one context.
-test_every_spec_equals_its_mirror checks the mirror fact on every spec of
-two universes.
+rotations of x become those of the reversed word.  So the mirror split
+(x^R, |x|-cut2, |x|-cut1) has the split's stats (|x2| and the window
+counts are kept), and a prefix split (cut2 = |x|) mirrors to a deletion
+split with cut1 = 0; theorem1 and theorem1_deletion are one assertion
+stated for the two forms.  _classes pairs mirror classes of
+configurations by this (Configurations, below).
+test_every_spec_equals_its_mirror checks on every spec of two universes
+that each claim makes on the mirror spec the assertions it makes on the
+spec, with each factor reversed.
 
 Which rows rank follows from row order.  Splits come in canonical order
 (|x|, x, cut1, cut2), and x is the smallest word of its orbit, so every
@@ -62,20 +54,17 @@ identity rows and the renamings of the splits those rows belong to: once
 K identity rows are held, the renamed rows of the last split held, even
 of one cut short, sort after all of them.  Each first-use split's
 identity rows come from exactly one chunk: the one dealt the split's
-word, or the one dealt its mirror's word when the mirror is evaluated.
-A chunk keeps the first K of its identity rows per claim, its own and
-its mirrors' together, and holds no orbit.  Each of the universe's first
-K identity rows lies in its chunk's list, since fewer than K of that
-chunk's rows, all identity rows of the universe, sort before it, however
-the splits are dealt.  So run() takes the first K rows of the merge of
-the chunks' sorted lists, renames only their splits, lazily, merges the
-renamed streams in plain tuple order and builds a Witness only for the
-rows it reports.  A chunk visits its splits in canonical order and a
-mirror sorts after its split, so a row not produced yet (of the split in
-hand, a later split or their mirrors) sorts after every row of an
-earlier split.  So once a claim holds K rows of the chunk's own splits,
-it calls per_sum no more; mirror rows do not count, since a mirror can
-sort after splits still to come.  A claim stated for no form the universe
+word.  A chunk keeps the first K of its identity rows per claim and holds
+no orbit.  Each of the universe's first K identity rows lies in its
+chunk's list, since fewer than K of that chunk's rows, all identity rows
+of the universe, sort before it, however the splits are dealt.  So run()
+takes the first K rows of the merge of the chunks' sorted lists, renames
+only their splits, lazily, merges the renamed streams in plain tuple
+order and builds a Witness only for the rows it reports.  A chunk visits
+its splits in canonical order and lists each split's rows in row order,
+so its lists are sorted, and a row not produced yet (of the split in hand
+or a later split) sorts after every row held.  So once a claim holds K
+rows, it calls per_sum no more.  A claim stated for no form the universe
 holds never lists a row.  So when every other claim holds its K rows, no
 split still to come can add a row that ranks, and the walk stops; the
 counts do not need it.
@@ -514,8 +503,8 @@ class _SplitContext:
 # with stats t; it is linear in t, so a chunk applies it to the sum of its
 # splits' stats.  per_sum(ctx, s) lists the (factor, expected, actual)
 # violations of such a spec, in factor order; a chunk calls it for a split
-# stated for the claim or for its mirror while it has room for the claim's
-# rows, and check_claim for its one spec.  A per_sum of None lists nothing.
+# stated for the claim while it has room for the claim's rows, and
+# check_claim for its one spec.  A per_sum of None lists nothing.
 # A cyclic claim is its linear twin with wraparound = ctx.xx[1:-1].
 _Count = Callable[[_Stats, int], int]
 _PerSum = Callable[[_SplitContext, int], list[tuple[str, int, int]]]
@@ -600,41 +589,20 @@ def check_claim(claim: ClaimId, spec: InterruptSpec) -> SpecCheck:
     return SpecCheck(count(ctx.stats, s), tuple(Witness(spec, *v) for v in violations))
 
 
-class _Held:
-    """One claim's rows in a chunk: at least the first k of the rows added,
-    unsorted, and how many of the rows added are of the chunk's own splits,
-    not of their mirrors.  When rows outgrows 2k it is cut to its first k.
-    """
-
-    __slots__ = ("k", "rows", "own")
-
-    def __init__(self, k: int):
-        self.k, self.rows, self.own = k, [], 0
-
-    def add(self, rows: list[tuple], own: bool) -> None:
-        if own:
-            self.own += len(rows)
-        self.rows += rows
-        if len(self.rows) > 2 * self.k:
-            self.rows.sort()
-            del self.rows[self.k :]
-
-
 def _forms(universe: Universe) -> tuple[bool, ...]:
     """The split forms the universe holds (False: deletion, True: prefix)."""
     forms = {"prefix": (True,), "deletion": (False,), "both": (False, True)}
     return forms[universe.forms]
 
 
-def _first_use(w: str) -> tuple[str, dict[int, int]]:
-    """(f, τ): w renamed by the str.translate table τ into the first-use word
-    f of its orbit.
+def _first_use(w: str) -> str:
+    """w renamed into the first-use word of its orbit.
 
-    >>> _first_use("bbab")[0], _first_use("baa")[0], _first_use("cab")[0]
+    >>> _first_use("bbab"), _first_use("baa"), _first_use("cab")
     ('aaba', 'abb', 'abc')
     """
-    tau = str.maketrans("".join(dict.fromkeys(w)), LETTERS[: len(set(w))])
-    return w.translate(tau), tau
+    letters = "".join(dict.fromkeys(w))
+    return w.translate(str.maketrans(letters, LETTERS[: len(letters)]))
 
 
 def _classes(universe: Universe) -> Iterator[tuple[str, int, int]]:
@@ -658,11 +626,11 @@ def _classes(universe: Universe) -> Iterator[tuple[str, int, int]]:
             turns = [xx[r : r + n] for r in range(1, n)]
             if min(turns) < x:  # not a Lyndon word
                 continue
-            named = [_first_use(w)[0] for w in turns]
+            named = [_first_use(w) for w in turns]
             if min(named) < x:
                 continue
             # the rotations of x^R are the reversed rotations of x
-            back = min(_first_use(w[::-1])[0] for w in (x, *turns))
+            back = min(_first_use(w[::-1]) for w in (x, *turns))
             if back >= x:
                 yield x, named.index(x) + 1 if x in named else n, 1 + (back > x)
 
@@ -702,74 +670,43 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
     The rows come from a walk over the first-use words _word_cuts deals to
     the part, each with all of its splits and every (e1, e2) of the
     universe, standing for every split of its orbit.  The worker enumerates
-    its words itself, in canonical order; x+x and x's mirror word are
-    computed once per word.  A split whose mirror is in the universe and
-    sorts before it is left to the mirror's chunk; any other split costs
-    one _SplitContext, which also stands for its mirror, and is checked
-    against each claim with room.  The chunk renames nothing but the
-    mirror's factors, so its rows are identity rows (σ = id) of its splits
-    and their mirrors, and it keeps the first max_violations of them per
-    claim, in row order.  The claims with room are those with a per_sum
-    and stated for a form the universe holds.  A claim calls per_sum for a
-    split stated for it or for its mirror, once per exponent sum, until it
-    holds max_violations rows of the chunk's own splits, and then has no
-    room; by the module docstring no row after those can rank.  The walk
-    stops when no claim has room.  _merge_chunks renames the rows that
-    rank.
+    its words itself, in canonical order, and computes x+x once per word.
+    Each split costs one _SplitContext and is checked against each claim
+    with room that is stated for its form.  The claims with room are those
+    with a per_sum and stated for a form the universe holds.  The chunk
+    renames nothing, so its rows are identity rows (σ = id) of its own
+    splits, and come in row order.  A claim calls per_sum once per exponent
+    sum until it holds max_violations rows, and then has no room; by the
+    module docstring no row after those can rank.  The walk stops when no
+    claim has room.  _merge_chunks renames the rows that rank.
     """
     universe, part, parts, claims, max_violations = args
     sums, forms = universe.e_sums, _forms(universe)
-    held = {c: _Held(max_violations) for c in claims}
+    held = {c: [] for c in claims}
     # (per_sum, rows, stated for (deletion, prefix)) per claim with room; a
-    # claim leaves once it holds max_violations rows of the chunk's own
-    # splits.
+    # claim leaves once it holds max_violations rows
     room = []
     for c in claims:
         per_sum, stated = _CLAIMS[c][1], (_stated_for(c, False), _stated_for(c, True))
         if per_sum is not None and any(stated[f] for f in forms):
             room.append((per_sum, held[c], stated))
-    paired = universe.forms != "prefix"
     for x, cuts in _word_cuts(universe, part, parts):
         if not room:
             break
         n, xx = len(x), x + x
-        if paired:
-            m, tau = _first_use(x[::-1])
-            if m < x and universe.forms == "both":
-                continue
         for cut1, cut2 in cuts:
             if not room:
                 break
-            key, mirror = (n, x, cut1, cut2), None
-            # the mirror is in a both universe always, in a deletion
-            # universe when cut1 > 0; it is prefix form when cut1 = 0
-            if paired and (cut1 or universe.forms == "both"):
-                mirror = (n, m, n - cut2, n - cut1)
-                if mirror < key:
-                    continue
-                if mirror == key:
-                    mirror = None
-            ctx = _SplitContext(x, cut1, cut2, xx)
+            key, ctx = (n, x, cut1, cut2), _SplitContext(x, cut1, cut2, xx)
             for entry in room[:]:
                 per_sum, kept, stated = entry
-                own = stated[cut2 == n]
-                back = mirror is not None and stated[not cut1]
-                if not (own or back):
+                if not stated[cut2 == n]:
                     continue
                 found = {s: per_sum(ctx, s) for s in sums}
                 if not any(found.values()):
                     continue
-                if own:
-                    kept.add(_rows(key, sums, found, max_violations), True)
-                if back:
-                    found = {
-                        s: sorted(
-                            (f[::-1].translate(tau), want, got) for f, want, got in v
-                        )
-                        for s, v in found.items()
-                    }
-                    kept.add(_rows(mirror, sums, found, max_violations), False)
-                if kept.own >= max_violations:
+                kept += _rows(key, sums, found, max_violations - len(kept))
+                if len(kept) >= max_violations:
                     room.remove(entry)
     checked = dict.fromkeys(claims, 0)
     for form, t in _totals(universe, part, parts).items():
@@ -777,7 +714,7 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
             if _stated_for(c, form):
                 count = _CLAIMS[c][0]
                 checked[c] += sum((s - 1) * count(t, s) for s in sums)
-    return {c: (checked[c], sorted(held[c].rows)[:max_violations]) for c in claims}
+    return {c: (checked[c], held[c]) for c in claims}
 
 
 def _rows(key: tuple, sums: tuple, found: dict, limit: int) -> list[tuple]:

@@ -407,9 +407,10 @@ ORBIT_UNIVERSES = {
                                   "4", "--max-violations", str(k)]
         for k in (1, 2, 3, 5, 16, 10**6)
     },
-    # verify evaluates one split per mirror orbit (x read backwards).  In a
-    # deletion universe only the splits with cut1 > 0 pair up; |x| 4-6
-    # holds self-mirror words such as abba and aabb (bbaa renamed).
+    # The counts pair mirror classes of configurations (x read backwards).
+    # In a deletion universe only the splits with cut1 > 0 have their mirror
+    # in the universe; |x| 4-6 holds self-mirror words such as abba and aabb
+    # (bbaa renamed).
     **{
         f"binary-deletion-x6-k{k}": ["--forms", "deletion", "--max-x", "6",
                                      "--e-sums", "3,4,5", "--max-violations", str(k)]

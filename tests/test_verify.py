@@ -602,8 +602,8 @@ def test_count_pass_equals_the_sum_over_splits(universe):
 
 # theorem1_deletion first fails on first-use spec 45 (split 9, x = aba, the
 # third of the universe's ten first-use words) of this universe, so in a
-# --jobs 3 run the part dealt words 0, 3, 6 and 9 holds none of its rows;
-# note3_linear fails on every spec.
+# --jobs 3 run the part dealt words 0, 3, 6 and 9 holds only rows that sort
+# after it, the first of them abb's; note3_linear fails on every spec.
 RETENTION_UNIVERSE = Universe(2, 2, 4, (3, 4), "both")
 
 
@@ -633,66 +633,33 @@ def split_key(split):
     return len(split.x), split.x, split.cut1, split.cut2
 
 
-def mirror_of(split):
-    """The split read backwards, (x^R, |x|-cut2, |x|-cut1), with x^R renamed
-    to the first-use word of its orbit."""
-    n = len(split.x)
-    return DeletionSplit(first_use(split.x[::-1]), n - split.cut2, n - split.cut1)
-
-
-def in_forms(split, forms):
-    return forms == "both" or split.is_prefix_form == (forms == "prefix")
-
-
-def evaluated_splits(universe, splits):
-    """(split, mirror or None) for each of splits that _eval_chunk builds a
-    context for: all but those whose mirror is in the universe and sorts
-    first.  The mirror is None when it is not in the universe or is the
-    split itself."""
-    for split in splits:
-        mirror = mirror_of(split)
-        if not in_forms(mirror, universe.forms) or mirror == split:
-            yield split, None
-        elif split_key(mirror) > split_key(split):
-            yield split, mirror
-
-
 def chunk_model(universe, part, parts, k):
     """What _eval_chunk((universe, part, parts, claims, k)) keeps, by check_claim.
 
     Per claim: (the splits whose per_sum the chunk calls, the first k of
-    the identity rows of its evaluated splits and their mirrors, sorted,
-    and how many evaluated splits have a spec the claim is stated for).  A
-    claim calls per_sum for an evaluated split stated for it or for its
-    mirror until k own rows are held: rows of the chunk's evaluated
-    splits, not of their mirrors.  A claim with no per_sum (dft_bound) is
-    never called and has no rows.
+    the identity rows of its dealt splits, and how many dealt splits have a
+    spec the claim is stated for).  A claim calls per_sum for a dealt split
+    stated for it until it holds k rows.  A claim with no per_sum
+    (dft_bound, dichotomy) is never called and has no rows.
     """
     pairs = exponent_pairs(universe.e_sums)
-    evaluated = list(evaluated_splits(universe, dealt_splits(universe, part, parts)))
     model = {}
     for c in ClaimId:
-        own, rows, called, applicable = [], [], set(), 0
-        for split, mirror in evaluated:
-            stated = [
-                t for t in (split, mirror) if t and applies(c, InterruptSpec(t, 1, 2))
-            ]
-            if not stated:
+        rows, called, applicable = [], set(), 0
+        for split in dealt_splits(universe, part, parts):
+            if not applies(c, InterruptSpec(split, 1, 2)):
                 continue
             applicable += 1
-            if _CLAIMS[c][1] is None or len(own) >= k:
+            if _CLAIMS[c][1] is None or len(rows) >= k:
                 continue
             called.add(split)
-            for t in stated:
-                found = [
-                    row(w)
-                    for e1, e2 in pairs
-                    for w in check_claim(c, InterruptSpec(t, e1, e2)).violations
-                ]
-                rows += found
-                own += found if t is split else []
-        assert own == sorted(own)
-        model[c] = (called, sorted(rows)[:k], applicable)
+            rows += [
+                row(w)
+                for e1, e2 in pairs
+                for w in check_claim(c, InterruptSpec(split, e1, e2)).violations
+            ]
+        assert rows == sorted(rows)
+        model[c] = (called, rows[:k], applicable)
     return model
 
 
@@ -722,19 +689,14 @@ def test_retention_universe_fails_late(full):
     assert specs.index(first.spec) == 45
     assert len(words) == 10 and words.index(first.spec.split.x) == 2
     parts = [_eval_chunk((u, part, 3, list(ClaimId), 3)) for part in range(3)]
-    # each chunk keeps the first rows of its own splits and their mirrors
+    # each chunk keeps the first rows of its own splits
     for p, part in enumerate(parts):
         model = chunk_model(u, p, 3, 3)
         for c in ClaimId:
             assert part[c][1] == model[c][1], (p, c)
-    assert parts[0][ClaimId.THEOREM1_DELETION][1] == []
+    held = parts[0][ClaimId.THEOREM1_DELETION][1]
+    assert held[0][:4] == (3, "abb", 0, 1) and held[0] > row(first)
     assert parts[2][ClaimId.THEOREM1_DELETION][1][0] == row(first)
-
-
-def orbit_of(split):
-    """Which positions of x hold equal letters, and the cuts: the same for
-    every split of one letter-renaming orbit."""
-    return tuple(split.x.index(ch) for ch in split.x), split.cut1, split.cut2
 
 
 def check_merges_at_every_cut(u, k):
@@ -750,28 +712,13 @@ def check_merges_at_every_cut(u, k):
     for n_parts in range(1, len(words) + 1):
         parts = [_eval_chunk((u, p, n_parts, claims, k)) for p in range(n_parts)]
         assert expand(parts) == whole, n_parts
-    # the last dealing has one word per part.  Each such part expands to the
-    # first k rows of its word's orbit and its evaluated splits' mirrors',
-    # or, when every split's mirror sorts first and is in the universe, to
-    # nothing at all
-    reps = list(dict.fromkeys(s.split for s in representative_specs(u)))
-    evaluated = dict(evaluated_splits(u, reps))
-    splits = len(reps)
-    assert len(evaluated) < splits if u.forms != "prefix" else len(evaluated) == splits
+    # the last dealing has one word per part, and each such part expands to
+    # the first k rows of its word's orbit
     orbits = [expand([part]) for part in parts]
     for x, orbit in zip(words, orbits):
-        group = {
-            orbit_of(t)
-            for split, mirror in evaluated.items()
-            if split.x == x
-            for t in (split, mirror)
-            if t
-        }
         for c in claims:
-            mine = [row(w) for w in every[c][1] if orbit_of(w.spec.split) in group]
+            mine = [row(w) for w in every[c][1] if first_use(w.spec.split.x) == x]
             assert orbit[c][1] == mine[:k], (x, c)
-            if not group:
-                assert orbit[c] == (0, []), (x, c)
     if k > len(whole[ClaimId.NOTE3_LINEAR][1]):
         # concatenation would not: a renamed row of a later split sorts
         # before a row of an earlier one
@@ -818,15 +765,9 @@ def test_eval_chunk_merges_at_every_cut():
 
 @pytest.mark.parametrize("k", [1, 3, 10**6])
 def test_eval_chunk_merges_deletion_pairs_at_every_cut(k):
-    # In a deletion universe only the splits with cut1 > 0 pair up: the
-    # mirror of (x, 0, cut2) is a prefix split, outside the universe.
-    u = Universe(2, 2, 4, (3, 4, 5), "deletion")
-    splits = first_use_splits(u)
-    evaluated = dict(evaluated_splits(u, splits))
-    assert any(s.cut1 == 0 and not evaluated[s] for s in evaluated)
-    assert any(s.cut1 > 0 and evaluated[s] for s in evaluated)
-    assert any(s.cut1 > 0 and s not in evaluated for s in splits)
-    check_merges_at_every_cut(u, k)
+    # In a deletion universe the mirror of (x, 0, cut2) is a prefix split,
+    # outside the universe, and theorem1 is stated for no split.
+    check_merges_at_every_cut(Universe(2, 2, 4, (3, 4, 5), "deletion"), k)
 
 
 @pytest.mark.parametrize("k", [1, 3, 16, 10**6])
@@ -841,10 +782,10 @@ def test_eval_chunk_merges_ternary_orbits_at_every_cut(k):
 @pytest.mark.parametrize("k", [1, 2, 5, 16, 10**6])
 def test_eval_chunk_keeps_its_first_k_identity_rows(k, monkeypatch):
     # A chunk holds no orbit.  Per claim its rows are the first min(k, all)
-    # identity rows (σ = id) of its evaluated splits and their mirrors, in
-    # canonical order, and the claim's per_sum is not called for a split
-    # once k rows of the chunk's own splits are held (chunk_model).  A split
-    # has five (e1, e2) here, so k = 2 and 16 cut inside one.
+    # identity rows (σ = id) of its own splits, in canonical order, and the
+    # claim's per_sum is not called for a split once k rows are held
+    # (chunk_model).  A split has five (e1, e2) here, so k = 2 and 16 cut
+    # inside one.
     calls = []
 
     def counted(claim, count, per_sum):
@@ -866,7 +807,7 @@ def test_eval_chunk_keeps_its_first_k_identity_rows(k, monkeypatch):
         chunk_calls = list(calls)  # check_claim below calls per_sum too
         model = chunk_model(u, part, parts, k)
         dealt = dealt_splits(u, part, parts)
-        own = {split_key(s) for s, _ in evaluated_splits(u, dealt)}
+        own = {split_key(s) for s in dealt}
         for c in ClaimId:
             called, rows, applicable = model[c]
             assert chunk[c][1] == rows, (part, parts, c)
@@ -879,14 +820,25 @@ def test_eval_chunk_keeps_its_first_k_identity_rows(k, monkeypatch):
             past |= {(part, parts) for r in rows if r[:4] > split_key(dealt[-1])}
     # a small k stops most claims early, and no claim has 10**6 rows
     assert len(cut_short) >= 6 if k < 10**6 else not cut_short
-    # Up to k = 5 only the parts dealt aab as their first word keep a mirror
-    # row: theorem1_deletion's first there is (abb, 0, 1), the mirror of
-    # aab's prefix split (aab, 2, 3), since abb's splits are all left to
-    # their mirrors.  Past k = 5 every part keeps mirror rows, and only part
-    # 2 of 3, whose last word is not the universe's last, keeps rows of
-    # splits past its own last split, since a mirror sorts after its split.
-    assert mirrored == ({(1, 2), (1, 3)} if k <= 5 else set(dealings))
-    assert past == ({(2, 3)} if k == 10**6 else set())
+    # no part keeps a row of a split it was not dealt, nor one past its own
+    # last split
+    assert mirrored == set() and past == set()
+
+
+@pytest.mark.parametrize("k", [1, 5, 10**6])
+def test_eval_chunk_lists_are_sorted_short_and_its_own(k):
+    # _merge_chunks' heapq.merge takes each chunk's lists as they come, so
+    # each must already be in row order, hold at most k rows, and hold only
+    # rows of splits of the words dealt to its part.
+    u = Universe(3, 1, 4, (3, 4), "both")
+    for parts in (1, 2, 3):
+        for part in range(parts):
+            chunk = _eval_chunk((u, part, parts, list(ClaimId), k))
+            dealt = set(words_with_splits(u)[part::parts])
+            for c, (_, rows) in chunk.items():
+                assert rows == sorted(rows), (part, parts, c)
+                assert len(rows) <= k, (part, parts, c)
+                assert {r[1] for r in rows} <= dealt, (part, parts, c)
 
 
 def test_eval_chunk_builds_no_per_split_objects(monkeypatch):
@@ -945,16 +897,14 @@ def test_eval_chunk_builds_no_per_split_objects(monkeypatch):
     _eval_chunk((u, 0, 1, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
     assert len(contexts) == configurations + 9
     assert 0 < built("hist") <= built("windows") <= 9
-    # A both universe has the same configurations; today's walk visits 23
-    # of its 3,399 mirror orbits of splits.
+    # A both universe has the same configurations; the walk visits 25 of
+    # its 6,722 first-use splits.
     both = Universe(2, 2, 8, (3, 4), "both")
-    every = first_use_splits(both)
-    orbits = {frozenset({split_key(s), split_key(mirror_of(s))}) for s in every}
-    assert (len(every), len(orbits)) == (6722, 3399)
+    assert len(first_use_splits(both)) == 6722
     assert len(configuration_stats(both)) == configurations
     contexts.clear()
     _eval_chunk((both, 0, 1, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
-    assert len(contexts) == configurations + 23
+    assert len(contexts) == configurations + 25
     # dealt to two parts, the configurations are counted once between them
     contexts.clear()
     for part in range(2):
@@ -987,8 +937,8 @@ def test_run_witnesses_share_their_spec(jobs, monkeypatch):
 def test_eval_chunk_keeps_first_k_witnesses(full, k):
     # The chunk's rows are the first k witnesses whose x is first-use, not
     # the first k of the full list: renamed specs are the parent's to add.
-    # A chunk over the whole universe evaluates one split per mirror orbit
-    # and emits the mirror's identity rows too, so it holds every one.
+    # A chunk over the whole universe walks every first-use split until
+    # each claim holds k rows, so it holds every one.
     # At k = 10 the two differ (theorem1's sixth witness is renamed), so a
     # chunk that kept its splits' renamed rows would fail here.
     u = RETENTION_UNIVERSE
