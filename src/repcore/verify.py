@@ -14,12 +14,13 @@ Its per_sum lists a spec's mismatches; specs with the same e1+e2 have the
 same counts, so it runs once per exponent sum, and only while the claim
 can still report rows.  dft_bound and dichotomy have no per_sum:
 core_lengths refuses a split that breaks the bound, and the rotation test
-one that would break the dichotomy, before its context exists.  For the
-rows a chunk walks its splits in canonical order with one list of the
-claims that can still report rows, each with the two forms it is stated
-for, and stops when the list is empty.  Each worker runs one chunk: the
-first-use words, and the configuration classes, are dealt out among the
-chunks by canonical index, and a worker enumerates its share itself.
+one that would break the dichotomy, before its context exists.  Each
+worker runs one chunk: the configuration classes are dealt out among the
+chunks by the index of their Lyndon representative, and a worker
+enumerates its share itself.  For the rows, the chunk of part 0 alone
+walks every split in canonical order with one list of the claims that
+can still report rows, each with the two forms it is stated for, and
+stops when the list is empty.
 
 Renaming the letters of x injectively keeps every claim's status, count
 and factor pattern, since each claim reads only which positions of W hold
@@ -52,22 +53,17 @@ identity (σ = id) row of that split and of every earlier split.  So the
 first K = max_violations rows of the universe are among the first K
 identity rows and the renamings of the splits those rows belong to: once
 K identity rows are held, the renamed rows of the last split held, even
-of one cut short, sort after all of them.  Each first-use split's
-identity rows come from exactly one chunk: the one dealt the split's
-word.  A chunk keeps the first K of its identity rows per claim and holds
-no orbit.  Each of the universe's first K identity rows lies in its
-chunk's list, since fewer than K of that chunk's rows, all identity rows
-of the universe, sort before it, however the splits are dealt.  So run()
-takes the first K rows of the merge of the chunks' sorted lists, renames
-only their splits, lazily, merges the renamed streams in plain tuple
-order and builds a Witness only for the rows it reports.  A chunk visits
-its splits in canonical order and lists each split's rows in row order,
-so its lists are sorted, and a row not produced yet (of the split in hand
-or a later split) sorts after every row held.  So once a claim holds K
-rows, it calls per_sum no more.  A claim stated for no form the universe
-holds never lists a row.  So when every other claim holds its K rows, no
-split still to come can add a row that ranks, and the walk stops; the
-counts do not need it.
+of one cut short, sort after all of them.  Part 0 visits every
+first-use split in canonical order and lists each split's identity rows
+in row order, so its lists are sorted, and a row not produced yet (of the
+split in hand or a later split) sorts after every row held.  So it keeps
+the universe's first K identity rows per claim, holds no orbit, and once
+a claim holds K rows calls its per_sum no more.  A claim stated for no
+form the universe holds never lists a row.  So when every other claim
+holds its K rows, no split still to come can add a row that ranks, and
+the walk stops; the counts do not need it.  run() renames only the
+splits of part 0's rows, lazily, merges the renamed streams in plain
+tuple order and builds a Witness only for the rows it reports.
 
 Count rule: a window f of length |x| or |x|-1 occurs
 count_W0(f) + (e1+e2-MIN_E_SUM)·(f in x+x) times in W.
@@ -357,24 +353,18 @@ def _split_count(universe: Universe, count_words=count_first_use_words) -> int:
 
 
 def _word_count(universe: Universe) -> int:
-    """Number of first-use words that have splits: the words _word_cuts deals."""
+    """Number of first-use words that have splits: the words _word_cuts yields."""
     k = universe.alphabet_size
     return sum(count_first_use_words(n, k) for n, _ in _lengths(universe))
 
 
-def _word_cuts(
-    universe: Universe, part: int, parts: int
-) -> Iterator[tuple[str, list]]:
-    """(x, cuts) for the first-use words dealt to part `part` of `parts`.
-
-    The words that have splits are indexed in canonical order (|x|, x
-    lexicographic), and the part gets every word whose index i has
-    i % parts == part, with all of its (cut1, cut2); so the part's splits
-    come in canonical order: (|x|, x, cut1, cut2).
+def _word_cuts(universe: Universe) -> Iterator[tuple[str, list]]:
+    """(x, cuts) for each first-use word x that has splits, with all of its
+    (cut1, cut2), in canonical order: so its splits come in canonical order,
+    (|x|, x, cut1, cut2).
     """
     k = universe.alphabet_size
-    words = ((x, cuts) for n, cuts in _lengths(universe) for x in first_use_words(n, k))
-    return islice(words, part, None, parts)
+    return ((x, cuts) for n, cuts in _lengths(universe) for x in first_use_words(n, k))
 
 
 def enumerate_specs(
@@ -432,13 +422,13 @@ class _Stats(NamedTuple):
 class _SplitContext:
     """One split's core and W0 windows, shared by every claim and e1+e2.
 
-    Built from plain values (x, cut1, cut2), with xx = x+x passed in by a
-    caller that holds it; x is primitive.  u = xx[cut1:cut1+|x|] and
-    v = xx[cut2:cut2+|x|] are the expected and the actual continuation
-    past the junction, p = lcp(v, u) and s = lcs(u, v) (core_lengths).  The
-    windows come from word = W0 = x·x1·x3·x·x, the split's shortest word
-    (e1 = 1, e2 = MIN_E_SUM - 1), whose junction is |x| + cut1: the windows
-    at lo = cut1+p+1 .. hi-1 = |x|+cut1-s-1 contain the core and are
+    Built from plain values (x, cut1, cut2); x is primitive and xx = x+x.
+    u = xx[cut1:cut1+|x|] and v = xx[cut2:cut2+|x|] are the expected and
+    the actual continuation past the junction, p = lcp(v, u) and
+    s = lcs(u, v) (core_lengths).  The windows come from word = W0 =
+    x·x1·x3·x·x, the split's shortest word (e1 = 1, e2 = MIN_E_SUM - 1),
+    whose junction is |x| + cut1: the windows at
+    lo = cut1+p+1 .. hi-1 = |x|+cut1-s-1 contain the core and are
     anchored, the others are not.  Only the anchored ones are sliced up
     front.  The rotation test of the module docstring must hold, or the
     context raises InternalBoundViolation: then the non-anchored windows
@@ -459,10 +449,10 @@ class _SplitContext:
     wraparound = xx[1:-1].
     """
 
-    def __init__(self, x: str, cut1: int, cut2: int, xx: str = ""):
+    def __init__(self, x: str, cut1: int, cut2: int):
         self.x, self.cut1, self.cut2 = x, cut1, cut2
         self.n = n = len(x)
-        self.xx = xx = xx or x + x
+        self.xx = xx = x + x
         u, v = xx[cut1 : cut1 + n], xx[cut2 : cut2 + n]
         self.p, self.s = p, s = core_lengths(x, u, v)
         self.word = word = x + x[:cut1] + x[cut2:] + xx
@@ -605,26 +595,34 @@ def _first_use(w: str) -> str:
     return w.translate(str.maketrans(letters, LETTERS[: len(letters)]))
 
 
-def _classes(universe: Universe) -> Iterator[tuple[str, int, int]]:
-    """(x, g, pairs) per class of configurations of the universe, in
-    canonical order (|x|, x), leaving out each class whose mirror class
-    sorts first.
+def _classes(
+    universe: Universe, part: int = 0, parts: int = 1
+) -> Iterator[tuple[str, int, int]]:
+    """(x, g, pairs) per class of configurations of the universe dealt to
+    part `part` of `parts`, in canonical order (|x|, x), leaving out each
+    class whose mirror class sorts first.
 
     x is the class's representative: a first-use word that no first-use
     renaming of one of its rotations sorts before.  Such an x is a Lyndon
     word, so a plain compare with its rotations rejects most words before
-    any renaming.  g is the smallest rotation of x whose first-use renaming
-    is x (|x| if none is), and pairs is 2 when the mirror class's
+    any renaming.  The first-use Lyndon words are indexed in canonical
+    order, and the part renames only those whose index i has
+    i % parts == part.  g is the smallest rotation of x whose first-use
+    renaming is x (|x| if none is), and pairs is 2 when the mirror class's
     representative sorts after x, 1 when it is x.
 
     >>> [c for c in _classes(Universe(max_x=7)) if c[1] < len(c[0]) or c[2] > 1]
     [('ab', 1, 1), ('aabb', 2, 1), ('aaabbb', 3, 1), ('aaababb', 7, 2)]
     """
+    index = -1
     for n, _ in _lengths(universe):
         for x in first_use_words(n, universe.alphabet_size):
             xx = x + x
             turns = [xx[r : r + n] for r in range(1, n)]
             if min(turns) < x:  # not a Lyndon word
+                continue
+            index += 1
+            if index % parts != part:
                 continue
             named = [_first_use(w) for w in turns]
             if min(named) < x:
@@ -637,8 +635,8 @@ def _classes(universe: Universe) -> Iterator[tuple[str, int, int]]:
 
 def _totals(universe: Universe, part: int, parts: int) -> dict[bool, _Stats]:
     """Per form of the universe: the sum of the _Stats of every split of
-    every x, over the classes of configurations that _classes yields with
-    canonical index i % parts == part.
+    every x, over the classes of configurations that _classes deals to part
+    `part` of `parts`.
 
     A class (x, g, pairs) has one configuration per phase a < g and jump
     d in 1..|x|-1, read from its prefix member (rotate(x, a+d), |x|-d,
@@ -648,7 +646,7 @@ def _totals(universe: Universe, part: int, parts: int) -> dict[bool, _Stats]:
     """
     k = universe.alphabet_size
     totals = {form: [0] * len(_Stats._fields) for form in _forms(universe)}
-    for x, g, pairs in islice(_classes(universe), part, None, parts):
+    for x, g, pairs in _classes(universe, part, parts):
         n, size = len(x), perm(k, len(set(x))) * pairs
         for d in range(1, n):
             stats = [_SplitContext(rotate(x, a + d), n - d, n).stats for a in range(g)]
@@ -660,44 +658,44 @@ def _totals(universe: Universe, part: int, parts: int) -> dict[bool, _Stats]:
 
 
 def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
-    """Per claim: (assertions evaluated, the chunk's first max_violations rows).
+    """Per claim: (assertions evaluated, the universe's first max_violations
+    identity rows for part 0, no rows for any other part).
 
     args is (universe, part, parts, claims, max_violations).  The counts
     come from _totals over the configuration classes dealt to part `part`
     of `parts`: each claim's count is arithmetic in the per-form sums of
     their stats, and depends only on e1+e2.
 
-    The rows come from a walk over the first-use words _word_cuts deals to
-    the part, each with all of its splits and every (e1, e2) of the
-    universe, standing for every split of its orbit.  The worker enumerates
-    its words itself, in canonical order, and computes x+x once per word.
-    Each split costs one _SplitContext and is checked against each claim
-    with room that is stated for its form.  The claims with room are those
-    with a per_sum and stated for a form the universe holds.  The chunk
-    renames nothing, so its rows are identity rows (σ = id) of its own
-    splits, and come in row order.  A claim calls per_sum once per exponent
-    sum until it holds max_violations rows, and then has no room; by the
-    module docstring no row after those can rank.  The walk stops when no
-    claim has room.  _merge_chunks renames the rows that rank.
+    Part 0 finds the rows: it walks the first-use words of _word_cuts in
+    canonical order, each with all of its splits and every (e1, e2) of the
+    universe, standing for every split of its orbit.  Each split costs one
+    _SplitContext and is checked against each claim with room that is
+    stated for its form.  The claims with room are those with a per_sum
+    and stated for a form the universe holds.  The chunk renames nothing,
+    so its rows are identity rows (σ = id), and come in row order.  A claim
+    calls per_sum once per exponent sum until it holds max_violations rows,
+    and then has no room; by the module docstring no row after those can
+    rank.  The walk stops when no claim has room.  _merge_chunks renames
+    the rows that rank.
     """
     universe, part, parts, claims, max_violations = args
     sums, forms = universe.e_sums, _forms(universe)
     held = {c: [] for c in claims}
-    # (per_sum, rows, stated for (deletion, prefix)) per claim with room; a
-    # claim leaves once it holds max_violations rows
+    # (per_sum, rows, stated for (deletion, prefix)) per claim with room in
+    # part 0; a claim leaves once it holds max_violations rows
     room = []
     for c in claims:
         per_sum, stated = _CLAIMS[c][1], (_stated_for(c, False), _stated_for(c, True))
-        if per_sum is not None and any(stated[f] for f in forms):
+        if part == 0 and per_sum is not None and any(stated[f] for f in forms):
             room.append((per_sum, held[c], stated))
-    for x, cuts in _word_cuts(universe, part, parts):
+    for x, cuts in _word_cuts(universe):
         if not room:
             break
-        n, xx = len(x), x + x
+        n = len(x)
         for cut1, cut2 in cuts:
             if not room:
                 break
-            key, ctx = (n, x, cut1, cut2), _SplitContext(x, cut1, cut2, xx)
+            key, ctx = (n, x, cut1, cut2), _SplitContext(x, cut1, cut2)
             for entry in room[:]:
                 per_sum, kept, stated = entry
                 if not stated[cut2 == n]:
@@ -791,10 +789,10 @@ def _merge_chunks(
 ) -> _Chunk:
     """Per claim: (assertions evaluated, the universe's first max_violations rows).
 
-    parts are _eval_chunk results, each list in row order, so the first
-    max_violations rows of their merge are the universe's first identity
-    rows, and by the ordering argument in the module docstring the rows to
-    report are among those and their splits' renamings.  Each such split
+    parts are _eval_chunk results, whose counts add up.  Part 0's lists are
+    the universe's first max_violations identity rows, in row order, and
+    by the ordering argument in the module docstring the rows to report
+    are among those and their splits' renamings.  Each such split
     streams its rows renamed into each word of its orbit: renamings yields
     (σ(x), σ) in σ(x) order, x first, and rows of two σ differ first at
     σ(x), so sorting each σ's rows puts the stream in row order.  The
@@ -813,8 +811,7 @@ def _merge_chunks(
             )
 
     merged = {}
-    for c in parts[0]:
-        held = islice(merge(*(p[c][1] for p in parts)), max_violations)
+    for c, (_, held) in parts[0].items():
         splits = [list(rows) for _, rows in groupby(held, key=lambda r: r[:4])]
         first = islice(merge(*map(renamed, splits)), max_violations)
         merged[c] = (sum(p[c][0] for p in parts), list(first))
@@ -831,21 +828,19 @@ def run(
     """Evaluate claims over every spec of the universe.
 
     Output is deterministic and identical for any job count: every spec is
-    counted, through its configuration, its rows are found unless they
-    cannot rank, and chunk results merge in canonical order.  Each worker
-    runs one chunk, part `part` of `workers` (_word_cuts deals the
-    first-use words and _totals the configuration classes out by
-    canonical index), so the parent holds no spec.  The calling process
-    runs part 0 itself and forks one child for each further part, which
-    gets its five small values through the fork and sends back only its
-    chunk; one worker starts no process.  Each chunk keeps only its first
-    max_violations identity rows per claim and counts the rest of its
-    assertions, so memory is bounded by what is reported.
-    _merge_chunks renames the splits of the first max_violations of them
-    and keeps the first max_violations rows of the whole universe, for any
-    dealing.  Only those rows become Witnesses, and each reported split and
-    spec is one object, shared by every claim that reports it.  There are
-    at most as many workers as CPUs and as first-use words with splits,
+    counted once, through its configuration, and its rows are found unless
+    they cannot rank.  Each worker runs one chunk, part `part` of `workers`
+    (_classes deals the configuration classes out by the index of their
+    Lyndon representative), so the parent holds no spec.  The calling
+    process runs part 0 itself, which also walks the splits for rows, and
+    forks one child for each further part, which gets its five small values
+    through the fork and sends back only its counts; one worker starts no
+    process.  Part 0 keeps only the first max_violations identity rows per
+    claim, so memory is bounded by what is reported.  _merge_chunks renames
+    their splits and keeps the first max_violations rows of the whole
+    universe.  Only those rows become Witnesses, and each reported split
+    and spec is one object, shared by every claim that reports it.  There
+    are at most as many workers as CPUs and as first-use words with splits,
     whatever jobs asks for, so at most one process per further CPU starts.
     """
     if max_violations < 1:

@@ -8,7 +8,6 @@ from collections import Counter
 from contextlib import contextmanager
 from copy import copy
 from dataclasses import replace
-from itertools import groupby
 from math import perm
 from types import SimpleNamespace
 
@@ -95,15 +94,6 @@ def row(w):
 def as_rows(result):
     """Per claim (checked, witnesses) with each witness as its row."""
     return {c: (checked, [row(w) for w in ws]) for c, (checked, ws) in result.items()}
-
-
-def merged(parts, k):
-    """Per-claim results of a full enumeration merged: counts summed, rows
-    sorted and cut to the first k."""
-    return {
-        c: (sum(p[c][0] for p in parts), sorted(r for p in parts for r in p[c][1])[:k])
-        for c in parts[0]
-    }
 
 
 def test_claim_ids_are_fixed():
@@ -601,9 +591,9 @@ def test_count_pass_equals_the_sum_over_splits(universe):
 
 
 # theorem1_deletion first fails on first-use spec 45 (split 9, x = aba, the
-# third of the universe's ten first-use words) of this universe, so in a
-# --jobs 3 run the part dealt words 0, 3, 6 and 9 holds only rows that sort
-# after it, the first of them abb's; note3_linear fails on every spec.
+# third of the universe's ten first-use words) of this universe, so the walk
+# for its rows passes two words without one; note3_linear fails on every
+# spec.
 RETENTION_UNIVERSE = Universe(2, 2, 4, (3, 4), "both")
 
 
@@ -619,34 +609,28 @@ def first_use_splits(universe):
 
 def words_with_splits(universe):
     """The first-use words that have splits, in canonical order: the words
-    _word_cuts deals out by index."""
+    _word_cuts yields."""
     return list(dict.fromkeys(s.x for s in first_use_splits(universe)))
-
-
-def dealt_splits(universe, part, parts):
-    """The first-use splits of the words dealt to part `part` of `parts`."""
-    words = set(words_with_splits(universe)[part::parts])
-    return [s for s in first_use_splits(universe) if s.x in words]
 
 
 def split_key(split):
     return len(split.x), split.x, split.cut1, split.cut2
 
 
-def chunk_model(universe, part, parts, k):
-    """What _eval_chunk((universe, part, parts, claims, k)) keeps, by check_claim.
+def chunk_model(universe, k):
+    """What _eval_chunk((universe, 0, parts, claims, k)) keeps, by check_claim.
 
-    Per claim: (the splits whose per_sum the chunk calls, the first k of
-    the identity rows of its dealt splits, and how many dealt splits have a
-    spec the claim is stated for).  A claim calls per_sum for a dealt split
-    stated for it until it holds k rows.  A claim with no per_sum
-    (dft_bound, dichotomy) is never called and has no rows.
+    Part 0 walks every first-use split.  Per claim: (the splits whose
+    per_sum it calls, the universe's first k identity rows, and how many
+    first-use splits have a spec the claim is stated for).  A claim calls
+    per_sum for a split stated for it until it holds k rows.  A claim with
+    no per_sum (dft_bound, dichotomy) is never called and has no rows.
     """
     pairs = exponent_pairs(universe.e_sums)
     model = {}
     for c in ClaimId:
         rows, called, applicable = [], set(), 0
-        for split in dealt_splits(universe, part, parts):
+        for split in first_use_splits(universe):
             if not applies(c, InterruptSpec(split, 1, 2)):
                 continue
             applicable += 1
@@ -689,74 +673,39 @@ def test_retention_universe_fails_late(full):
     assert specs.index(first.spec) == 45
     assert len(words) == 10 and words.index(first.spec.split.x) == 2
     parts = [_eval_chunk((u, part, 3, list(ClaimId), 3)) for part in range(3)]
-    # each chunk keeps the first rows of its own splits
-    for p, part in enumerate(parts):
-        model = chunk_model(u, p, 3, 3)
-        for c in ClaimId:
-            assert part[c][1] == model[c][1], (p, c)
-    held = parts[0][ClaimId.THEOREM1_DELETION][1]
-    assert held[0][:4] == (3, "abb", 0, 1) and held[0] > row(first)
-    assert parts[2][ClaimId.THEOREM1_DELETION][1][0] == row(first)
+    # part 0 keeps the universe's first rows, and the other parts none
+    model = chunk_model(u, 3)
+    for c in ClaimId:
+        assert parts[0][c][1] == model[c][1], c
+        assert parts[1][c][1] == parts[2][c][1] == [], c
+    assert parts[0][ClaimId.THEOREM1_DELETION][1][0] == row(first)
 
 
 def check_merges_at_every_cut(u, k):
+    # Part 0 finds every row and the other parts only count, so the merged
+    # result does not depend on the part count.
     claims = list(ClaimId)
-    every = spec_by_spec(u)
-    words = words_with_splits(u)
-
-    def expand(parts):
-        return _merge_chunks(parts, k, u.alphabet_size)
-
-    whole = expand([_eval_chunk((u, 0, 1, claims, k))])
-    assert whole == merged([as_rows(every)], k)
-    for n_parts in range(1, len(words) + 1):
+    whole = _merge_chunks([_eval_chunk((u, 0, 1, claims, k))], k, u.alphabet_size)
+    every = as_rows(spec_by_spec(u))
+    assert whole == {c: (checked, rows[:k]) for c, (checked, rows) in every.items()}
+    for n_parts in range(1, len(words_with_splits(u)) + 1):
         parts = [_eval_chunk((u, p, n_parts, claims, k)) for p in range(n_parts)]
-        assert expand(parts) == whole, n_parts
-    # the last dealing has one word per part, and each such part expands to
-    # the first k rows of its word's orbit
-    orbits = [expand([part]) for part in parts]
-    for x, orbit in zip(words, orbits):
-        for c in claims:
-            mine = [row(w) for w in every[c][1] if first_use(w.spec.split.x) == x]
-            assert orbit[c][1] == mine[:k], (x, c)
-    if k > len(whole[ClaimId.NOTE3_LINEAR][1]):
-        # concatenation would not: a renamed row of a later split sorts
-        # before a row of an earlier one
-        note3 = [r for o in orbits for r in o[ClaimId.NOTE3_LINEAR][1]]
-        assert note3 != sorted(note3)
+        assert all(not rows for p in parts[1:] for _, rows in p.values()), n_parts
+        assert _merge_chunks(parts, k, u.alphabet_size) == whole, n_parts
+    note3 = whole[ClaimId.NOTE3_LINEAR][1]
+    if k > len(note3):
+        # concatenating each split's renamed rows would not do: a renamed
+        # row of a later split sorts before a row of an earlier one
+        by_split = sorted(note3, key=lambda r: (r[0], first_use(r[1]), r[2], r[3]))
+        assert note3 != by_split
     return whole
 
 
-def test_word_cuts_deals_words_by_canonical_index():
-    # Part p of `parts` holds the first-use words whose canonical index is
-    # p mod parts, each with all of its cuts.  The parts are disjoint and in
-    # canonical order, and together they give the canonical (x, cuts) list
-    # exactly, for every part count up to one more than the word count.
-    # |x| = 1 has no split, so its word takes no index.
-    for min_x in (1, 2):
-        u = Universe(3, min_x, 4, (3,), "both")
-        want = [
-            (x, [(s.cut1, s.cut2) for s in group])
-            for x, group in groupby(first_use_splits(u), key=lambda s: s.x)
-        ]
-        assert [x for x, _ in want] == words_with_splits(u)
-        for parts in range(1, len(want) + 2):
-            got = [list(_word_cuts(u, p, parts)) for p in range(parts)]
-            for p, words in enumerate(got):
-                assert words == [w for i, w in enumerate(want) if i % parts == p]
-                assert words == sorted(words, key=lambda w: (len(w[0]), w[0]))
-            xs = [x for words in got for x, _ in words]
-            assert len(xs) == len(set(xs))
-            assert sorted(w for words in got for w in words) == sorted(want)
-            assert all(got) == (parts <= len(want))
-
-
 def test_eval_chunk_merges_at_every_cut():
-    # Nine (e1, e2) per split; a chunk is the first-use words dealt to one
-    # part, so it holds every split of its words and every (e1, e2) of its
-    # splits, and a part boundary falls between two words.  Renamed rows of
-    # a later chunk can sort first, so the renamed streams merge in row
-    # order, not by concatenation.
+    # Nine (e1, e2) per split; part 0 holds every split of every word and
+    # every (e1, e2) of its splits.  Renamed rows of a later split can sort
+    # first, so the renamed streams merge in row order, not by
+    # concatenation.
     u = Universe(2, 2, 3, (3, 4, 5), "both")
     assert len(exponent_pairs(u.e_sums)) == 9
     whole = check_merges_at_every_cut(u, 10**6)
@@ -772,20 +721,16 @@ def test_eval_chunk_merges_deletion_pairs_at_every_cut(k):
 
 @pytest.mark.parametrize("k", [1, 3, 16, 10**6])
 def test_eval_chunk_merges_ternary_orbits_at_every_cut(k):
-    # Six renamings per orbit, and with k below the witness count each chunk
+    # Six renamings per orbit, and with k below the witness count part 0
     # stops at its k-th identity row.  At k = 16 the note3_linear list of
     # the split (x = abcb, cut 1) ends inside the renamed spec x = acbc,
     # whose factors the renaming reorders.
     check_merges_at_every_cut(Universe(3, 2, 4, (3, 4), "prefix"), k)
 
 
-@pytest.mark.parametrize("k", [1, 2, 5, 16, 10**6])
-def test_eval_chunk_keeps_its_first_k_identity_rows(k, monkeypatch):
-    # A chunk holds no orbit.  Per claim its rows are the first min(k, all)
-    # identity rows (σ = id) of its own splits, in canonical order, and the
-    # claim's per_sum is not called for a split once k rows are held
-    # (chunk_model).  A split has five (e1, e2) here, so k = 2 and 16 cut
-    # inside one.
+@pytest.fixture
+def per_sum_calls(monkeypatch):
+    """(claim, split) of every per_sum call, in order."""
     calls = []
 
     def counted(claim, count, per_sum):
@@ -795,53 +740,114 @@ def test_eval_chunk_keeps_its_first_k_identity_rows(k, monkeypatch):
 
         return count, per_sum and per_sum_counted
 
-    for c, (count, per_sum) in list(repcore.verify._CLAIMS.items()):
-        monkeypatch.setitem(repcore.verify._CLAIMS, c, counted(c, count, per_sum))
+    for c, (count, per_sum) in list(_CLAIMS.items()):
+        monkeypatch.setitem(_CLAIMS, c, counted(c, count, per_sum))
+    return calls
+
+
+@pytest.fixture
+def contexts(monkeypatch):
+    """Every _SplitContext that repcore.verify builds, in order."""
+    built = []
+
+    class Recorded(_SplitContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(repcore.verify, "_SplitContext", Recorded)
+    return built
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 16, 10**6])
+def test_eval_chunk_keeps_its_first_k_identity_rows(k, per_sum_calls):
+    # Part 0 holds no orbit.  Per claim its rows are the universe's first
+    # min(k, all) identity rows (σ = id), in canonical order, and the
+    # claim's per_sum is not called for a split once k rows are held
+    # (chunk_model), whatever the part count.  A split has five (e1, e2)
+    # here, so k = 2 and 16 cut inside one.
     u = Universe(3, 1, 4, (3, 4), "both")
     assert words_with_splits(u)[1:4] == ["aab", "aba", "abb"]
-    dealings = [(part, parts) for parts in (1, 2, 3) for part in range(parts)]
-    cut_short, mirrored, past = set(), set(), set()
-    for part, parts in dealings:
-        calls.clear()
-        chunk = _eval_chunk((u, part, parts, list(ClaimId), k))
-        chunk_calls = list(calls)  # check_claim below calls per_sum too
-        model = chunk_model(u, part, parts, k)
-        dealt = dealt_splits(u, part, parts)
-        own = {split_key(s) for s in dealt}
+    model = chunk_model(u, k)  # check_claim calls per_sum too
+    cut_short = set()
+    for parts in (1, 2, 3):
+        per_sum_calls.clear()
+        chunk = _eval_chunk((u, 0, parts, list(ClaimId), k))
         for c in ClaimId:
             called, rows, applicable = model[c]
-            assert chunk[c][1] == rows, (part, parts, c)
-            assert {sp for cl, sp in chunk_calls if cl is c} == called, (part, c)
+            assert chunk[c][1] == rows, (parts, c)
+            assert {sp for cl, sp in per_sum_calls if cl is c} == called, (parts, c)
+            # every row is of a split whose per_sum was called
+            assert {r[:4] for r in rows} <= set(map(split_key, called)), (parts, c)
             if _CLAIMS[c][1] is None:
-                assert not called and not rows, (part, c)
+                assert not called and not rows, (parts, c)
             elif len(called) < applicable:
                 cut_short.add(c)
-            mirrored |= {(part, parts) for r in rows if r[:4] not in own}
-            past |= {(part, parts) for r in rows if r[:4] > split_key(dealt[-1])}
     # a small k stops most claims early, and no claim has 10**6 rows
     assert len(cut_short) >= 6 if k < 10**6 else not cut_short
-    # no part keeps a row of a split it was not dealt, nor one past its own
-    # last split
-    assert mirrored == set() and past == set()
 
 
 @pytest.mark.parametrize("k", [1, 5, 10**6])
 def test_eval_chunk_lists_are_sorted_short_and_its_own(k):
-    # _merge_chunks' heapq.merge takes each chunk's lists as they come, so
-    # each must already be in row order, hold at most k rows, and hold only
-    # rows of splits of the words dealt to its part.
+    # _merge_chunks takes part 0's lists as they come, so each must already
+    # be in row order, hold at most k rows, and hold only identity rows of
+    # the universe's first-use splits; the other parts hold no row.
     u = Universe(3, 1, 4, (3, 4), "both")
+    own = set(map(split_key, first_use_splits(u)))
     for parts in (1, 2, 3):
         for part in range(parts):
             chunk = _eval_chunk((u, part, parts, list(ClaimId), k))
-            dealt = set(words_with_splits(u)[part::parts])
             for c, (_, rows) in chunk.items():
                 assert rows == sorted(rows), (part, parts, c)
-                assert len(rows) <= k, (part, parts, c)
-                assert {r[1] for r in rows} <= dealt, (part, parts, c)
+                assert len(rows) <= (k if part == 0 else 0), (part, parts, c)
+                assert {r[:4] for r in rows} <= own, (part, parts, c)
 
 
-def test_eval_chunk_builds_no_per_split_objects(monkeypatch):
+def test_child_parts_only_count(per_sum_calls, contexts):
+    # Parts 1 and up send back counts alone: no row, no per_sum call, and
+    # one context per configuration of their own classes, whatever k is; so
+    # what a child pickles back does not grow with k.
+    u = Universe(2, 2, 8, (3, 4), "both")
+    for parts in (2, 3):
+        for part in range(1, parts):
+            contexts.clear()
+            _totals(u, part, parts)
+            own = len(contexts)
+            sizes = set()
+            for k in (1, 10, 10**6):
+                contexts.clear()
+                chunk = _eval_chunk((u, part, parts, list(ClaimId), k))
+                assert all(rows == [] for _, rows in chunk.values()), (part, k)
+                assert per_sum_calls == [], (part, parts, k)
+                assert len(contexts) == own > 0, (part, parts, k)
+                sizes.add(len(pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL)))
+            assert len(sizes) == 1, (part, parts, sizes)
+
+
+@pytest.mark.parametrize("k, max_x", [(2, 10), (3, 6)], ids=["binary", "ternary"])
+def test_parts_rename_only_their_own_classes(k, max_x, monkeypatch):
+    # _classes deals the Lyndon words before renaming any, so the parts of
+    # a dealing rename, in _totals, as often as one part does, and their
+    # classes partition the universe's.
+    renamed = []
+    monkeypatch.setattr(
+        repcore.verify, "_first_use", lambda w: renamed.append(w) or first_use(w)
+    )
+    u = Universe(k, 1, max_x, (3,), "both")
+    _totals(u, 0, 1)
+    one = len(renamed)
+    for parts in range(2, 5):
+        renamed.clear()
+        for part in range(parts):
+            _totals(u, part, parts)
+        assert len(renamed) == one, parts
+    whole = list(_classes(u))
+    for parts in range(1, 5):
+        dealt = [c for part in range(parts) for c in _classes(u, part, parts)]
+        assert sorted(dealt, key=lambda c: (len(c[0]), c[0])) == whole, parts
+
+
+def test_eval_chunk_builds_no_per_split_objects(contexts, monkeypatch):
     # A split costs one _SplitContext built from (x, cut1, cut2): no
     # DeletionSplit, InterruptSpec or core report, and no anchor_windows.
     u = Universe()
@@ -868,19 +874,12 @@ def test_eval_chunk_builds_no_per_split_objects(monkeypatch):
     # A context slices W0's windows, and counts them, only for a claim that
     # reads occurrence counts while it has room for rows: never for the
     # claims the rotation test decides.
-    contexts = []
-
-    class Recorded(_SplitContext):
-        def __init__(self, *args):
-            super().__init__(*args)
-            contexts.append(self)
-
     def built(name):
         return sum(name in vars(ctx) for ctx in contexts)
 
-    monkeypatch.setattr(repcore.verify, "_SplitContext", Recorded)
     configurations = len(configuration_stats(u))
     assert (splits, configurations) == (1438, 1284)
+    contexts.clear()
     _totals(u, 0, 1)
     assert len(contexts) == configurations
     contexts.clear()
@@ -1094,7 +1093,6 @@ def fan_out(monkeypatch):
 def test_run_starts_at_most_one_worker_per_cpu(fan_out, monkeypatch):
     monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 3)
     u = Universe(2, 2, 4, (3, 4), "both")
-    n_specs = len(representative_specs(u))
     one = run(u, jobs=1)
     assert fan_out.processes == []  # one job evaluates in process
     assert [task[1:3] for task in fan_out.evaluated] == [(0, 1)]
@@ -1111,16 +1109,9 @@ def test_run_starts_at_most_one_worker_per_cpu(fan_out, monkeypatch):
     assert [p.task for p in fan_out.processes] == tasks[1:]
     for task in tasks:
         assert task[0] == u and task[3:] == (list(ClaimId), 10)
-    # between them the parts hold every first-use spec once
-    n_pairs = len(exponent_pairs(u.e_sums))
-    dealt = [
-        (x, cut)
-        for _, part, parts, _, _ in tasks
-        for x, cuts in _word_cuts(u, part, parts)
-        for cut in cuts
-    ]
-    assert len(set(dealt)) == len(dealt)
-    assert len(dealt) * n_pairs == n_specs
+    # between them the parts count every configuration class once
+    dealt = [c for _, part, parts, _, _ in tasks for c in _classes(u, part, parts)]
+    assert sorted(dealt, key=lambda c: (len(c[0]), c[0])) == list(_classes(u))
     # with no CPU count the run stays in process
     monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: None)
     assert run(u, jobs=10**6) == one
@@ -1128,8 +1119,8 @@ def test_run_starts_at_most_one_worker_per_cpu(fan_out, monkeypatch):
 
 
 def test_run_ships_small_chunks_and_holds_no_specs(fan_out, monkeypatch):
-    # Workers enumerate their own splits: each chunk is the universe, a split
-    # range, the claims and the witness limit, whatever the universe's size.
+    # Workers enumerate their own splits: each task is the universe, a part,
+    # the claims and the witness limit, whatever the universe's size.
     monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 2)
     u = Universe(2, 2, 8, (3, 4), "both")
     one = run(u, jobs=1)
@@ -1159,9 +1150,9 @@ def test_run_ships_small_chunks_and_holds_no_specs(fan_out, monkeypatch):
 def test_run_starts_no_worker_that_gets_no_word(
     universe, jobs, workers, fan_out, monkeypatch
 ):
-    # _word_cuts deals words, not splits, so run() starts at most one worker
-    # per first-use word with splits: "ab" alone has several splits under
-    # both forms, but a second part would be dealt nothing.
+    # run() starts at most one worker per first-use word with splits: "ab"
+    # alone has several splits under both forms, but it is one word, of one
+    # configuration class, so a second part would get nothing to count.
     monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 8)
     assert _word_count(universe) == len(words_with_splits(universe))
     one = run(universe, jobs=1)
@@ -1171,11 +1162,12 @@ def test_run_starts_no_worker_that_gets_no_word(
 
 
 def test_word_count_counts_the_words_dealt():
+    # the worker cap: the first-use words with splits, counted in closed form
     for universe in [
         Universe(2, 1, 8, (3,), forms) for forms in ("prefix", "deletion", "both")
     ] + [Universe(4, 1, 6, (3,), "deletion"), Universe(26, 2, 4, (3,), "prefix")]:
-        dealt = [x for x, _ in _word_cuts(universe, 0, 1)]
-        assert _word_count(universe) == len(dealt), universe
+        walked = [x for x, _ in _word_cuts(universe)]
+        assert _word_count(universe) == len(walked), universe
 
 
 needs_fork = pytest.mark.skipif(
