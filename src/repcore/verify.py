@@ -8,16 +8,16 @@ W0 = x·x1·x3·x·x (e1 = 1, e2 = MIN_E_SUM - 1), into one context of plain
 values.  A table maps each claim to two functions.  Its count is
 arithmetic in a few per-split stats (how many distinct windows are
 anchored, |x2|, |x|, note2's factor count), which are the same on every
-split of a configuration (below), so a chunk sums them per split form,
-one context per configuration, and counts every claim once at the end.
-Its per_sum lists a spec's mismatches; specs with the same e1+e2 have the
-same counts, so it runs once per exponent sum, and only while the claim
-can still report rows.  dft_bound and dichotomy have no per_sum:
-core_lengths refuses a split that breaks the bound, and the rotation test
-one that would break the dichotomy, before its context exists.  Each
-worker runs one chunk: the configuration classes are dealt out among the
-chunks by the index of their Lyndon representative, and a worker
-enumerates its share itself.  For the rows, the chunk of part 0 alone
+split of a configuration and of a record (below), so a chunk sums them
+per split form, one context per record, and counts every claim once at
+the end.  Its per_sum lists a spec's mismatches; specs with the same
+e1+e2 have the same counts, so it runs once per exponent sum, and only
+while the claim can still report rows.  dft_bound and dichotomy have no
+per_sum: core_lengths refuses a split that breaks the bound, and the
+rotation test one that would break the dichotomy, before its context
+exists.  Each worker runs one chunk: the configuration classes are dealt
+out among the chunks by the index of their Lyndon representative, and a
+worker enumerates its share itself.  For the rows, the chunk of part 0 alone
 walks every split in canonical order with one list of the claims that
 can still report rows, each with the two forms it is stated for, and
 stops when the list is empty.
@@ -145,6 +145,26 @@ skipped, and one whose mirror class's representative sorts after it
 counts twice.  test_every_split_has_its_configurations_stats and
 test_count_pass_equals_the_sum_over_splits check this on small
 universes.
+
+Gaps.  Several configurations of one class and jump can be one record.
+The record of phase a holds x^∞[i] at each position i < a and x^∞[i+d]
+at each i >= a; the record of phase a+1 differs from it only at
+position a, x^∞[a] for x^∞[a+d].  So phases a and a+1 read the same
+record exactly when x[a] = x[a+d] (indices modulo |x|), and then their
+stats agree: p falls by one and s rises by one, with p+s constant, and
+u[p+1:]·v[:|x|-s-1] and note2's factors are the same symbols.  The
+mismatches x[a] != x[a+d] repeat with period g, since rotate(x, g) is a
+renaming of x and a renaming keeps equal letters equal; phase a+g reads
+a renaming of phase a's record, with its stats.  Some a < g is a
+mismatch, or there would be none at all and rotate(x, d) = x, which a
+primitive x is not.  So the phases 0..g-1, taken cyclically, split into
+runs b+1..a between consecutive mismatches b and a (the first run starts
+past the last mismatch, minus g), and every run reads one record, up to
+renaming where it wraps past g.  _totals builds one context per run, on
+the prefix member of its last phase a, a mismatch below g, and weights
+its stats by the run's length; the lengths sum to g.
+test_every_phase_has_its_records_stats checks this, and that different
+runs read different records, on small universes.
 
 Gating claims are expected to hold (a failure fails the run); reported
 claims record their empirical status and never gate, because the
@@ -595,6 +615,34 @@ def _first_use(w: str) -> str:
     return w.translate(str.maketrans(letters, LETTERS[: len(letters)]))
 
 
+def _first_use_lyndon_words(length: int, alphabet_size: int) -> Iterator[str]:
+    """The first-use Lyndon words of the length, in lexicographic order.
+
+    FKM (Fredricksen, Kessler and Maiorana; Ruskey, Savage and Wang):
+    extend a prenecklace w whose longest Lyndon prefix has length p by
+    w[-p], which keeps p, or by a larger letter, which makes all of w a
+    Lyndon prefix; a prenecklace of the length is a Lyndon word exactly
+    when p is its length.  A prefix of a first-use word is first-use, so
+    growing only first-use prefixes (no letter more than one past the
+    largest used) leaves out no first-use word and keeps the order.
+
+    >>> list(_first_use_lyndon_words(4, 3))
+    ['aaab', 'aabb', 'aabc', 'abac', 'abbb', 'abbc', 'abcb', 'abcc']
+    """
+
+    def extend(prefix: str, p: int, used: int) -> Iterator[str]:
+        if len(prefix) == length:
+            if p == length:
+                yield prefix
+            return
+        same = LETTERS.index(prefix[-p])
+        yield from extend(prefix + LETTERS[same], p, used)
+        for j in range(same + 1, min(used + 1, alphabet_size)):
+            yield from extend(prefix + LETTERS[j], len(prefix) + 1, max(used, j + 1))
+
+    return extend("a", 1, 1)
+
+
 def _classes(
     universe: Universe, part: int = 0, parts: int = 1
 ) -> Iterator[tuple[str, int, int]]:
@@ -604,33 +652,56 @@ def _classes(
 
     x is the class's representative: a first-use word that no first-use
     renaming of one of its rotations sorts before.  Such an x is a Lyndon
-    word, so a plain compare with its rotations rejects most words before
-    any renaming.  The first-use Lyndon words are indexed in canonical
-    order, and the part renames only those whose index i has
+    word, and _first_use_lyndon_words yields those in canonical order.  They
+    are indexed, and the part renames only those whose index i has
     i % parts == part.  g is the smallest rotation of x whose first-use
     renaming is x (|x| if none is), and pairs is 2 when the mirror class's
-    representative sorts after x, 1 when it is x.
+    representative sorts after x, 1 when it is x.  Only the rotations, and
+    the rotations of x^R, whose first run is at least as long as x's leading
+    run a^j are renamed: any other one renames to a^i·b... with i < j, which
+    sorts after x.
 
     >>> [c for c in _classes(Universe(max_x=7)) if c[1] < len(c[0]) or c[2] > 1]
     [('ab', 1, 1), ('aabb', 2, 1), ('aaabbb', 3, 1), ('aaababb', 7, 2)]
     """
     index = -1
     for n, _ in _lengths(universe):
-        for x in first_use_words(n, universe.alphabet_size):
-            xx = x + x
-            turns = [xx[r : r + n] for r in range(1, n)]
-            if min(turns) < x:  # not a Lyndon word
-                continue
+        for x in _first_use_lyndon_words(n, universe.alphabet_size):
             index += 1
             if index % parts != part:
                 continue
-            named = [_first_use(w) for w in turns]
-            if min(named) < x:
+            j, xx = n - len(x.lstrip("a")), x + x
+            named = {
+                r: _first_use(xx[r : r + n])
+                for r in range(1, n)
+                if xx[r : r + j] == xx[r] * j
+            }
+            if any(w < x for w in named.values()):
                 continue
-            # the rotations of x^R are the reversed rotations of x
-            back = min(_first_use(w[::-1]) for w in (x, *turns))
+            # the rotations of x^R are the reversed rotations of x; that of
+            # r = j ends with x's leading run a^j, so one is always renamed
+            back = min(
+                _first_use(xx[r : r + n][::-1])
+                for r in range(n)
+                if xx[r + n - j : r + n] == xx[r + n - 1] * j
+            )
             if back >= x:
-                yield x, named.index(x) + 1 if x in named else n, 1 + (back > x)
+                g = min((r for r, w in named.items() if w == x), default=n)
+                yield x, g, 1 + (back > x)
+
+
+def _gaps(x: str, g: int, d: int) -> list[tuple[int, int]]:
+    """(a, length) per record of jump d of the class of x with g phases: the
+    phases a-length+1 .. a, taken modulo g, all read the same record, and
+    a < g is the last of them, a phase with x[a] != x[a+d] (module
+    docstring).  The lengths sum to g.
+
+    >>> _gaps("aabb", 2, 1), _gaps("aabb", 2, 2), _gaps("aaababb", 7, 2)
+    ([(1, 2)], [(0, 1), (1, 1)], [(1, 2), (4, 3), (5, 1), (6, 1)])
+    """
+    n = len(x)
+    ends = [a for a in range(g) if x[a] != x[(a + d) % n]]
+    return [(a, a - b) for b, a in zip([ends[-1] - g, *ends], ends)]
 
 
 def _totals(universe: Universe, part: int, parts: int) -> dict[bool, _Stats]:
@@ -639,18 +710,22 @@ def _totals(universe: Universe, part: int, parts: int) -> dict[bool, _Stats]:
     `part` of `parts`.
 
     A class (x, g, pairs) has one configuration per phase a < g and jump
-    d in 1..|x|-1, read from its prefix member (rotate(x, a+d), |x|-d,
-    |x|).  It stands for k!/(k-m)! splits per prefix member and
-    (|x|-d)·k!/(k-m)! deletion splits, for m distinct letters, each times
-    pairs (module docstring).
+    d in 1..|x|-1.  The configurations of one record (_gaps) share their
+    stats, so they are read from one context, on the prefix member
+    (rotate(x, a+d), |x|-d, |x|) of the record's last phase a, and weighted
+    by the record's number of phases.  A configuration stands for k!/(k-m)!
+    splits per prefix member and (|x|-d)·k!/(k-m)! deletion splits, for m
+    distinct letters, each times pairs (module docstring).
     """
     k = universe.alphabet_size
     totals = {form: [0] * len(_Stats._fields) for form in _forms(universe)}
     for x, g, pairs in _classes(universe, part, parts):
         n, size = len(x), perm(k, len(set(x))) * pairs
         for d in range(1, n):
-            stats = [_SplitContext(rotate(x, a + d), n - d, n).stats for a in range(g)]
-            col = [sum(c) for c in zip(*stats)]
+            col = [0] * len(_Stats._fields)
+            for a, length in _gaps(x, g, d):
+                stats = _SplitContext(rotate(x, a + d), n - d, n).stats
+                col = [c + length * t for c, t in zip(col, stats)]
             for form, total in totals.items():
                 weight = size if form else size * (n - d)
                 totals[form] = [t + weight * c for t, c in zip(total, col)]

@@ -5,6 +5,7 @@ full enumeration), deliberately ignoring the library's shortcuts.
 """
 
 from collections import Counter
+from itertools import product
 
 from repcore import ClaimId, DeletionSplit, InterruptSpec, build
 from repcore.errors import EmptyPattern, EmptyWord, InvalidSpec, InvalidSplit
@@ -271,6 +272,44 @@ def phase_segments_naive(text, x):
             if k - i >= n:
                 out.append((i, k, f))
     return out
+
+
+def classes_naive(universe, part=0, parts=1):
+    """repcore.verify._classes by brute force: (x, g, pairs) per class.
+
+    Every word of each length with splits, in lexicographic order, that is
+    first-use and a Lyndon word (smaller than each of its other rotations)
+    gets the next index; the part keeps those whose index i has
+    i % parts == part.  Every rotation of x, and every rotation of x^R, is
+    renamed to first-use letters, none skipped: x represents its class when
+    no renamed rotation sorts before it, g is the smallest rotation that
+    renames to x (|x| if none does), and the class is kept when no renamed
+    rotation of x^R sorts before x, with pairs 2 when all sort after it.
+    """
+
+    alphabet = "abcdefghijklmnopqrstuvwxyz"
+
+    def first_use(w):
+        used = "".join(dict.fromkeys(w))
+        return w.translate(str.maketrans(used, alphabet[: len(used)]))
+
+    index = -1
+    for n in range(universe.min_x, universe.max_x + 1):
+        if not any(iter_splits(n, universe.forms)):
+            continue
+        for letters in product(alphabet[: universe.alphabet_size], repeat=n):
+            x = "".join(letters)
+            turns = [x[r:] + x[:r] for r in range(n)]
+            if first_use(x) != x or any(t <= x for t in turns[1:]):
+                continue
+            index += 1
+            if index % parts != part:
+                continue
+            named = [first_use(t) for t in turns]
+            back = min(first_use(t[::-1]) for t in turns)
+            if min(named) == x and back >= x:
+                g = named.index(x, 1) if x in named[1:] else n
+                yield x, g, 1 + (back > x)
 
 
 def run_full(universe, claims=None, max_violations=10, jobs=1, max_checks=None):

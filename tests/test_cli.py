@@ -421,9 +421,10 @@ ORBIT_UNIVERSES = {
                                    "6", "--max-violations", str(k)]
         for k in (1, 3, 10**6)
     },
-    # The counts come from one context per configuration (x^∞ with a jump
-    # of |x2| at a junction phase); these hold words fixed by a rotation
-    # and a renaming (aabb, aabbcc, abac) and mirror classes that pair up.
+    # The counts come from one context per record (x^∞ with a jump of |x2|
+    # at a junction phase, the same record at every phase where x^∞ and its
+    # shift agree); these hold words fixed by a rotation and a renaming
+    # (aabb, aabbcc, abac) and mirror classes that pair up.
     "ternary-both-x6": ["--alphabet", "3", "--forms", "both", "--max-x", "6"],
     "binary-deletion-x8": ["--forms", "deletion", "--max-x", "8"],
 }

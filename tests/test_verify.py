@@ -41,6 +41,8 @@ from repcore.verify import (
     _classes,
     _distinct_count,
     _eval_chunk,
+    _first_use_lyndon_words,
+    _gaps,
     _merge_chunks,
     _split_count,
     _SplitContext,
@@ -520,8 +522,9 @@ def junction_key(x, cut1, cut2):
 
 
 def configuration_stats(universe):
-    """Per junction key: the stats of each configuration _totals reads, built
-    on its prefix member as _totals builds it.  No two share a key."""
+    """Per junction key: the stats of each configuration (x, a, d) of the
+    classes _classes yields, built on its prefix member.  No two share a
+    key."""
     found = {}
     for x, g, _ in _classes(universe):
         n = len(x)
@@ -553,6 +556,100 @@ def test_every_split_has_its_configurations_stats(k, max_x):
     fixed = {x for x, g, _ in _classes(u) if g < len(x)}
     want = {"aabb", "aaabbb"} if k == 2 else {"aabb", "aabbcc", "abac"}
     assert want <= fixed
+
+
+def record(x, a, d, lo, hi):
+    """Symbols lo..hi-1 of the record of phase a and jump d: x^∞ before
+    position a, and x^∞ read d symbols ahead from a on."""
+    n = len(x)
+    return "".join(x[i % n] if i < a else x[(i + d) % n] for i in range(lo, hi))
+
+
+def record_key(x, a, d):
+    """The junction word of the record of phase a and jump d, renamed to
+    first-use letters: x^∞[e-2|x| : e] + x^∞[e+d : e+d+2|x|], read at the
+    record's first departure e >= a from x^∞.  Moving the junction from a
+    to e crosses only symbols where x^∞ and its d-shift agree, so every
+    phase of one record reads the same symbols around the same e; the
+    renaming makes phase a+g, a renaming of phase a, read the same key."""
+    n, e = len(x), a
+    while x[e % n] == x[(e + d) % n]:
+        e += 1
+    return first_use(record(x, a, d, e - 2 * n, e + 2 * n))
+
+
+def record_count(universe):
+    """The number of distinct records, by junction word, over the
+    configurations of oracles.classes_naive."""
+    return len(
+        {
+            (x, d, record_key(x, a, d))
+            for x, g, _ in oracles.classes_naive(universe)
+            for d in range(1, len(x))
+            for a in range(g)
+        }
+    )
+
+
+GAP_UNIVERSES = [
+    Universe(2, 2, 10, (3,), "both"),
+    Universe(3, 2, 6, (3,), "both"),
+    Universe(4, 2, 6, (3,), "both"),
+]
+
+
+@pytest.mark.parametrize(
+    "universe", GAP_UNIVERSES, ids=["binary", "ternary", "4-letter"]
+)
+def test_every_phase_has_its_records_stats(universe):
+    # _totals reads one context per record: the last phase a of each run
+    # _gaps gives, weighted by the run's length.  Every phase b < g of the
+    # run has a's stats and a's junction word; phases of different runs
+    # have different junction words; and the lengths sum to g.
+    wrapped = fixed = 0
+    for x, g, _ in _classes(universe):
+        n = len(x)
+        fixed += g < n
+        for d in range(1, n):
+            gaps = _gaps(x, g, d)
+            assert sum(length for _, length in gaps) == g, (x, d)
+            keys = [record_key(x, a, d) for a, _ in gaps]
+            assert len(set(keys)) == len(keys), (x, d)
+            for a, length in gaps:
+                wrapped += a - length + 1 < 0
+                stats = _SplitContext(rotate(x, a + d), n - d, n).stats
+                for b in range(a - length + 1, a + 1):
+                    b %= g
+                    ctx = _SplitContext(rotate(x, b + d), n - d, n)
+                    assert ctx.stats == stats, (x, a, b, d)
+                    assert record_key(x, b, d) == record_key(x, a, d), (x, a, b, d)
+    # runs that wrap past g, also on classes with g < |x|
+    assert wrapped > 0 and fixed > 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_first_use_lyndon_words_equal_the_rotation_compare(k, n):
+    want = [
+        x
+        for x in first_use_words(n, k)
+        if all(x < rotate(x, r) for r in range(1, n))
+    ]
+    assert list(_first_use_lyndon_words(n, k)) == want
+
+
+@pytest.mark.parametrize(
+    "universe",
+    [Universe(2, 1, 12, (3,), "both"), Universe(3, 1, 7), Universe(4, 1, 6)],
+    ids=["binary", "ternary", "4-letter"],
+)
+def test_classes_equal_the_naive_classes(universe):
+    # _classes renames only the rotations whose first run is as long as
+    # x's leading a's; classes_naive renames every rotation.
+    for parts in range(1, 5):
+        for part in range(parts):
+            want = list(oracles.classes_naive(universe, part, parts))
+            assert list(_classes(universe, part, parts)) == want, (part, parts)
 
 
 @pytest.mark.parametrize(
@@ -805,7 +902,7 @@ def test_eval_chunk_lists_are_sorted_short_and_its_own(k):
 
 def test_child_parts_only_count(per_sum_calls, contexts):
     # Parts 1 and up send back counts alone: no row, no per_sum call, and
-    # one context per configuration of their own classes, whatever k is; so
+    # one context per record of their own classes, whatever k is; so
     # what a child pickles back does not grow with k.
     u = Universe(2, 2, 8, (3, 4), "both")
     for parts in (2, 3):
@@ -869,46 +966,57 @@ def test_eval_chunk_builds_no_per_split_objects(contexts, monkeypatch):
     assert any(rows for _, rows in part.values())
     assert calls == Counter()
 
-    # A chunk builds one context per configuration for the counts, and one
-    # per split it walks for rows; the walk stops once no claim has room.
-    # A context slices W0's windows, and counts them, only for a claim that
-    # reads occurrence counts while it has room for rows: never for the
-    # claims the rotation test decides.
+    # A chunk builds one context per record for the counts (the 1,284
+    # configurations read 648 records), and one per split it walks for
+    # rows; the walk stops once no claim has room.  Every context goes
+    # through core_lengths.  A context slices W0's windows, and counts
+    # them, only for a claim that reads occurrence counts while it has room
+    # for rows: never for the claims the rotation test decides.
     def built(name):
         return sum(name in vars(ctx) for ctx in contexts)
 
-    configurations = len(configuration_stats(u))
+    lengths = []
+    monkeypatch.setattr(
+        repcore.verify,
+        "core_lengths",
+        lambda *args: lengths.append(args) or core_lengths(*args),
+    )
+    configurations, records = len(configuration_stats(u)), record_count(u)
     assert (splits, configurations) == (1438, 1284)
+    assert records == 648
     contexts.clear()
+    lengths.clear()
     _totals(u, 0, 1)
-    assert len(contexts) == configurations
+    assert len(contexts) == len(lengths) == records
     contexts.clear()
     # dft_bound and dichotomy list no row, so no split is walked at all
     part = _eval_chunk((u, 0, 1, [ClaimId.DFT_BOUND, ClaimId.DICHOTOMY], 10))
     assert part[ClaimId.DICHOTOMY][0] > 0
-    assert len(contexts) == configurations
+    assert len(contexts) == records
     contexts.clear()
     part = _eval_chunk((u, 0, 1, [ClaimId.DISTINCT_COUNT], DEFAULT_MAX_VIOLATIONS))
     assert part[ClaimId.DISTINCT_COUNT][1]
-    assert configurations < len(contexts) < splits
+    assert records < len(contexts) < splits
     assert built("windows") == built("hist") == 0
     contexts.clear()
+    lengths.clear()
     _eval_chunk((u, 0, 1, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
-    assert len(contexts) == configurations + 9
+    assert len(contexts) == len(lengths) == records + 9
     assert 0 < built("hist") <= built("windows") <= 9
-    # A both universe has the same configurations; the walk visits 25 of
-    # its 6,722 first-use splits.
+    # A both universe has the same configurations and records; the walk
+    # visits 25 of its 6,722 first-use splits.
     both = Universe(2, 2, 8, (3, 4), "both")
     assert len(first_use_splits(both)) == 6722
     assert len(configuration_stats(both)) == configurations
+    assert record_count(both) == records
     contexts.clear()
     _eval_chunk((both, 0, 1, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
-    assert len(contexts) == configurations + 25
-    # dealt to two parts, the configurations are counted once between them
+    assert len(contexts) == records + 25
+    # dealt to two parts, the records are counted once between them
     contexts.clear()
     for part in range(2):
         _totals(both, part, 2)
-    assert len(contexts) == configurations
+    assert len(contexts) == records
     # the counters see the names the module calls
     calls.clear()
     next(enumerate_specs(u))
