@@ -110,6 +110,20 @@ a context whose test fails raises InternalBoundViolation, as core_lengths
 does for a broken bound, and the run ends; WindowScan in tests/oracles.py
 reads every stat, dichotomy and distinct count from all of W0's windows.
 
+Phase counts.  So a window outside lo..hi-1 is counted, not sliced.  A
+window of length m = |x| or |x|-1 at j < lo+|x|-m lies in the head
+stretch W0[:lo+|x|-1] and reads x^∞ from phase j mod |x|; one at j >= hi
+lies in the tail, which ends W0 with x, and reads it from phase
+(j-|W0|) mod |x|.  These windows of x^∞ differ between the |x| phases
+(count rule), so a factor f that first occurs in x+x at r is the window
+of phase r alone, and one not in x+x of none: _SplitContext.count(f)
+compares f with the windows at lo+|x|-m .. hi-1 and adds two arithmetic
+progressions.  In the boundary case p+s = |x|-2, hi = lo+1, so every
+length-(|x|-1) window lies in the head (j <= lo) or the tail (j >= hi)
+and is the prefix of a rotation of x, and the tail's 2|x|-cut2+s+2 > |x|
+of them hold every such prefix.  So note2's factors are the rotation
+prefixes that hold u[|x|-s:]·v[:p] (u and v as below).
+
 Configurations.  Rotate x by r and shift both cuts by -r: the record is
 the same bi-infinite word, x^∞ up to the junction and x^∞ jumped ahead by
 d = |x2| after it, read from another start.  With L the Lyndon rotation
@@ -120,17 +134,13 @@ model: one prefix split, the prefix member (rotate(L, a+d), |x|-d, |x|),
 and |x|-d deletion splits.  Every split of a configuration has the same
 stats.  |x| and |x2| are fixed, and p and s are read from u and v.  The
 anchored windows are the length-|x| windows of W0[lo : hi+|x|-1] =
-u[p+1:]·v[:|x|-s-1], which reads only u and v.  note2's factors are the
-length-(|x|-1) windows that hold u[|x|-s:]·v[:p].  Those of W0 that cross
-the junction lie in u[2:]·v[:|x|-2], and the others lie in the head x·x1,
-a factor of x^∞, or in the tail x[cut2:]·x·x, whose 2|x|-cut2+2 > |x|
-consecutive windows of x^∞ hold every (|x|-1)-factor of x^∞: so the set
-of short windows is the crossing ones and the (|x|-1)-factors of x^∞,
-the same for every rotation of x.  Renaming keeps the stats too, so a
-chunk counts per class of words closed under rotation and renaming.  Its
-representative x is the first-use word that no first-use renaming of a
-rotation of x sorts before; a first-use renaming never sorts after the
-word it renames, so x is a Lyndon word.  The rotations that map x to a
+u[p+1:]·v[:|x|-s-1], which reads only u and v, and note2's factors are
+the rotation prefixes that hold u[|x|-s:]·v[:p] (phase counts), which
+rotating x keeps.  Renaming keeps the stats too, so a chunk counts per
+class of words closed under rotation and renaming.  Its representative x
+is the first-use word that no first-use renaming of a rotation of x
+sorts before; a first-use renaming never sorts after the word it
+renames, so x is a Lyndon word.  The rotations that map x to a
 renaming of x are the multiples of the smallest one, g (a subgroup of the
 rotations), so the class holds g·k!/(k-m)! words for m distinct letters,
 and its configurations of jump d are those of phases a < g.  The class's
@@ -175,11 +185,10 @@ small instances and the point is to say so with witnesses.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from copy import copy
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache
 from heapq import merge
 from itertools import groupby, islice, tee
 from math import perm
@@ -195,7 +204,7 @@ from .errors import (
     UniverseTooLarge,
 )
 
-# The verifier reads _SplitContext's windows and calls none of core,
+# The verifier counts with _SplitContext.count and calls none of core,
 # anchor_windows, classify_window, occurrences and cyclic_occurrences, and
 # run() forks its workers without a ProcessPoolExecutor.  They stay
 # importable from this module because perfbench/tracing.py patches them here
@@ -372,12 +381,6 @@ def _split_count(universe: Universe, count_words=count_first_use_words) -> int:
     return sum(count_words(n, k) * len(cuts) for n, cuts in _lengths(universe))
 
 
-def _word_count(universe: Universe) -> int:
-    """Number of first-use words that have splits: the words _word_cuts yields."""
-    k = universe.alphabet_size
-    return sum(count_first_use_words(n, k) for n, _ in _lengths(universe))
-
-
 def _word_cuts(universe: Universe) -> Iterator[tuple[str, list]]:
     """(x, cuts) for each first-use word x that has splits, with all of its
     (cut1, cut2), in canonical order: so its splits come in canonical order,
@@ -449,24 +452,21 @@ class _SplitContext:
     x·x1·x3·x·x, the split's shortest word (e1 = 1, e2 = MIN_E_SUM - 1),
     whose junction is |x| + cut1: the windows at
     lo = cut1+p+1 .. hi-1 = |x|+cut1-s-1 contain the core and are
-    anchored, the others are not.  Only the anchored ones are sliced up
-    front.  The rotation test of the module docstring must hold, or the
-    context raises InternalBoundViolation: then the non-anchored windows
-    are exactly the |x| rotations of x, so the stats, dichotomy and
+    anchored, the others are not.  Only the anchored ones are sliced.  The
+    rotation test of the module docstring must hold, or the context
+    raises InternalBoundViolation: then the non-anchored windows are
+    exactly the |x| rotations of x, so the stats, dichotomy and
     distinct_count need no other window.  stats holds the split's _Stats.
 
     A claim's per_sum reads the context and lists its violations as plain
     (factor, expected, actual) values, which _eval_chunk turns into rows.
-    windows lists W0's length-|x| windows, non_anchored is the set of those
-    outside lo..hi-1 and hist counts them; all three are built only when
-    read, by a claim that counts occurrences.
-    note2_linear counts the length-(|x|-1) windows (short) in the boundary
-    case.  By the count rule in the module docstring, a window f of either
-    length occurs h[f] + (s - MIN_E_SUM)·(f in xx) times in a spec with
-    e1+e2 = s, h being W0's histogram of that length.  W starts and ends
-    with x, so its |x|-1 wraparound windows are the rotations 1..|x|-1 of
-    x, each once: read cyclically, f occurs once more when f is in
-    wraparound = xx[1:-1].
+    count(f) is how often a factor f of length |x| or |x|-1 occurs in W0
+    (phase counts, module docstring), and note2 holds note2_linear's
+    factors in the boundary case.  By the count rule, f occurs
+    count(f) + (s - MIN_E_SUM)·(f in xx) times in a spec with e1+e2 = s.
+    W starts and ends with x, so its |x|-1 wraparound windows are the
+    rotations 1..|x|-1 of x, each once: read cyclically, f occurs once more
+    when f is in wraparound = xx[1:-1].
     """
 
     def __init__(self, x: str, cut1: int, cut2: int):
@@ -486,26 +486,26 @@ class _SplitContext:
         self.anchored = {word[j : j + n] for j in range(lo, hi)}
         # note2 is stated for the boundary case p + s = |x| - 2 only: its
         # factors are the length-(|x|-1) windows holding the core without
-        # its two outer symbols.
+        # its two outer symbols, each the prefix of a rotation of x.
         self.note2: set[str] = set()
         if p + s == n - 2:
-            m, sp = n - 1, u[n - s :] + v[:p]
-            self.short = [word[j : j + m] for j in range(len(word) - m + 1)]
-            self.note2 = {f for f in self.short if sp in f}
+            sp = u[n - s :] + v[:p]
+            prefixes = (xx[r : r + n - 1] for r in range(n))
+            self.note2 = {f for f in prefixes if sp in f}
         self.stats = _Stats(1, len(self.anchored), n, cut2 - cut1, len(self.note2))
 
-    @cached_property
-    def windows(self) -> list[str]:
-        word, n = self.word, self.n
-        return [word[j : j + n] for j in range(len(word) - n + 1)]
-
-    @cached_property
-    def non_anchored(self) -> set[str]:
-        return set(self.windows[: self.lo]).union(self.windows[self.hi :])
-
-    @cached_property
-    def hist(self) -> Counter:
-        return Counter(self.windows)
+    def count(self, f: str) -> int:
+        """Occurrences in W0 of f, of length |x| or |x|-1 (phase counts)."""
+        word, n, m = self.word, self.n, len(f)
+        head, hi = self.lo + n - m, self.hi
+        hits = sum(word.startswith(f, j) for j in range(head, hi))
+        r = self.xx.find(f)
+        if r >= 0:
+            # head windows j of phase j mod |x| = r, and tail windows from
+            # the first j >= hi of phase (j-|W0|) mod |x| = r
+            tail = hi + (r + len(word) - hi) % n
+            hits += len(range(r, head, n)) + len(range(tail, len(word) - m + 1, n))
+        return hits
 
 
 # Each claim is a table entry (count, per_sum).  count(t, s) is the number
@@ -526,13 +526,14 @@ def _mismatches(
     ctx: _SplitContext,
     s: int,
     factors: Iterable[str],
-    hist: Counter,
     expected: int | None = None,
     wraparound: str = "",
 ) -> list[tuple[str, int, int]]:
     """Factors whose count in a spec with e1+e2 = s is not expected (None: s)."""
     want, extra, xx = expected or s, s - MIN_E_SUM, ctx.xx
-    counts = ((f, hist[f] + extra * (f in xx) + (f in wraparound)) for f in factors)
+    counts = (
+        (f, ctx.count(f) + extra * (f in xx) + (f in wraparound)) for f in factors
+    )
     return sorted((f, want, a) for f, a in counts if a != want)
 
 
@@ -544,14 +545,16 @@ def _distinct_count(ctx: _SplitContext, s: int) -> list[tuple[str, int, int]]:
     return [("", expected, distinct)] if distinct != expected else []
 
 
-def _note2_linear(ctx: _SplitContext, s: int) -> list[tuple[str, int, int]]:
-    if not ctx.note2:
-        return []
-    return _mismatches(ctx, s, ctx.note2, Counter(ctx.short))
-
-
 def _unique(ctx: _SplitContext, s: int) -> list[tuple[str, int, int]]:
-    return _mismatches(ctx, s, ctx.anchored, ctx.hist, 1)
+    return _mismatches(ctx, s, ctx.anchored, 1)
+
+
+def _note3(
+    ctx: _SplitContext, s: int, wraparound: str = ""
+) -> list[tuple[str, int, int]]:
+    # the non-anchored windows are the |x| rotations of x (rotation test)
+    rotations = (ctx.xx[r : r + ctx.n] for r in range(ctx.n))
+    return _mismatches(ctx, s, rotations, None, wraparound)
 
 
 _CLAIMS: dict[ClaimId, tuple[_Count, _PerSum | None]] = {
@@ -567,18 +570,16 @@ _CLAIMS: dict[ClaimId, tuple[_Count, _PerSum | None]] = {
     ClaimId.DISTINCT_COUNT: (lambda t, s: t.splits, _distinct_count),
     ClaimId.CORE_CYCLIC_UNIQUE: (
         lambda t, s: t.anchored,
-        lambda ctx, s: _mismatches(ctx, s, ctx.anchored, ctx.hist, 1, ctx.xx[1:-1]),
+        lambda ctx, s: _mismatches(ctx, s, ctx.anchored, 1, ctx.xx[1:-1]),
     ),
-    ClaimId.NOTE2_LINEAR: (lambda t, s: t.note2, _note2_linear),
-    ClaimId.NOTE3_LINEAR: (
-        lambda t, s: t.x_len,
-        lambda ctx, s: _mismatches(ctx, s, ctx.non_anchored, ctx.hist),
+    ClaimId.NOTE2_LINEAR: (
+        lambda t, s: t.note2,
+        lambda ctx, s: _mismatches(ctx, s, ctx.note2),
     ),
+    ClaimId.NOTE3_LINEAR: (lambda t, s: t.x_len, _note3),
     ClaimId.NOTE3_CYCLIC: (
         lambda t, s: t.x_len,
-        lambda ctx, s: _mismatches(
-            ctx, s, ctx.non_anchored, ctx.hist, None, ctx.xx[1:-1]
-        ),
+        lambda ctx, s: _note3(ctx, s, ctx.xx[1:-1]),
     ),
 }
 
@@ -643,6 +644,13 @@ def _first_use_lyndon_words(length: int, alphabet_size: int) -> Iterator[str]:
     return extend("a", 1, 1)
 
 
+def _lyndon_words(universe: Universe) -> Iterator[str]:
+    """The first-use Lyndon words of every length of the universe that has
+    splits, in canonical order: the representatives _classes deals out."""
+    k = universe.alphabet_size
+    return (x for n, _ in _lengths(universe) for x in _first_use_lyndon_words(n, k))
+
+
 def _classes(
     universe: Universe, part: int = 0, parts: int = 1
 ) -> Iterator[tuple[str, int, int]]:
@@ -652,8 +660,8 @@ def _classes(
 
     x is the class's representative: a first-use word that no first-use
     renaming of one of its rotations sorts before.  Such an x is a Lyndon
-    word, and _first_use_lyndon_words yields those in canonical order.  They
-    are indexed, and the part renames only those whose index i has
+    word, and _lyndon_words yields those in canonical order.  They are
+    indexed, and the part renames only those whose index i has
     i % parts == part.  g is the smallest rotation of x whose first-use
     renaming is x (|x| if none is), and pairs is 2 when the mirror class's
     representative sorts after x, 1 when it is x.  Only the rotations, and
@@ -664,30 +672,26 @@ def _classes(
     >>> [c for c in _classes(Universe(max_x=7)) if c[1] < len(c[0]) or c[2] > 1]
     [('ab', 1, 1), ('aabb', 2, 1), ('aaabbb', 3, 1), ('aaababb', 7, 2)]
     """
-    index = -1
-    for n, _ in _lengths(universe):
-        for x in _first_use_lyndon_words(n, universe.alphabet_size):
-            index += 1
-            if index % parts != part:
-                continue
-            j, xx = n - len(x.lstrip("a")), x + x
-            named = {
-                r: _first_use(xx[r : r + n])
-                for r in range(1, n)
-                if xx[r : r + j] == xx[r] * j
-            }
-            if any(w < x for w in named.values()):
-                continue
-            # the rotations of x^R are the reversed rotations of x; that of
-            # r = j ends with x's leading run a^j, so one is always renamed
-            back = min(
-                _first_use(xx[r : r + n][::-1])
-                for r in range(n)
-                if xx[r + n - j : r + n] == xx[r + n - 1] * j
-            )
-            if back >= x:
-                g = min((r for r, w in named.items() if w == x), default=n)
-                yield x, g, 1 + (back > x)
+    for x in islice(_lyndon_words(universe), part, None, parts):
+        n = len(x)
+        j, xx = n - len(x.lstrip("a")), x + x
+        named = {
+            r: _first_use(xx[r : r + n])
+            for r in range(1, n)
+            if xx[r : r + j] == xx[r] * j
+        }
+        if any(w < x for w in named.values()):
+            continue
+        # the rotations of x^R are the reversed rotations of x; that of
+        # r = j ends with x's leading run a^j, so one is always renamed
+        back = min(
+            _first_use(xx[r : r + n][::-1])
+            for r in range(n)
+            if xx[r + n - j : r + n] == xx[r + n - 1] * j
+        )
+        if back >= x:
+            g = min((r for r, w in named.items() if w == x), default=n)
+            yield x, g, 1 + (back > x)
 
 
 def _gaps(x: str, g: int, d: int) -> list[tuple[int, int]]:
@@ -755,6 +759,7 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
     """
     universe, part, parts, claims, max_violations = args
     sums, forms = universe.e_sums, _forms(universe)
+    pairs = []  # exponent_pairs(sums), built for the first row found
     held = {c: [] for c in claims}
     # (per_sum, rows, stated for (deletion, prefix)) per claim with room in
     # part 0; a claim leaves once it holds max_violations rows
@@ -778,7 +783,8 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
                 found = {s: per_sum(ctx, s) for s in sums}
                 if not any(found.values()):
                     continue
-                kept += _rows(key, sums, found, max_violations - len(kept))
+                pairs = pairs or exponent_pairs(sums)
+                kept += _rows(key, pairs, found, max_violations - len(kept))
                 if len(kept) >= max_violations:
                     room.remove(entry)
     checked = dict.fromkeys(claims, 0)
@@ -790,19 +796,10 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
     return {c: (checked[c], held[c]) for c in claims}
 
 
-def _rows(key: tuple, sums: tuple, found: dict, limit: int) -> list[tuple]:
-    """The first limit rows of split key, given its violations per e1+e2.
-
-    sums are the universe's exponent sums, ascending, so (e1, e2 = s - e1)
-    runs in exponent_pairs' order: e1 ascending, then s.
-    """
-    rows = (
-        key + (e1, s - e1, *v)
-        for e1 in range(1, sums[-1])
-        for s in sums
-        if s > e1
-        for v in found[s]
-    )
+def _rows(key: tuple, pairs: list, found: dict, limit: int) -> list[tuple]:
+    """The first limit rows of split key, given its violations per e1+e2:
+    pairs is exponent_pairs of the universe's exponent sums."""
+    rows = (key + (e1, e2, *v) for e1, e2 in pairs for v in found[e1 + e2])
     return list(islice(rows, limit))
 
 
@@ -915,8 +912,9 @@ def run(
     their splits and keeps the first max_violations rows of the whole
     universe.  Only those rows become Witnesses, and each reported split
     and spec is one object, shared by every claim that reports it.  There
-    are at most as many workers as CPUs and as first-use words with splits,
-    whatever jobs asks for, so at most one process per further CPU starts.
+    are at most as many workers as CPUs and as Lyndon words to deal out,
+    whatever jobs asks for, so at most one process per further CPU starts
+    and every part is dealt a word.
     """
     if max_violations < 1:
         raise InvalidLimit(f"max_violations must be >= 1, got {max_violations}")
@@ -934,7 +932,8 @@ def run(
         max_checks,
         "specs to evaluate (one per letter-renaming orbit)",
     )
-    workers = min(jobs, os.cpu_count() or 1, _word_count(universe)) or 1
+    cap = min(jobs, os.cpu_count() or 1)
+    workers = len(list(islice(_lyndon_words(universe), cap))) or 1
     tasks = [
         (universe, part, workers, claim_list, max_violations)
         for part in range(workers)

@@ -217,8 +217,8 @@ def evaluate_naive(claim, spec):
 class WindowScan:
     """A split's stats, dichotomy and distinct count read from all of W0's windows.
 
-    The slow twin of repcore.verify._SplitContext: the same attributes the
-    claims' per_sums read, built with no rotation test.  p and s come from
+    The slow twin of repcore.verify._SplitContext: the same attributes and
+    count the claims' per_sums read, built with no rotation test.  p and s come from
     lcp_naive and lcs_naive, W0 = x·x1·x3·x·x is sliced into every window,
     the non-anchored windows are all of those outside lo..hi-1, and
     dichotomy and distinct_count read them as the claims state them.
@@ -241,6 +241,10 @@ class WindowScan:
         inner = word[n + cut1 - s : n + cut1 + p]
         self.note2 = {f for f in self.short if inner in f} if p + s == n - 2 else set()
         self.stats = _Stats(1, len(self.anchored), n, cut2 - cut1, len(self.note2))
+
+    def count(self, f):
+        """Occurrences of f in W0, read from hist or short by its length."""
+        return self.hist[f] if len(f) == self.n else self.short.count(f)
 
     def dichotomy(self, s):
         """Non-anchored windows that are no rotation of x."""

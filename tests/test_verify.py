@@ -8,6 +8,7 @@ from collections import Counter
 from contextlib import contextmanager
 from copy import copy
 from dataclasses import replace
+from itertools import product
 from math import perm
 from types import SimpleNamespace
 
@@ -43,12 +44,11 @@ from repcore.verify import (
     _eval_chunk,
     _first_use_lyndon_words,
     _gaps,
+    _lyndon_words,
     _merge_chunks,
     _split_count,
     _SplitContext,
     _totals,
-    _word_count,
-    _word_cuts,
     applies,
     enumerate_specs,
     estimated_checks,
@@ -68,6 +68,11 @@ from oracles import evaluate_naive, run_full
 
 def prefix_spec(x, cut, e1, e2):
     return InterruptSpec(DeletionSplit.prefix(x, cut), e1, e2)
+
+
+def words(n, k):
+    """Every word of length n over the first k letters, in lexicographic order."""
+    return map("".join, product("abcdefghijklmnopqrstuvwxyz"[:k], repeat=n))
 
 
 def is_first_use(x):
@@ -449,6 +454,34 @@ def test_check_claim_equals_naive_oracle_on_long_x():
             if got.violations:
                 failing.add(claim)
     assert {ClaimId.THEOREM1, ClaimId.NOTE2_LINEAR} <= failing
+
+
+def test_count_equals_the_window_scan():
+    # _SplitContext.count reads the windows outside lo..hi-1 from their
+    # phase (module docstring of repcore.verify); oracles.WindowScan counts
+    # them in all of W0's windows.  Every window of either length, and per
+    # length the first word over the alphabet that W0 does not hold (a
+    # letter outside the alphabet if it holds them all).
+    factors = 0
+    for k, max_x in [(2, 10), (3, 6)]:
+        for n in range(2, max_x + 1):
+            cuts = list(iter_splits(n, "both"))
+            for x in first_use_words(n, k):
+                for cut1, cut2 in cuts:
+                    fast = _SplitContext(x, cut1, cut2)
+                    slow = oracles.WindowScan(x, cut1, cut2)
+                    held = {*slow.windows, *slow.short}
+                    absent = [
+                        next(
+                            (f for f in words(m, k) if f not in held), "z" * m
+                        )
+                        for m in (n - 1, n)
+                    ]
+                    for f in sorted(held) + absent:
+                        assert fast.count(f) == slow.count(f), (x, cut1, cut2, f)
+                    assert slow.count(absent[0]) == slow.count(absent[1]) == 0
+                    factors += len(held) + 2
+    assert factors == 1_495_405
 
 
 def test_fast_context_equals_the_window_scan():
@@ -969,11 +1002,13 @@ def test_eval_chunk_builds_no_per_split_objects(contexts, monkeypatch):
     # A chunk builds one context per record for the counts (the 1,284
     # configurations read 648 records), and one per split it walks for
     # rows; the walk stops once no claim has room.  Every context goes
-    # through core_lengths.  A context slices W0's windows, and counts
-    # them, only for a claim that reads occurrence counts while it has room
-    # for rows: never for the claims the rotation test decides.
-    def built(name):
-        return sum(name in vars(ctx) for ctx in contexts)
+    # through core_lengths.  No context holds a list, set or histogram of
+    # W0's windows, whichever claims count occurrences: it slices only its
+    # anchored windows, and note2's rotation prefixes.
+    def clear():
+        names = {"windows", "hist", "non_anchored", "short"}
+        assert not [ctx for ctx in contexts if names & vars(ctx).keys()]
+        contexts.clear()
 
     lengths = []
     monkeypatch.setattr(
@@ -984,39 +1019,38 @@ def test_eval_chunk_builds_no_per_split_objects(contexts, monkeypatch):
     configurations, records = len(configuration_stats(u)), record_count(u)
     assert (splits, configurations) == (1438, 1284)
     assert records == 648
-    contexts.clear()
+    clear()
     lengths.clear()
     _totals(u, 0, 1)
     assert len(contexts) == len(lengths) == records
-    contexts.clear()
+    clear()
     # dft_bound and dichotomy list no row, so no split is walked at all
     part = _eval_chunk((u, 0, 1, [ClaimId.DFT_BOUND, ClaimId.DICHOTOMY], 10))
     assert part[ClaimId.DICHOTOMY][0] > 0
     assert len(contexts) == records
-    contexts.clear()
+    clear()
     part = _eval_chunk((u, 0, 1, [ClaimId.DISTINCT_COUNT], DEFAULT_MAX_VIOLATIONS))
     assert part[ClaimId.DISTINCT_COUNT][1]
     assert records < len(contexts) < splits
-    assert built("windows") == built("hist") == 0
-    contexts.clear()
+    clear()
     lengths.clear()
     _eval_chunk((u, 0, 1, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
     assert len(contexts) == len(lengths) == records + 9
-    assert 0 < built("hist") <= built("windows") <= 9
     # A both universe has the same configurations and records; the walk
     # visits 25 of its 6,722 first-use splits.
     both = Universe(2, 2, 8, (3, 4), "both")
     assert len(first_use_splits(both)) == 6722
     assert len(configuration_stats(both)) == configurations
     assert record_count(both) == records
-    contexts.clear()
+    clear()
     _eval_chunk((both, 0, 1, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
     assert len(contexts) == records + 25
     # dealt to two parts, the records are counted once between them
-    contexts.clear()
+    clear()
     for part in range(2):
         _totals(both, part, 2)
     assert len(contexts) == records
+    clear()
     # the counters see the names the module calls
     calls.clear()
     next(enumerate_specs(u))
@@ -1251,31 +1285,32 @@ def test_run_ships_small_chunks_and_holds_no_specs(fan_out, monkeypatch):
     [
         (Universe(2, 2, 2, (3, 4), "both"), 2, 1),
         (Universe(2, 1, 1, (3,), "both"), 2, 1),
-        (Universe(3, 2, 3, (3,), "prefix"), 8, 5),
+        (Universe(3, 2, 3, (3,), "prefix"), 8, 4),
     ],
     ids=["one-word", "no-split", "ternary-x2-3"],
 )
 def test_run_starts_no_worker_that_gets_no_word(
     universe, jobs, workers, fan_out, monkeypatch
 ):
-    # run() starts at most one worker per first-use word with splits: "ab"
-    # alone has several splits under both forms, but it is one word, of one
-    # configuration class, so a second part would get nothing to count.
+    # run() starts at most one worker per first-use Lyndon word with splits,
+    # the words _classes deals out by index: "ab" alone has several splits
+    # under both forms, but it is one word, of one configuration class, so
+    # a second part would get nothing to count.  The ternary universe has
+    # five first-use words and four Lyndon ones: ab, aab, abb, abc.
     monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 8)
-    assert _word_count(universe) == len(words_with_splits(universe))
+    lyndon = [
+        x
+        for x in words_with_splits(universe)
+        if all(x < rotate(x, r) for r in range(1, len(x)))
+    ]
+    assert list(_lyndon_words(universe)) == lyndon
     one = run(universe, jobs=1)
     assert run(universe, jobs=jobs) == one
     assert len(fan_out.processes) == workers - 1
     assert {task[2] for task in fan_out.evaluated} == {1, workers}
-
-
-def test_word_count_counts_the_words_dealt():
-    # the worker cap: the first-use words with splits, counted in closed form
-    for universe in [
-        Universe(2, 1, 8, (3,), forms) for forms in ("prefix", "deletion", "both")
-    ] + [Universe(4, 1, 6, (3,), "deletion"), Universe(26, 2, 4, (3,), "prefix")]:
-        walked = [x for x, _ in _word_cuts(universe)]
-        assert _word_count(universe) == len(walked), universe
+    # every part of a fan-out is dealt at least one Lyndon word
+    for _, part, parts, *_ in fan_out.evaluated:
+        assert parts == 1 or lyndon[part::parts], (part, parts)
 
 
 needs_fork = pytest.mark.skipif(
