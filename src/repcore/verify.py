@@ -9,18 +9,21 @@ values.  A table maps each claim to two functions.  Its count is
 arithmetic in a few per-split stats (how many distinct windows are
 anchored, |x2|, |x|, note2's factor count), which are the same on every
 split of a configuration and of a record (below), so a chunk sums them
-per split form, one context per record, and counts every claim once at
-the end.  Its per_sum lists a spec's mismatches; specs with the same
-e1+e2 have the same counts, so it runs once per exponent sum, and only
-while the claim can still report rows.  dft_bound and dichotomy have no
-per_sum: core_lengths refuses a split that breaks the bound, and the
-rotation test one that would break the dichotomy, before its context
-exists.  Each worker runs one chunk: the configuration classes are dealt
-out among the chunks by the index of their Lyndon representative, and a
-worker enumerates its share itself.  For the rows, the chunk of part 0 alone
-walks every split in canonical order with one list of the claims that
-can still report rows, each with the two forms it is stated for, and
-stops when the list is empty.
+per split form, read from each record's four integers with no context,
+and counts every claim once at the end.  Its per_sum lists a spec's
+mismatches; specs with the same e1+e2 have the same counts, so it runs
+once per exponent sum, and only while the claim can still report rows.
+dft_bound and dichotomy have no per_sum: in the walk, core_lengths
+refuses a split that breaks the bound, and the rotation test one that
+would break the dichotomy, before its context exists; in the count pass,
+the record guard refuses a record whose four integers are not a run
+that ends at a mismatch within the bound.  Each worker runs one chunk:
+the configuration classes are dealt out among the chunks by the index
+of their Lyndon representative, and a worker enumerates its share
+itself.  For the rows, the chunk of part 0 alone walks every split in
+canonical order with one list of the claims that can still report rows,
+each with the two forms it is stated for, and stops when the list is
+empty.
 
 Renaming the letters of x injectively keeps every claim's status, count
 and factor pattern, since each claim reads only which positions of W hold
@@ -170,11 +173,41 @@ mismatch, or there would be none at all and rotate(x, d) = x, which a
 primitive x is not.  So the phases 0..g-1, taken cyclically, split into
 runs b+1..a between consecutive mismatches b and a (the first run starts
 past the last mismatch, minus g), and every run reads one record, up to
-renaming where it wraps past g.  _totals builds one context per run, on
-the prefix member of its last phase a, a mismatch below g, and weights
-its stats by the run's length; the lengths sum to g.
+renaming where it wraps past g.  _totals reads each run's stats on the
+prefix member of its last phase a, a mismatch below g, and weights them
+by the run's length; the lengths sum to g.
 test_every_phase_has_its_records_stats checks this, and that different
 runs read different records, on small universes.
+
+Records.  So a record is four integers: x, the jump d, the last phase a
+of its run and the run's length (_gaps), and its stats follow from them
+with no context.  Its prefix member is the split (y, |x|-d, |x|) with
+y = rotate(x, a+d), so u = rotate(x, a) and v = rotate(x, a+d), and
+W0 = y·y[:|x|-d]·y·y.  With xx = x+x and indices of x modulo |x|:
+  - p = 0 and s = length-1.  v[0] = x[a+d] differs from u[0] = x[a],
+    since a is a mismatch.  u and v end with x[a-1-i] and x[a+d-1-i] at
+    i = 0, 1, ...: these agree at the phases a-1 .. a-length+1 of the run
+    and differ at the mismatch a-length before it (mismatches repeat with
+    period g, so one run ends there even where the run wraps past g).
+  - p+s <= |x|-2, that is length <= |x|-1.  A run holds at most g
+    phases, and g < |x| divides |x|, so g <= |x|/2.  When g = |x|, x and
+    rotate(x, d) differ in at least two positions: in one at least,
+    since x is primitive, and not in exactly one, since they have equal
+    letter counts.  So no run holds more than |x|-1 phases.
+  - R.  lo = cut1+p+1 = |x|-d+1 and hi = |x|+cut1-s = 2|x|-d-length+1,
+    so the anchored windows are the |x|-length length-|x| windows of
+    R = W0[lo : hi+|x|-1] = y[|x|-d+1:]·y[:|x|-d]·y[:|x|-length], which
+    is xx[a+1 : a+|x|]·xx[b : b+|x|-length] with b = (a+d) mod |x|.
+  - note2.  The boundary case p+s = |x|-2 is length = |x|-1, and there
+    u[|x|-s:]·v[:p] = rotate(x, a)[2:] = xx[a+2 : a+|x|]: note2's factors
+    are the rotation prefixes xx[r : r+|x|-1] that hold it (phase counts).
+Besides the phases _gaps reads from x, the proof rests on a being a
+mismatch and on length <= |x|-1.  _record checks both in O(1), the
+record guard, and raises InternalBoundViolation, as core_lengths and the
+rotation test do for a split.  test_records_equal_their_contexts checks
+p, s, R and note2 against _SplitContext, core_lengths bound and rotation
+test included, on every record of binary |x| <= 14, ternary <= 9 and
+4-letter <= 8.
 
 Gating claims are expected to hold (a failure fails the run); reported
 claims record their empirical status and never gate, because the
@@ -232,7 +265,6 @@ from .words import (
     occurrences,
     primitive_words,
     renamings,
-    rotate,
 )
 
 DEFAULT_MAX_CHECKS = 10_000_000
@@ -429,10 +461,11 @@ class _Stats(NamedTuple):
     """The per-split numbers every claim's assertion count is arithmetic in.
 
     A split contributes (1, |anchored|, |x|, |x2|, note2's factor count);
-    every split of one configuration contributes the same (module
-    docstring), and a chunk sums them per form, each configuration times
-    the number of splits it stands for.  The non-anchored windows are the
-    |x| rotations of x, so their count is x_len.
+    every split of one record contributes the same (module docstring), so
+    _totals reads them from each record's _record, and sums them per form,
+    each record times the number of splits it stands for.  The
+    non-anchored windows are the |x| rotations of x, so their count is
+    x_len.
     """
 
     splits: int
@@ -440,6 +473,14 @@ class _Stats(NamedTuple):
     x_len: int
     x2_len: int
     note2: int
+
+
+def _note2_factors(xx: str, sp: str) -> set[str]:
+    """note2's factors in the boundary case, for xx = x+x: the prefixes
+    xx[r : r+|x|-1] of the rotations of x that hold sp, the core without
+    its two outer symbols (phase counts, module docstring)."""
+    n = len(xx) // 2
+    return {f for f in (xx[r : r + n - 1] for r in range(n)) if sp in f}
 
 
 class _SplitContext:
@@ -489,9 +530,7 @@ class _SplitContext:
         # its two outer symbols, each the prefix of a rotation of x.
         self.note2: set[str] = set()
         if p + s == n - 2:
-            sp = u[n - s :] + v[:p]
-            prefixes = (xx[r : r + n - 1] for r in range(n))
-            self.note2 = {f for f in prefixes if sp in f}
+            self.note2 = _note2_factors(xx, u[n - s :] + v[:p])
         self.stats = _Stats(1, len(self.anchored), n, cut2 - cut1, len(self.note2))
 
     def count(self, f: str) -> int:
@@ -559,13 +598,16 @@ def _note3(
 
 _CLAIMS: dict[ClaimId, tuple[_Count, _PerSum | None]] = {
     # core_lengths raises InternalBoundViolation for p + s > |x| - 2 before
-    # a context exists, so every context satisfies the bound: no per_sum.
+    # a context exists, and in the count pass the record guard for a run of
+    # more than |x| - 1 phases, which is the same bound: no per_sum.
     ClaimId.DFT_BOUND: (lambda t, s: t.splits, None),
     ClaimId.THEOREM1: (lambda t, s: t.anchored, _unique),
     ClaimId.THEOREM1_DELETION: (lambda t, s: t.anchored, _unique),
     # Every window of W is one assertion: (e1+e2)·|x| - |x2| + 1 of them.
     # A context exists only once the rotation test holds, which makes every
-    # non-anchored window a rotation of x: no per_sum.
+    # non-anchored window a rotation of x; in the count pass, a record's p
+    # and s are exact once the record guard holds (module docstring,
+    # Records), and so are its stretches in phase: no per_sum.
     ClaimId.DICHOTOMY: (lambda t, s: s * t.x_len - t.x2_len + t.splits, None),
     ClaimId.DISTINCT_COUNT: (lambda t, s: t.splits, _distinct_count),
     ClaimId.CORE_CYCLIC_UNIQUE: (
@@ -708,6 +750,39 @@ def _gaps(x: str, g: int, d: int) -> list[tuple[int, int]]:
     return [(a, a - b) for b, a in zip([ends[-1] - g, *ends], ends)]
 
 
+def _record(x: str, d: int, a: int, length: int) -> tuple[set[str], set[str]]:
+    """The anchored windows and note2's factors of the record of jump d
+    whose run of phases (_gaps) ends at phase a and has `length` phases:
+    the |x|-length windows of R, and in the boundary case length = |x|-1
+    the rotation prefixes that hold xx[a+2 : a+|x|] (module docstring,
+    Records).  Its prefix member's context has p = 0 and s = length-1.
+
+    The record guard raises InternalBoundViolation when a is no mismatch
+    or the run breaks p + s <= |x|-2.
+
+    >>> [sorted(f) for f in _record("aabab", 4, 2, 2)]  # R = abaa·aba
+    [['aaaba', 'abaaa', 'baaab'], []]
+    >>> [sorted(f) for f in _record("aabab", 2, 4, 4)]  # boundary: R = aaba·a
+    [['aabaa'], ['aaba', 'abaa', 'abab', 'baba']]
+    """
+    n, xx = len(x), x + x
+    b = (a + d) % n
+    if x[a] == x[b]:
+        raise InternalBoundViolation(
+            f"phase {a} of x = {x!r} is no mismatch at jump {d}"
+        )
+    if length > n - 1:
+        raise InternalBoundViolation(
+            f"a run of {length} phases breaks p + s <= {n - 2}"
+            f" for x = {x!r}, jump {d}"
+        )
+    r = xx[a + 1 : a + n] + xx[b : b + n - length]
+    anchored = {r[j : j + n] for j in range(n - length)}
+    if length < n - 1:
+        return anchored, set()
+    return anchored, _note2_factors(xx, xx[a + 2 : a + n])
+
+
 def _totals(universe: Universe, part: int, parts: int) -> dict[bool, _Stats]:
     """Per form of the universe: the sum of the _Stats of every split of
     every x, over the classes of configurations that _classes deals to part
@@ -715,21 +790,24 @@ def _totals(universe: Universe, part: int, parts: int) -> dict[bool, _Stats]:
 
     A class (x, g, pairs) has one configuration per phase a < g and jump
     d in 1..|x|-1.  The configurations of one record (_gaps) share their
-    stats, so they are read from one context, on the prefix member
-    (rotate(x, a+d), |x|-d, |x|) of the record's last phase a, and weighted
-    by the record's number of phases.  A configuration stands for k!/(k-m)!
-    splits per prefix member and (|x|-d)·k!/(k-m)! deletion splits, for m
-    distinct letters, each times pairs (module docstring).
+    stats, so the anchored and note2 counts are read from the record's
+    four integers (_record), with no context, and weighted by the record's
+    number of phases; the other columns of jump d sum to g, g·|x| and g·d.
+    A configuration stands for k!/(k-m)! splits per prefix member and
+    (|x|-d)·k!/(k-m)! deletion splits, for m distinct letters, each times
+    pairs (module docstring).
     """
     k = universe.alphabet_size
     totals = {form: [0] * len(_Stats._fields) for form in _forms(universe)}
     for x, g, pairs in _classes(universe, part, parts):
         n, size = len(x), perm(k, len(set(x))) * pairs
         for d in range(1, n):
-            col = [0] * len(_Stats._fields)
+            anchored = note2 = 0
             for a, length in _gaps(x, g, d):
-                stats = _SplitContext(rotate(x, a + d), n - d, n).stats
-                col = [c + length * t for c, t in zip(col, stats)]
+                windows, factors = _record(x, d, a, length)
+                anchored += length * len(windows)
+                note2 += length * len(factors)
+            col = (g, anchored, g * n, g * d, note2)
             for form, total in totals.items():
                 weight = size if form else size * (n - d)
                 totals[form] = [t + weight * c for t, c in zip(total, col)]

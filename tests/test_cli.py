@@ -354,18 +354,42 @@ def test_domain_errors_exit_2(capsys):
 
 
 def test_broken_dft_bound_ends_verify_with_exit_2(capsys, monkeypatch):
-    # dft_bound lists no row: core_lengths refuses a split whose p + s
-    # exceeds |x| - 2 before its context exists.  With lcp overstating p,
-    # that refusal ends the run as one diagnostic line, and nothing is
-    # printed on stdout, text or --json.
-    monkeypatch.setattr(repcore.interrupts, "lcp", lambda a, b: len(a))
-    for fmt in ([], ["--json"]):
-        code, out, err = run_cli(
-            capsys, "verify", "--max-x", "3", "--claims", "dft_bound", *fmt
-        )
-        assert (code, out) == (2, "")
-        assert len(err.splitlines()) == 1
-        assert err.startswith("InternalBoundViolation: ")
+    # dft_bound lists no row.  In the walk, core_lengths refuses a split
+    # whose p + s exceeds |x| - 2 before its context exists; in the count
+    # pass, which reads p + s = length - 1 from a record's run of phases,
+    # the record guard refuses a run of more than |x| - 1 phases.  With lcp
+    # overstating p, and a claim that walks, or with every run one phase
+    # too long (ab's one run then holds 2 = |x| phases) and dft_bound alone,
+    # which walks no split, the refusal ends the run as one diagnostic line,
+    # and nothing is printed on stdout, text or --json.
+    gaps = repcore.verify._gaps
+    broken = [
+        (
+            repcore.interrupts,
+            "lcp",
+            lambda a, b: len(a),
+            "dft_bound,theorem1",
+            "lcp + lcs",
+        ),
+        (
+            repcore.verify,
+            "_gaps",
+            lambda x, g, d: [(a, length + 1) for a, length in gaps(x, g, d)],
+            "dft_bound",
+            "breaks p + s",
+        ),
+    ]
+    for module, name, fault, claims, guard in broken:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, fault)
+            for fmt in ([], ["--json"]):
+                code, out, err = run_cli(
+                    capsys, "verify", "--max-x", "3", "--claims", claims, *fmt
+                )
+                assert (code, out) == (2, ""), name
+                assert len(err.splitlines()) == 1, name
+                assert err.startswith("InternalBoundViolation: "), name
+                assert guard in err, name
 
 
 def test_verify_cap_rejects_before_any_work(capsys, monkeypatch):

@@ -46,8 +46,10 @@ from repcore.verify import (
     _gaps,
     _lyndon_words,
     _merge_chunks,
+    _record,
     _split_count,
     _SplitContext,
+    _Stats,
     _totals,
     applies,
     enumerate_specs,
@@ -631,14 +633,21 @@ GAP_UNIVERSES = [
 ]
 
 
+def record_stats(x, d, a, length):
+    """The _Stats of one split of the record, read from its four integers."""
+    anchored, note2 = _record(x, d, a, length)
+    return _Stats(1, len(anchored), len(x), d, len(note2))
+
+
 @pytest.mark.parametrize(
     "universe", GAP_UNIVERSES, ids=["binary", "ternary", "4-letter"]
 )
 def test_every_phase_has_its_records_stats(universe):
-    # _totals reads one context per record: the last phase a of each run
-    # _gaps gives, weighted by the run's length.  Every phase b < g of the
-    # run has a's stats and a's junction word; phases of different runs
-    # have different junction words; and the lengths sum to g.
+    # _totals reads each record's stats from its four integers: the last
+    # phase a of each run _gaps gives, weighted by the run's length.  Every
+    # phase b < g of the run has those stats and a's junction word; phases
+    # of different runs have different junction words; and the lengths sum
+    # to g.
     wrapped = fixed = 0
     for x, g, _ in _classes(universe):
         n = len(x)
@@ -650,7 +659,7 @@ def test_every_phase_has_its_records_stats(universe):
             assert len(set(keys)) == len(keys), (x, d)
             for a, length in gaps:
                 wrapped += a - length + 1 < 0
-                stats = _SplitContext(rotate(x, a + d), n - d, n).stats
+                stats = record_stats(x, d, a, length)
                 for b in range(a - length + 1, a + 1):
                     b %= g
                     ctx = _SplitContext(rotate(x, b + d), n - d, n)
@@ -658,6 +667,64 @@ def test_every_phase_has_its_records_stats(universe):
                     assert record_key(x, b, d) == record_key(x, a, d), (x, a, b, d)
     # runs that wrap past g, also on classes with g < |x|
     assert wrapped > 0 and fixed > 0
+
+
+@pytest.mark.parametrize(
+    "k, max_x, records",
+    [(2, 14, 59_803), (3, 9, 15_310), (4, 8, 11_982)],
+    ids=["binary", "ternary", "4-letter"],
+)
+def test_records_equal_their_contexts(k, max_x, records):
+    # Every record's four integers give what its prefix member's context
+    # reads from W0, through core_lengths (with its bound) and the rotation
+    # test: p = 0, s = length-1, the anchored windows of R, note2's factors
+    # and the stats; 87,095 records in all.
+    seen = boundary = 0
+    for x, g, _ in _classes(Universe(k, 1, max_x, (3,), "both")):
+        n = len(x)
+        for d in range(1, n):
+            for a, length in _gaps(x, g, d):
+                ctx = _SplitContext(rotate(x, a + d), n - d, n)
+                key = (x, d, a, length)
+                assert (ctx.p, ctx.s) == (0, length - 1), key
+                assert _record(*key) == (ctx.anchored, ctx.note2), key
+                assert record_stats(*key) == ctx.stats, key
+                seen += 1
+                boundary += bool(ctx.note2)
+    assert seen == records
+    assert 0 < boundary < records
+
+
+@pytest.mark.parametrize(
+    "broken, match",
+    [
+        # the run one phase longer: "ab" has one record, of 1 = |x|-1 phases
+        (lambda a, length, g: (a, length + 1), r"run of 2 phases breaks p \+ s"),
+        # the run's phase before its last: no mismatch where a run has two
+        (lambda a, length, g: ((a - 1) % g, length), "is no mismatch"),
+    ],
+    ids=["too-long", "no-mismatch"],
+)
+def test_record_guard_ends_the_run(broken, match, monkeypatch, capsys):
+    # The count pass builds no context, so the record guard stands in for
+    # core_lengths' bound and the rotation test: a run that breaks
+    # p + s <= |x|-2, or that does not end at a mismatch, raises
+    # InternalBoundViolation, and a verify run ends with one diagnostic
+    # line and exit 2.
+    gaps = repcore.verify._gaps
+
+    def broken_gaps(x, g, d):
+        return [broken(a, length, g) for a, length in gaps(x, g, d)]
+
+    monkeypatch.setattr(repcore.verify, "_gaps", broken_gaps)
+    with pytest.raises(InternalBoundViolation, match=match):
+        _totals(Universe(max_x=5), 0, 1)
+    for fmt in ([], ["--json"]):
+        code = repcore.cli.main(["verify", "--max-x", "5", *fmt])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("InternalBoundViolation: ")
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -934,22 +1001,19 @@ def test_eval_chunk_lists_are_sorted_short_and_its_own(k):
 
 
 def test_child_parts_only_count(per_sum_calls, contexts):
-    # Parts 1 and up send back counts alone: no row, no per_sum call, and
-    # one context per record of their own classes, whatever k is; so
-    # what a child pickles back does not grow with k.
+    # Parts 1 and up send back counts alone: no row, no per_sum call and no
+    # context, whatever k is; so what a child pickles back does not grow
+    # with k.
     u = Universe(2, 2, 8, (3, 4), "both")
     for parts in (2, 3):
         for part in range(1, parts):
-            contexts.clear()
-            _totals(u, part, parts)
-            own = len(contexts)
             sizes = set()
             for k in (1, 10, 10**6):
-                contexts.clear()
                 chunk = _eval_chunk((u, part, parts, list(ClaimId), k))
                 assert all(rows == [] for _, rows in chunk.values()), (part, k)
+                assert any(checked for checked, _ in chunk.values()), (part, k)
                 assert per_sum_calls == [], (part, parts, k)
-                assert len(contexts) == own > 0, (part, parts, k)
+                assert contexts == [], (part, parts, k)
                 sizes.add(len(pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL)))
             assert len(sizes) == 1, (part, parts, sizes)
 
@@ -999,57 +1063,66 @@ def test_eval_chunk_builds_no_per_split_objects(contexts, monkeypatch):
     assert any(rows for _, rows in part.values())
     assert calls == Counter()
 
-    # A chunk builds one context per record for the counts (the 1,284
-    # configurations read 648 records), and one per split it walks for
-    # rows; the walk stops once no claim has room.  Every context goes
-    # through core_lengths.  No context holds a list, set or histogram of
-    # W0's windows, whichever claims count occurrences: it slices only its
-    # anchored windows, and note2's rotation prefixes.
+    # The count pass reads each record from its four integers (the 1,284
+    # configurations read 648 records): no context, no core_lengths and no
+    # rotation.  A chunk builds one context per split it walks for rows,
+    # through core_lengths; the walk stops once no claim has room.  No
+    # context holds a list, set or histogram of W0's windows, whichever
+    # claims count occurrences: it slices only its anchored windows, and
+    # note2's rotation prefixes.
     def clear():
         names = {"windows", "hist", "non_anchored", "short"}
         assert not [ctx for ctx in contexts if names & vars(ctx).keys()]
         contexts.clear()
+        lengths.clear()
+        records.clear()
 
-    lengths = []
+    lengths, records, rotations = [], [], []
     monkeypatch.setattr(
         repcore.verify,
         "core_lengths",
         lambda *args: lengths.append(args) or core_lengths(*args),
     )
-    configurations, records = len(configuration_stats(u)), record_count(u)
+    monkeypatch.setattr(
+        repcore.verify, "_record", lambda *args: records.append(args) or _record(*args)
+    )
+    monkeypatch.setattr(
+        repcore.words, "rotate", lambda *args: rotations.append(args) or rotate(*args)
+    )
+    assert not hasattr(repcore.verify, "rotate")
+    configurations, record_total = len(configuration_stats(u)), record_count(u)
     assert (splits, configurations) == (1438, 1284)
-    assert records == 648
+    assert record_total == 648
     clear()
-    lengths.clear()
     _totals(u, 0, 1)
-    assert len(contexts) == len(lengths) == records
+    assert (len(contexts), len(lengths), len(records)) == (0, 0, record_total)
     clear()
     # dft_bound and dichotomy list no row, so no split is walked at all
     part = _eval_chunk((u, 0, 1, [ClaimId.DFT_BOUND, ClaimId.DICHOTOMY], 10))
     assert part[ClaimId.DICHOTOMY][0] > 0
-    assert len(contexts) == records
+    assert (len(contexts), len(lengths)) == (0, 0)
     clear()
     part = _eval_chunk((u, 0, 1, [ClaimId.DISTINCT_COUNT], DEFAULT_MAX_VIOLATIONS))
     assert part[ClaimId.DISTINCT_COUNT][1]
-    assert records < len(contexts) < splits
+    assert 0 < len(contexts) < splits
     clear()
-    lengths.clear()
     _eval_chunk((u, 0, 1, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
-    assert len(contexts) == len(lengths) == records + 9
+    assert (len(contexts), len(lengths), len(records)) == (9, 9, record_total)
     # A both universe has the same configurations and records; the walk
     # visits 25 of its 6,722 first-use splits.
     both = Universe(2, 2, 8, (3, 4), "both")
     assert len(first_use_splits(both)) == 6722
     assert len(configuration_stats(both)) == configurations
-    assert record_count(both) == records
+    assert record_count(both) == record_total
     clear()
     _eval_chunk((both, 0, 1, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
-    assert len(contexts) == records + 25
+    assert (len(contexts), len(lengths), len(records)) == (25, 25, record_total)
     # dealt to two parts, the records are counted once between them
     clear()
     for part in range(2):
         _totals(both, part, 2)
-    assert len(contexts) == records
+    assert (len(contexts), len(records)) == (0, record_total)
+    assert rotations == []
     clear()
     # the counters see the names the module calls
     calls.clear()
