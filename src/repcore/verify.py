@@ -14,16 +14,16 @@ and counts every claim once at the end.  Its per_sum lists a spec's
 mismatches; specs with the same e1+e2 have the same counts, so it runs
 once per exponent sum, and only while the claim can still report rows.
 dft_bound and dichotomy have no per_sum: in the walk, core_lengths
-refuses a split that breaks the bound, and the rotation test one that
-would break the dichotomy, before its context exists; in the count pass,
-the record guard refuses a record whose four integers are not a run
-that ends at a mismatch within the bound.  Each worker runs one chunk:
-the configuration classes are dealt out among the chunks by the index
-of their Lyndon representative, and a worker enumerates its share
-itself.  For the rows, the chunk of part 0 alone walks every split in
-canonical order with one list of the claims that can still report rows,
-each with the two forms it is stated for, and stops when the list is
-empty.
+refuses a split that breaks the bound, the rotation test one that would
+break the dichotomy, and the record guard one whose p falls short,
+before its context exists; in the count pass, the record guard refuses
+a record whose four integers are not a run that ends at a mismatch
+within the bound.  Each worker runs one chunk: the configuration classes
+are dealt out among the chunks by the index of their Lyndon
+representative, and a worker enumerates its share itself.  For the
+rows, the chunk of part 0 alone walks every split in canonical order
+with one list of the claims that can still report rows, each with the
+two forms it is stated for, and stops when the list is empty.
 
 Renaming the letters of x injectively keeps every claim's status, count
 and factor pattern, since each claim reads only which positions of W hold
@@ -88,16 +88,17 @@ test_check_claim_equals_naive_oracle and
 test_check_claim_equals_naive_oracle_on_long_x check this against the
 slicing oracle evaluate_naive in tests/oracles.py.
 
-Rotation test: a split's context slices only its anchored windows, at
-lo = cut1+p+1 .. hi-1 = |x|+cut1-s-1 in W0, and checks with two compares
-that W0[:lo+|x|-1] is a prefix and W0[hi:] a suffix of x^4.  The
-non-anchored windows are the windows of those two stretches.  The test
-holds exactly when every non-anchored window occurs in x+x.  If it holds,
-each such window is a window of x^∞, a rotation of x.  Conversely, let
-every window of a stretch be a rotation.  Two consecutive windows that
-are both rotations advance the phase by one: the second's first |x|-1
-letters are the first's last |x|-1 letters, which begin exactly one
-rotation (the length-(|x|-1) argument above).  The first stretch starts
+Rotation test: a split's context reads only its anchored windows, at
+lo = cut1+p+1 .. hi-1 = |x|+cut1-s-1 in W0, from its record (Records,
+below), and checks with two compares that W0[:lo+|x|-1] is a prefix and
+W0[hi:] a suffix of x^4.  The non-anchored windows are the windows of
+those two stretches.  The test holds exactly when every non-anchored
+window occurs in x+x.  If it holds, each such window is a window of x^∞,
+a rotation of x.  Conversely, let every window of a stretch be a
+rotation.  Two consecutive windows that are both rotations advance the
+phase by one: the second's first |x|-1 letters are the first's last
+|x|-1 letters, which begin exactly one rotation (the length-(|x|-1)
+argument above).  The first stretch starts
 with x and the second ends with x, so by induction the first reads x^∞
 from its start and the second reads it up to its end: both are in phase,
 and x^4 is long enough for either (at most 3|x|-3 and 4|x|-3 symbols,
@@ -112,6 +113,8 @@ and lcs), and a p or s that overstates the agreement fails the test.  So
 a context whose test fails raises InternalBoundViolation, as core_lengths
 does for a broken bound, and the run ends; WindowScan in tests/oracles.py
 reads every stat, dichotomy and distinct count from all of W0's windows.
+A p or s that understates the agreement keeps the stretches in phase and
+passes the test; the record guard refuses such a p (Records).
 
 Phase counts.  So a window outside lo..hi-1 is counted, not sliced.  A
 window of length m = |x| or |x|-1 at j < lo+|x|-m lies in the head
@@ -201,13 +204,24 @@ W0 = y·y[:|x|-d]·y·y.  With xx = x+x and indices of x modulo |x|:
   - note2.  The boundary case p+s = |x|-2 is length = |x|-1, and there
     u[|x|-s:]·v[:p] = rotate(x, a)[2:] = xx[a+2 : a+|x|]: note2's factors
     are the rotation prefixes xx[r : r+|x|-1] that hold it (phase counts).
+  - A split's record.  A split (x, cut1, cut2) with p = lcp(v, u) and
+    s = lcs(u, v) reads the record of jump d = cut2-cut1 whose run ends
+    at phase a = (cut1+p) mod |x| and has p+s+1 phases.  p stops at a
+    mismatch, u[p] = x[a] != x[a+d] = v[p], so phase a ends the run; s
+    stops at one too, at phase cut1-s-1, so the run is cut1-s .. cut1+p.
+    Since v[:p] = u[:p], R = xx[a+1 : a+|x|]·xx[b : b+|x|-p-s-1] =
+    u[p+1:]·u[:p]·v[p:|x|-s-1] is u[p+1:]·v[:|x|-s-1], the span of the
+    split's anchored windows (Configurations), and in the boundary case
+    xx[a+2 : a+|x|] is u[|x|-s:]·v[:p].  So _SplitContext reads its
+    anchored windows and note2's factors from _record as well.
 Besides the phases _gaps reads from x, the proof rests on a being a
 mismatch and on length <= |x|-1.  _record checks both in O(1), the
 record guard, and raises InternalBoundViolation, as core_lengths and the
-rotation test do for a split.  test_records_equal_their_contexts checks
-p, s, R and note2 against _SplitContext, core_lengths bound and rotation
-test included, on every record of binary |x| <= 14, ternary <= 9 and
-4-letter <= 8.
+rotation test do for a split.  For a split's record, a is no mismatch
+when p understates lcp(v, u).  test_records_equal_their_contexts checks
+p = 0, s = length-1, R, note2 and the stats against WindowScan in
+tests/oracles.py, which reads every window of the prefix member's W0,
+on every record of binary |x| <= 14, ternary <= 9 and 4-letter <= 8.
 
 Gating claims are expected to hold (a failure fails the run); reported
 claims record their empirical status and never gate, because the
@@ -475,14 +489,6 @@ class _Stats(NamedTuple):
     note2: int
 
 
-def _note2_factors(xx: str, sp: str) -> set[str]:
-    """note2's factors in the boundary case, for xx = x+x: the prefixes
-    xx[r : r+|x|-1] of the rotations of x that hold sp, the core without
-    its two outer symbols (phase counts, module docstring)."""
-    n = len(xx) // 2
-    return {f for f in (xx[r : r + n - 1] for r in range(n)) if sp in f}
-
-
 class _SplitContext:
     """One split's core and W0 windows, shared by every claim and e1+e2.
 
@@ -493,11 +499,21 @@ class _SplitContext:
     x·x1·x3·x·x, the split's shortest word (e1 = 1, e2 = MIN_E_SUM - 1),
     whose junction is |x| + cut1: the windows at
     lo = cut1+p+1 .. hi-1 = |x|+cut1-s-1 contain the core and are
-    anchored, the others are not.  Only the anchored ones are sliced.  The
-    rotation test of the module docstring must hold, or the context
-    raises InternalBoundViolation: then the non-anchored windows are
-    exactly the |x| rotations of x, so the stats, dichotomy and
-    distinct_count need no other window.  stats holds the split's _Stats.
+    anchored, the others are not.  The anchored ones and note2's factors
+    come from the split's own record, _record(x, cut2-cut1,
+    (cut1+p) mod |x|, p+s+1) (module docstring, Records); no window of W0
+    is sliced.  Beside core_lengths' bound, two guards refuse a core that
+    W0 does not have, each with InternalBoundViolation: the rotation test
+    of the module docstring a p or s that overstates the agreement, and
+    the record guard a p that understates it, since phase cut1+p is then
+    no mismatch.  (An understated s passes both.)  Once they hold, the
+    non-anchored windows are exactly the |x| rotations of x, so the stats,
+    dichotomy and distinct_count need no other window.  stats holds the
+    split's _Stats.
+
+    >>> ctx = _SplitContext("aabab", 2, 4)  # core_lengths' example
+    >>> (ctx.p, ctx.s), (ctx.anchored, ctx.note2) == _record("aabab", 2, 4, 4)
+    ((2, 1), True)
 
     A claim's per_sum reads the context and lists its violations as plain
     (factor, expected, actual) values, which _eval_chunk turns into rows.
@@ -524,14 +540,9 @@ class _SplitContext:
                 f"p = {p}, s = {s} fail the rotation test for x = {x!r},"
                 f" cuts ({cut1}, {cut2})"
             )
-        self.anchored = {word[j : j + n] for j in range(lo, hi)}
-        # note2 is stated for the boundary case p + s = |x| - 2 only: its
-        # factors are the length-(|x|-1) windows holding the core without
-        # its two outer symbols, each the prefix of a rotation of x.
-        self.note2: set[str] = set()
-        if p + s == n - 2:
-            self.note2 = _note2_factors(xx, u[n - s :] + v[:p])
-        self.stats = _Stats(1, len(self.anchored), n, cut2 - cut1, len(self.note2))
+        d = cut2 - cut1
+        self.anchored, self.note2 = _record(x, d, (cut1 + p) % n, p + s + 1)
+        self.stats = _Stats(1, len(self.anchored), n, d, len(self.note2))
 
     def count(self, f: str) -> int:
         """Occurrences in W0 of f, of length |x| or |x|-1 (phase counts)."""
@@ -780,7 +791,8 @@ def _record(x: str, d: int, a: int, length: int) -> tuple[set[str], set[str]]:
     anchored = {r[j : j + n] for j in range(n - length)}
     if length < n - 1:
         return anchored, set()
-    return anchored, _note2_factors(xx, xx[a + 2 : a + n])
+    sp = xx[a + 2 : a + n]
+    return anchored, {f for f in (xx[r : r + n - 1] for r in range(n)) if sp in f}
 
 
 def _totals(universe: Universe, part: int, parts: int) -> dict[bool, _Stats]:

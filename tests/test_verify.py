@@ -548,6 +548,29 @@ def test_rotation_test_fails_on_an_overstated_core(monkeypatch, capsys):
         assert err.startswith("InternalBoundViolation: ")
 
 
+def test_record_guard_fails_on_an_understated_core(monkeypatch, capsys):
+    # With p one too small the stretches stay in phase, so the rotation test
+    # holds; but the split's record then ends its run at phase cut1+p, where
+    # x^∞ and its |x2|-shift agree, and the record guard raises
+    # InternalBoundViolation.  In x = aab, cuts (1, 3), p = lcp(aab, aba) = 1.
+    def understated(x, u, v):
+        p, s = core_lengths(x, u, v)
+        return (p - 1 if p > 0 else p), s
+
+    monkeypatch.setattr(repcore.verify, "core_lengths", understated)
+    with pytest.raises(InternalBoundViolation, match="is no mismatch"):
+        _SplitContext("aab", 1, 3)
+    # the walk reaches that split, and the verify run ends with one
+    # diagnostic line and exit 2 instead of false theorem1 and
+    # distinct_count rows
+    for fmt in ([], ["--json"]):
+        code = repcore.cli.main(["verify", "--max-x", "5", *fmt])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("InternalBoundViolation: ")
+
+
 def junction_key(x, cut1, cut2):
     """u·v, the two rotations of x that meet at the split's junction, renamed
     together to first-use letters.  It names the split's configuration:
@@ -675,22 +698,24 @@ def test_every_phase_has_its_records_stats(universe):
     ids=["binary", "ternary", "4-letter"],
 )
 def test_records_equal_their_contexts(k, max_x, records):
-    # Every record's four integers give what its prefix member's context
-    # reads from W0, through core_lengths (with its bound) and the rotation
-    # test: p = 0, s = length-1, the anchored windows of R, note2's factors
-    # and the stats; 87,095 records in all.
+    # Every record's four integers give what oracles.WindowScan reads from
+    # all of its prefix member's W0 windows, with no guard and no record:
+    # p = 0, s = length-1, the anchored windows of R, note2's factors and
+    # the stats; and the prefix member's context, through core_lengths, has
+    # that p and s.  87,095 records in all.
     seen = boundary = 0
     for x, g, _ in _classes(Universe(k, 1, max_x, (3,), "both")):
         n = len(x)
         for d in range(1, n):
             for a, length in _gaps(x, g, d):
-                ctx = _SplitContext(rotate(x, a + d), n - d, n)
+                y = rotate(x, a + d)
+                ctx, slow = _SplitContext(y, n - d, n), oracles.WindowScan(y, n - d, n)
                 key = (x, d, a, length)
-                assert (ctx.p, ctx.s) == (0, length - 1), key
-                assert _record(*key) == (ctx.anchored, ctx.note2), key
-                assert record_stats(*key) == ctx.stats, key
+                assert (ctx.p, ctx.s) == (slow.p, slow.s) == (0, length - 1), key
+                assert _record(*key) == (slow.anchored, slow.note2), key
+                assert record_stats(*key) == slow.stats, key
                 seen += 1
-                boundary += bool(ctx.note2)
+                boundary += bool(slow.note2)
     assert seen == records
     assert 0 < boundary < records
 
@@ -1068,8 +1093,8 @@ def test_eval_chunk_builds_no_per_split_objects(contexts, monkeypatch):
     # rotation.  A chunk builds one context per split it walks for rows,
     # through core_lengths; the walk stops once no claim has room.  No
     # context holds a list, set or histogram of W0's windows, whichever
-    # claims count occurrences: it slices only its anchored windows, and
-    # note2's rotation prefixes.
+    # claims count occurrences: it reads its anchored windows and note2's
+    # rotation prefixes from its own record, one more _record call.
     def clear():
         names = {"windows", "hist", "non_anchored", "short"}
         assert not [ctx for ctx in contexts if names & vars(ctx).keys()]
@@ -1105,9 +1130,10 @@ def test_eval_chunk_builds_no_per_split_objects(contexts, monkeypatch):
     part = _eval_chunk((u, 0, 1, [ClaimId.DISTINCT_COUNT], DEFAULT_MAX_VIOLATIONS))
     assert part[ClaimId.DISTINCT_COUNT][1]
     assert 0 < len(contexts) < splits
+    assert len(records) == record_total + len(contexts)
     clear()
     _eval_chunk((u, 0, 1, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
-    assert (len(contexts), len(lengths), len(records)) == (9, 9, record_total)
+    assert (len(contexts), len(lengths), len(records)) == (9, 9, record_total + 9)
     # A both universe has the same configurations and records; the walk
     # visits 25 of its 6,722 first-use splits.
     both = Universe(2, 2, 8, (3, 4), "both")
@@ -1116,7 +1142,7 @@ def test_eval_chunk_builds_no_per_split_objects(contexts, monkeypatch):
     assert record_count(both) == record_total
     clear()
     _eval_chunk((both, 0, 1, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
-    assert (len(contexts), len(lengths), len(records)) == (25, 25, record_total)
+    assert (len(contexts), len(lengths), len(records)) == (25, 25, record_total + 25)
     # dealt to two parts, the records are counted once between them
     clear()
     for part in range(2):
