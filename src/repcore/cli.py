@@ -243,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--claims", default="all")
     p_verify.add_argument("--max-violations", type=int,
                           default=DEFAULT_MAX_VIOLATIONS)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=int, default=1,
+                          help="upper bound on worker processes; a universe "
+                               "too small to pay for a fork runs in one")
     p_verify.add_argument("--strict-notes", action="store_true",
                           help="fail the process on reported-claim violations too")
     p_verify.add_argument("--max-checks", type=int, default=DEFAULT_MAX_CHECKS,

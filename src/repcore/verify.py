@@ -20,7 +20,12 @@ before its context exists; in the count pass, the record guard refuses
 a record whose four integers are not a run that ends at a mismatch
 within the bound.  Each worker runs one chunk: the configuration classes
 are dealt out among the chunks by the index of their Lyndon
-representative, and a worker enumerates its share itself.  For the
+representative, and a worker enumerates its share itself.  run() forks a
+further worker only when the count pass pays for it: every part's share
+of the pass's size must exceed MIN_SPLITS_PER_PART.  The size is the
+universe's count of first-use prefix splits, in closed form
+(_split_count); each configuration has one, so it is the classes'
+configurations, each class's times its mirror pairs.  For the
 rows, the chunk of part 0 alone walks every split in canonical order
 with one list of the claims that can still report rows, each with the
 two forms it is stated for, and stops when the list is empty.
@@ -114,7 +119,7 @@ a context whose test fails raises InternalBoundViolation, as core_lengths
 does for a broken bound, and the run ends; WindowScan in tests/oracles.py
 reads every stat, dichotomy and distinct count from all of W0's windows.
 A p or s that understates the agreement keeps the stretches in phase and
-passes the test; the record guard refuses such a p (Records).
+passes the test; the record guard refuses it (Records).
 
 Phase counts.  So a window outside lo..hi-1 is counted, not sliced.  A
 window of length m = |x| or |x|-1 at j < lo+|x|-m lies in the head
@@ -214,11 +219,15 @@ W0 = y·y[:|x|-d]·y·y.  With xx = x+x and indices of x modulo |x|:
     split's anchored windows (Configurations), and in the boundary case
     xx[a+2 : a+|x|] is u[|x|-s:]·v[:p].  So _SplitContext reads its
     anchored windows and note2's factors from _record as well.
-Besides the phases _gaps reads from x, the proof rests on a being a
-mismatch and on length <= |x|-1.  _record checks both in O(1), the
-record guard, and raises InternalBoundViolation, as core_lengths and the
-rotation test do for a split.  For a split's record, a is no mismatch
-when p understates lcp(v, u).  test_records_equal_their_contexts checks
+Besides the phases _gaps reads from x, the proof rests on a and a-length
+being mismatches, where p and s stop, and on length <= |x|-1.  _record
+checks all three in O(1), the record guard, and raises
+InternalBoundViolation, as core_lengths and the rotation test do for a
+split.  In _gaps' runs a-length is the mismatch b before the run, or
+ends[-1]-g, a mismatch since mismatches repeat with period g.  For a
+split's record, a is no mismatch when p understates lcp(v, u), and
+a-length = cut1-s-1 is none when s understates lcs(u, v).
+test_records_equal_their_contexts checks
 p = 0, s = length-1, R, note2 and the stats against WindowScan in
 tests/oracles.py, which reads every window of the prefix member's W0,
 on every record of binary |x| <= 14, ternary <= 9 and 4-letter <= 8.
@@ -233,7 +242,7 @@ from __future__ import annotations
 
 import os
 from copy import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cache
 from heapq import merge
@@ -284,6 +293,15 @@ from .words import (
 DEFAULT_MAX_CHECKS = 10_000_000
 DEFAULT_MAX_VIOLATIONS = 10
 MAX_X_LEN = 16
+# The share of the count pass's size, in first-use prefix splits, that each
+# part must exceed before run() forks a worker for it.  Calibrated on a
+# 2-vCPU Linux VM (Python 3.11) with in-process run() of --forms both
+# universes at jobs=2 (two workers) against jobs=1, 8 alternating rounds:
+# two workers were slower at 1,153 to 1,438 splits (at 1,438, binary
+# |x| <= 8, in 7 of 8 rounds: medians 8.5 against 7.2 ms) and faster at
+# 2,016 (binary |x| = 9) in 7 of 8 and at 2,184 to 7,909 in every round.
+# Interpolated, the two broke even near 1,800 splits, 900 a part.
+MIN_SPLITS_PER_PART = 900
 
 
 class ClaimId(str, Enum):
@@ -505,8 +523,8 @@ class _SplitContext:
     is sliced.  Beside core_lengths' bound, two guards refuse a core that
     W0 does not have, each with InternalBoundViolation: the rotation test
     of the module docstring a p or s that overstates the agreement, and
-    the record guard a p that understates it, since phase cut1+p is then
-    no mismatch.  (An understated s passes both.)  Once they hold, the
+    the record guard a p or s that understates it, since phase cut1+p or
+    cut1-s-1 is then no mismatch.  Once they hold, the
     non-anchored windows are exactly the |x| rotations of x, so the stats,
     dichotomy and distinct_count need no other window.  stats holds the
     split's _Stats.
@@ -768,8 +786,9 @@ def _record(x: str, d: int, a: int, length: int) -> tuple[set[str], set[str]]:
     the rotation prefixes that hold xx[a+2 : a+|x|] (module docstring,
     Records).  Its prefix member's context has p = 0 and s = length-1.
 
-    The record guard raises InternalBoundViolation when a is no mismatch
-    or the run breaks p + s <= |x|-2.
+    The record guard raises InternalBoundViolation when the run breaks
+    p + s <= |x|-2, or its last phase a or the phase a-length before it is
+    no mismatch.
 
     >>> [sorted(f) for f in _record("aabab", 4, 2, 2)]  # R = abaa·aba
     [['aaaba', 'abaaa', 'baaab'], []]
@@ -786,6 +805,12 @@ def _record(x: str, d: int, a: int, length: int) -> tuple[set[str], set[str]]:
         raise InternalBoundViolation(
             f"a run of {length} phases breaks p + s <= {n - 2}"
             f" for x = {x!r}, jump {d}"
+        )
+    # a-length and b-length are at least 1-|x|: x[-i] is phase |x|-i
+    if x[a - length] == x[b - length]:
+        raise InternalBoundViolation(
+            f"phase {(a - length) % n} of x = {x!r} is no mismatch at jump {d},"
+            f" before the run ending at phase {a}"
         )
     r = xx[a + 1 : a + n] + xx[b : b + n - length]
     anchored = {r[j : j + n] for j in range(n - length)}
@@ -891,6 +916,29 @@ def _rows(key: tuple, pairs: list, found: dict, limit: int) -> list[tuple]:
     pairs is exponent_pairs of the universe's exponent sums."""
     rows = (key + (e1, e2, *v) for e1, e2 in pairs for v in found[e1 + e2])
     return list(islice(rows, limit))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one (taskset and cpusets narrow it), else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _workers(universe: Universe, jobs: int) -> int:
+    """The number of parts run() deals the configuration classes out to.
+
+    At most jobs, one per usable CPU and one per first-use Lyndon word with
+    splits (so every part is dealt a word), and no more parts than leave
+    each a share of the count pass's size above MIN_SPLITS_PER_PART; at
+    least one.  The size is the universe's count of first-use prefix
+    splits, whatever its forms, since the count pass reads every
+    configuration once for all of them.
+    """
+    size = _split_count(replace(universe, forms="prefix"))
+    cap = max(1, min(jobs, _usable_cpus(), (size - 1) // MIN_SPLITS_PER_PART))
+    return len(list(islice(_lyndon_words(universe), cap))) or 1
 
 
 def _send_chunk(send: Connection, task: tuple) -> None:
@@ -1001,10 +1049,14 @@ def run(
     claim, so memory is bounded by what is reported.  _merge_chunks renames
     their splits and keeps the first max_violations rows of the whole
     universe.  Only those rows become Witnesses, and each reported split
-    and spec is one object, shared by every claim that reports it.  There
-    are at most as many workers as CPUs and as Lyndon words to deal out,
-    whatever jobs asks for, so at most one process per further CPU starts
-    and every part is dealt a word.
+    and spec is one object, shared by every claim that reports it.
+
+    jobs is an upper bound (_workers): there are at most as many workers as
+    usable CPUs and as Lyndon words to deal out, so at most one process per
+    further CPU starts and every part is dealt a word.  A universe too small
+    to pay for a fork runs in one process: a further part is forked only
+    when every part's share of the count pass exceeds MIN_SPLITS_PER_PART
+    first-use prefix splits.
     """
     if max_violations < 1:
         raise InvalidLimit(f"max_violations must be >= 1, got {max_violations}")
@@ -1022,8 +1074,7 @@ def run(
         max_checks,
         "specs to evaluate (one per letter-renaming orbit)",
     )
-    cap = min(jobs, os.cpu_count() or 1)
-    workers = len(list(islice(_lyndon_words(universe), cap))) or 1
+    workers = _workers(universe, jobs)
     tasks = [
         (universe, part, workers, claim_list, max_violations)
         for part in range(workers)

@@ -457,9 +457,11 @@ ORBIT_UNIVERSES = {
 @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("argv", ORBIT_UNIVERSES.values(), ids=ORBIT_UNIVERSES)
-def test_verify_stdout_equals_full_enumeration(capsys, monkeypatch, argv, jobs, fmt):
-    # jobs=2 gets its 2 workers even on a single-CPU machine
-    monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 2)
+def test_verify_stdout_equals_full_enumeration(
+    capsys, monkeypatch, two_workers, argv, jobs, fmt
+):
+    # jobs=2 forks its second worker even on a single-CPU machine, and on
+    # universes too small to pay for it
     argv = ["verify", *argv, "--jobs", jobs, *fmt]
     got = run_cli(capsys, *argv)
     monkeypatch.setattr(repcore.cli, "run", run_full)

@@ -3,6 +3,8 @@ import os
 import pickle
 import random
 import signal
+import subprocess
+import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -51,6 +53,8 @@ from repcore.verify import (
     _SplitContext,
     _Stats,
     _totals,
+    _usable_cpus,
+    _workers,
     applies,
     enumerate_specs,
     estimated_checks,
@@ -571,6 +575,29 @@ def test_record_guard_fails_on_an_understated_core(monkeypatch, capsys):
         assert err.startswith("InternalBoundViolation: ")
 
 
+def test_record_guard_fails_on_an_understated_suffix(monkeypatch, capsys):
+    # With s one too small the stretches stay in phase too, and the split's
+    # record ends its run at phase cut1+p, a mismatch; but the run then
+    # starts one phase late, past phase cut1-s-1 of the real run, where x^∞
+    # and its |x2|-shift agree, and the record guard raises
+    # InternalBoundViolation.  In x = aab, cuts (1, 2), s = lcs(aba, baa) = 1.
+    def understated(x, u, v):
+        p, s = core_lengths(x, u, v)
+        return p, (s - 1 if s > 0 else s)
+
+    monkeypatch.setattr(repcore.verify, "core_lengths", understated)
+    with pytest.raises(InternalBoundViolation, match="phase 0 .* is no mismatch"):
+        _SplitContext("aab", 1, 2)
+    # without the guard on that phase the run exits 1 with a false theorem1
+    # row for x = aba, cuts (1, 3)
+    for fmt in ([], ["--json"]):
+        code = repcore.cli.main(["verify", "--max-x", "5", *fmt])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("InternalBoundViolation: ")
+
+
 def junction_key(x, cut1, cut2):
     """u·v, the two rotations of x that meet at the split's junction, renamed
     together to first-use letters.  It names the split's configuration:
@@ -724,22 +751,28 @@ def test_records_equal_their_contexts(k, max_x, records):
     "broken, match",
     [
         # the run one phase longer: "ab" has one record, of 1 = |x|-1 phases
-        (lambda a, length, g: (a, length + 1), r"run of 2 phases breaks p \+ s"),
+        (lambda a, length, g, n: (a, length + 1), r"run of 2 phases breaks p \+ s"),
         # the run's phase before its last: no mismatch where a run has two
-        (lambda a, length, g: ((a - 1) % g, length), "is no mismatch"),
+        (lambda a, length, g, n: ((a - 1) % g, length), "is no mismatch"),
+        # the run starting one phase early, within the bound: the phase
+        # before it is no mismatch where the run before has two phases
+        (lambda a, length, g, n: (a, min(length + 1, n - 1)), "is no mismatch"),
+        # the run starting one phase late, as an understated s makes it: the
+        # phase before it is no mismatch where the run has two phases
+        (lambda a, length, g, n: (a, length - 1), "is no mismatch"),
     ],
-    ids=["too-long", "no-mismatch"],
+    ids=["too-long", "no-mismatch", "starts-early", "starts-late"],
 )
 def test_record_guard_ends_the_run(broken, match, monkeypatch, capsys):
     # The count pass builds no context, so the record guard stands in for
     # core_lengths' bound and the rotation test: a run that breaks
-    # p + s <= |x|-2, or that does not end at a mismatch, raises
-    # InternalBoundViolation, and a verify run ends with one diagnostic
-    # line and exit 2.
+    # p + s <= |x|-2, or that does not end at a mismatch or start just past
+    # one, raises InternalBoundViolation, and a verify run ends with one
+    # diagnostic line and exit 2.
     gaps = repcore.verify._gaps
 
     def broken_gaps(x, g, d):
-        return [broken(a, length, g) for a, length in gaps(x, g, d)]
+        return [broken(a, length, g, len(x)) for a, length in gaps(x, g, d)]
 
     monkeypatch.setattr(repcore.verify, "_gaps", broken_gaps)
     with pytest.raises(InternalBoundViolation, match=match):
@@ -777,17 +810,17 @@ def test_classes_equal_the_naive_classes(universe):
             assert list(_classes(universe, part, parts)) == want, (part, parts)
 
 
-@pytest.mark.parametrize(
-    "universe",
-    [
-        Universe(2, 1, 10, (3,), "both"),
-        Universe(3, 1, 6, (3,), "both"),
-        Universe(4, 2, 6, (3,), "both"),
-        Universe(2, 2, 9, (3,), "prefix"),
-        Universe(3, 3, 6, (3,), "deletion"),
-    ],
-    ids=["binary", "ternary", "4-letter", "binary-prefix", "ternary-deletion"],
-)
+COUNT_UNIVERSES = [
+    Universe(2, 1, 10, (3,), "both"),
+    Universe(3, 1, 6, (3,), "both"),
+    Universe(4, 2, 6, (3,), "both"),
+    Universe(2, 2, 9, (3,), "prefix"),
+    Universe(3, 3, 6, (3,), "deletion"),
+]
+COUNT_IDS = ["binary", "ternary", "4-letter", "binary-prefix", "ternary-deletion"]
+
+
+@pytest.mark.parametrize("universe", COUNT_UNIVERSES, ids=COUNT_IDS)
 def test_count_pass_equals_the_sum_over_splits(universe):
     # _totals weights each configuration by the splits it stands for, over
     # every x of every orbit, and pairs mirror classes: per form it equals
@@ -810,6 +843,24 @@ def test_count_pass_equals_the_sum_over_splits(universe):
         if form in got:
             only = replace(universe, forms=name)
             assert got[form][0] == _split_count(only, count_primitive_words)
+
+
+@pytest.mark.parametrize("universe", COUNT_UNIVERSES, ids=COUNT_IDS)
+def test_count_pass_size_is_its_first_use_prefix_splits(universe):
+    # run() sizes the count pass before any work, whatever the universe's
+    # forms, by _split_count of its prefix form: each primitive first-use x
+    # has |x|-1 prefix splits.  They are the configurations, one prefix
+    # member each, of the classes _classes yields and of their mirror
+    # classes: g phases and |x|-1 jumps per class, times pairs.
+    size = _split_count(replace(universe, forms="prefix"))
+    brute = sum(
+        n - 1
+        for n in range(universe.min_x, universe.max_x + 1)
+        for x in words(n, universe.alphabet_size)
+        if is_first_use(x) and is_primitive(x)
+    )
+    assert size == brute > 0
+    assert size == sum(pairs * g * (len(x) - 1) for x, g, pairs in _classes(universe))
 
 
 # theorem1_deletion first fails on first-use spec 45 (split 9, x = aba, the
@@ -1157,11 +1208,9 @@ def test_eval_chunk_builds_no_per_split_objects(contexts, monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_run_witnesses_share_their_spec(jobs, monkeypatch):
+def test_run_witnesses_share_their_spec(jobs, two_workers):
     # Witnesses of different claims for one spec hold the same InterruptSpec.
-    # That holds for renamed specs too.
-    # jobs=2 gets its 2 workers even on a single-CPU machine
-    monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 2)
+    # That holds for renamed specs too.  jobs=2 forks its second worker.
     reports = run(RETENTION_UNIVERSE, max_violations=10**6, jobs=jobs)
     by_key, claims_of = {}, {}
     for rep in reports:
@@ -1194,13 +1243,12 @@ def test_eval_chunk_keeps_first_k_witnesses(full, k):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("k", [1, 3])
-def test_run_builds_only_the_witnesses_it_reports(jobs, k, monkeypatch):
+def test_run_builds_only_the_witnesses_it_reports(jobs, k, monkeypatch, two_workers):
     # A chunk keeps up to k identity rows per claim and returns rows; the
     # parent builds one Witness per reported row and none for a row the
     # merge drops.  Witnesses built in the workers would
     # not be counted here, and would leave the parent's count short.
-    # jobs=2 gets its 2 workers even on a single-CPU machine
-    monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 2)
+    # jobs=2 forks its second worker.
     built, init = [], Witness.__init__
 
     def counted_init(self, *args):
@@ -1276,9 +1324,8 @@ def test_eval_chunk_equals_check_claim_spec_by_spec(universe):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("k", [1, 3, 10**6])
-def test_run_reports_first_k_of_full_list(full, jobs, k, monkeypatch):
-    # jobs=2 gets its 2 workers even on a single-CPU machine
-    monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 2)
+def test_run_reports_first_k_of_full_list(full, jobs, k, two_workers):
+    # jobs=2 forks its second worker
     reports = run(RETENTION_UNIVERSE, max_violations=k, jobs=jobs)
     assert [r.claim for r in reports] == list(ClaimId)
     for rep in reports:
@@ -1331,8 +1378,8 @@ def fan_out(monkeypatch):
     return seen
 
 
-def test_run_starts_at_most_one_worker_per_cpu(fan_out, monkeypatch):
-    monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 3)
+def test_run_starts_at_most_one_worker_per_cpu(fan_out, two_workers, monkeypatch):
+    monkeypatch.setattr(repcore.verify, "_usable_cpus", lambda: 3)
     u = Universe(2, 2, 4, (3, 4), "both")
     one = run(u, jobs=1)
     assert fan_out.processes == []  # one job evaluates in process
@@ -1353,16 +1400,36 @@ def test_run_starts_at_most_one_worker_per_cpu(fan_out, monkeypatch):
     # between them the parts count every configuration class once
     dealt = [c for _, part, parts, _, _ in tasks for c in _classes(u, part, parts)]
     assert sorted(dealt, key=lambda c: (len(c[0]), c[0])) == list(_classes(u))
-    # with no CPU count the run stays in process
-    monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: None)
+    # with one usable CPU the run stays in process
+    monkeypatch.setattr(repcore.verify, "_usable_cpus", lambda: 1)
     assert run(u, jobs=10**6) == one
     assert len(fan_out.processes) == 2
 
 
-def test_run_ships_small_chunks_and_holds_no_specs(fan_out, monkeypatch):
+def test_usable_cpus_are_the_affinity_mask(monkeypatch, child_env):
+    # taskset -c 0 leaves one usable CPU on a machine of many, and run()
+    # forks no worker onto it; where the platform has no affinity mask, the
+    # machine's CPU count stands in, and no count at all is one CPU.
+    if hasattr(os, "sched_getaffinity"):
+        assert _usable_cpus() == len(os.sched_getaffinity(0))
+        pinned = subprocess.run(
+            [sys.executable, "-c",
+             "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))});"
+             " from repcore.verify import Universe, _usable_cpus, _workers;"
+             " print(_usable_cpus(), _workers(Universe(2, 2, 12, (3,), 'both'), 2))"],
+            capture_output=True, text=True, env=child_env, check=True,
+        )
+        assert pinned.stdout == "1 1\n"
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert _usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _usable_cpus() == 1
+
+
+def test_run_ships_small_chunks_and_holds_no_specs(fan_out, two_workers, monkeypatch):
     # Workers enumerate their own splits: each task is the universe, a part,
     # the claims and the witness limit, whatever the universe's size.
-    monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 2)
     u = Universe(2, 2, 8, (3, 4), "both")
     one = run(u, jobs=1)
 
@@ -1389,14 +1456,14 @@ def test_run_ships_small_chunks_and_holds_no_specs(fan_out, monkeypatch):
     ids=["one-word", "no-split", "ternary-x2-3"],
 )
 def test_run_starts_no_worker_that_gets_no_word(
-    universe, jobs, workers, fan_out, monkeypatch
+    universe, jobs, workers, fan_out, two_workers, monkeypatch
 ):
     # run() starts at most one worker per first-use Lyndon word with splits,
     # the words _classes deals out by index: "ab" alone has several splits
     # under both forms, but it is one word, of one configuration class, so
     # a second part would get nothing to count.  The ternary universe has
     # five first-use words and four Lyndon ones: ab, aab, abb, abc.
-    monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(repcore.verify, "_usable_cpus", lambda: 8)
     lyndon = [
         x
         for x in words_with_splits(universe)
@@ -1410,6 +1477,46 @@ def test_run_starts_no_worker_that_gets_no_word(
     # every part of a fan-out is dealt at least one Lyndon word
     for _, part, parts, *_ in fan_out.evaluated:
         assert parts == 1 or lyndon[part::parts], (part, parts)
+
+
+def test_run_at_jobs_2_stays_in_process_below_the_gate(fan_out, monkeypatch):
+    # --forms both --max-x 8 has 1,438 first-use prefix splits: two parts'
+    # shares would not exceed the gate, so with two usable CPUs jobs=2
+    # still runs in one process.
+    monkeypatch.setattr(repcore.verify, "_usable_cpus", lambda: 2)
+    u = Universe(2, 2, 8, (3, 4), "both")
+    assert _split_count(replace(u, forms="prefix")) == 1_438
+    assert run(u, jobs=2) == run(u, jobs=1)
+    assert fan_out.processes == []
+    assert [task[1:3] for task in fan_out.evaluated] == [(0, 1), (0, 1)]
+
+
+@pytest.mark.parametrize("max_x", [6, 9, 10])
+def test_run_forks_one_process_per_part_the_size_pays_for(max_x, fan_out, monkeypatch):
+    # A part is paid for when its share of the count pass's size exceeds the
+    # gate, so with eight usable CPUs jobs=8 deals out the largest number of
+    # parts, up to 8, whose shares do.  At the module's gate binary
+    # --forms both |x| <= 6 (223 splits) runs in one process, and |x| <= 9
+    # and <= 10 (3,454 and 7,909 splits) fork.  At a gate equal to a share
+    # of size/parts, rounded up, one part fewer is dealt out; one below it,
+    # all of them.
+    monkeypatch.setattr(repcore.verify, "_usable_cpus", lambda: 8)
+    u = Universe(2, 2, max_x, (3, 4), "both")
+    size = _split_count(replace(u, forms="prefix"))
+    gate = repcore.verify.MIN_SPLITS_PER_PART
+    paid = max(p for p in range(1, 9) if p == 1 or size / p > gate)
+    assert (paid > 1) == (max_x >= 9)
+    gates = [(gate, paid)]
+    for parts in (2, 3, 5):
+        share = -(-size // parts)
+        gates += [(share - 1, parts), (share, parts - 1)]
+    one = run(u, jobs=1)
+    for gate, workers in gates:
+        monkeypatch.setattr(repcore.verify, "MIN_SPLITS_PER_PART", gate)
+        fan_out.processes.clear()
+        assert _workers(u, 8) == workers, gate
+        assert run(u, jobs=8) == one
+        assert len(fan_out.processes) == workers - 1, gate
 
 
 needs_fork = pytest.mark.skipif(
@@ -1443,21 +1550,20 @@ def failing_part(monkeypatch, fail):
             fail()
         return eval_chunk(task)
 
-    monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(repcore.verify, "_eval_chunk", patched)
 
 
 @needs_fork
-def test_run_forks_workers_and_leaves_none_running(monkeypatch):
-    monkeypatch.setattr(repcore.verify.os, "cpu_count", lambda: 2)
+def test_run_forks_workers_and_leaves_none_running(two_workers):
     u = Universe(2, 2, 6, (3, 4), "both")
+    assert _workers(u, 2) == 2
     with deadline(30):
         assert run(u, jobs=2) == run(u, jobs=1)
     assert multiprocessing.active_children() == []
 
 
 @needs_fork
-def test_run_raises_a_workers_exception(monkeypatch):
+def test_run_raises_a_workers_exception(monkeypatch, two_workers):
     def fail():
         raise InternalBoundViolation("raised in part 1")
 
@@ -1468,7 +1574,7 @@ def test_run_raises_a_workers_exception(monkeypatch):
 
 
 @needs_fork
-def test_run_reports_a_worker_that_dies(monkeypatch):
+def test_run_reports_a_worker_that_dies(monkeypatch, two_workers):
     # A child that exits without sending its chunk must not hang the caller.
     failing_part(monkeypatch, lambda: os._exit(3))
     start = time.perf_counter()
@@ -1487,7 +1593,7 @@ def test_run_rejects_jobs_below_one():
         run(Universe(2, 2, 8, (3, 4), "prefix"), jobs=0, max_checks=10)
 
 
-def test_run_deterministic_across_workers():
+def test_run_deterministic_across_workers(two_workers):
     u = Universe(2, 2, 4, (3, 4), "both")
     one = run(u, jobs=1)
     four = run(u, jobs=4)
