@@ -13,20 +13,20 @@ per split form, read from each record's four integers with no context,
 and counts every claim once at the end.  Its per_sum lists a spec's
 mismatches; specs with the same e1+e2 have the same counts, so it runs
 once per exponent sum, and only while the claim can still report rows.
-dft_bound and dichotomy have no per_sum: in the walk, core_lengths
-refuses a split that breaks the bound, the rotation test one that would
-break the dichotomy, and the record guard one whose p falls short,
-before its context exists; in the count pass, the record guard refuses
-a record whose four integers are not a run that ends at a mismatch
-within the bound.  Each worker runs one chunk: the configuration classes
-are dealt out among the chunks by the index of their Lyndon
-representative, and a worker enumerates its share itself.  run() forks a
-further worker only when the count pass pays for it: every part's share
-of the pass's size must exceed MIN_SPLITS_PER_PART.  The size is the
-universe's count of first-use prefix splits, in closed form
+dft_bound and dichotomy have no per_sum: core_lengths refuses a split
+that breaks the bound, and the record guard refuses four integers that
+are not one run of phases between two mismatches, within the bound.
+The count pass puts every record through it, and the walk every split's
+own record before the split's context exists, which certifies the
+split's p and s (Records, below).  Each worker runs one chunk: the
+configuration classes are dealt out among the chunks by the index of
+their Lyndon representative, and a worker enumerates its share itself.
+run() forks a further worker only when the count pass pays for it: every
+part's share of the pass's size must exceed MIN_SPLITS_PER_PART.  The
+size is the universe's count of first-use prefix splits, in closed form
 (_split_count); each configuration has one, so it is the classes'
-configurations, each class's times its mirror pairs.  For the
-rows, the chunk of part 0 alone walks every split in canonical order
+configurations, each class's times its mirror pairs.  For the rows, the
+chunk of part 0 alone walks every split in canonical order
 with one list of the claims that can still report rows, each with the
 two forms it is stated for, and stops when the list is empty.
 
@@ -93,47 +93,23 @@ test_check_claim_equals_naive_oracle and
 test_check_claim_equals_naive_oracle_on_long_x check this against the
 slicing oracle evaluate_naive in tests/oracles.py.
 
-Rotation test: a split's context reads only its anchored windows, at
-lo = cut1+p+1 .. hi-1 = |x|+cut1-s-1 in W0, from its record (Records,
-below), and checks with two compares that W0[:lo+|x|-1] is a prefix and
-W0[hi:] a suffix of x^4.  The non-anchored windows are the windows of
-those two stretches.  The test holds exactly when every non-anchored
-window occurs in x+x.  If it holds, each such window is a window of x^∞,
-a rotation of x.  Conversely, let every window of a stretch be a
-rotation.  Two consecutive windows that are both rotations advance the
-phase by one: the second's first |x|-1 letters are the first's last
-|x|-1 letters, which begin exactly one rotation (the length-(|x|-1)
-argument above).  The first stretch starts
-with x and the second ends with x, so by induction the first reads x^∞
-from its start and the second reads it up to its end: both are in phase,
-and x^4 is long enough for either (at most 3|x|-3 and 4|x|-3 symbols,
-since cut1 < cut2 <= |x| and p+s <= |x|-2).  When the test holds, the
-tail's 2|x|-cut2+s+1 > |x| windows are consecutive windows of x^∞ and hold
-every rotation, so the non-anchored factors are the |x| rotations,
-dichotomy has no violation, and the distinct count is |x| plus the
-anchored windows that do not occur in x+x.  These follow from W0's
-symbols for whatever p and s the context holds, not from the theorem:
-with p and s right the stretches are in phase by their definition (lcp
-and lcs), and a p or s that overstates the agreement fails the test.  So
-a context whose test fails raises InternalBoundViolation, as core_lengths
-does for a broken bound, and the run ends; WindowScan in tests/oracles.py
-reads every stat, dichotomy and distinct count from all of W0's windows.
-A p or s that understates the agreement keeps the stretches in phase and
-passes the test; the record guard refuses it (Records).
-
-Phase counts.  So a window outside lo..hi-1 is counted, not sliced.  A
-window of length m = |x| or |x|-1 at j < lo+|x|-m lies in the head
-stretch W0[:lo+|x|-1] and reads x^∞ from phase j mod |x|; one at j >= hi
-lies in the tail, which ends W0 with x, and reads it from phase
-(j-|W0|) mod |x|.  These windows of x^∞ differ between the |x| phases
-(count rule), so a factor f that first occurs in x+x at r is the window
-of phase r alone, and one not in x+x of none: _SplitContext.count(f)
-compares f with the windows at lo+|x|-m .. hi-1 and adds two arithmetic
-progressions.  In the boundary case p+s = |x|-2, hi = lo+1, so every
-length-(|x|-1) window lies in the head (j <= lo) or the tail (j >= hi)
-and is the prefix of a rotation of x, and the tail's 2|x|-cut2+s+2 > |x|
-of them hold every such prefix.  So note2's factors are the rotation
-prefixes that hold u[|x|-s:]·v[:p] (u and v as below).
+Phase counts.  A split's context reads only its anchored windows, at
+lo = cut1+p+1 .. hi-1 = |x|+cut1-s-1 in W0, from R = W0[lo : hi+|x|-1],
+which its record gives (Records, below); a window outside lo..hi-1 is
+counted, not sliced.  With p and s exact, a window of length m = |x| or
+|x|-1 at j < lo+|x|-m lies in the head stretch W0[:lo+|x|-1] and reads
+x^∞ from phase j mod |x|; one at j >= hi lies in the tail W0[hi:], which
+ends W0 with x, and reads it from phase (j-|W0|) mod |x|, where
+|W0| = 4|x|-|x2| (Records: in phase).  These windows of x^∞ differ
+between the |x| phases (count rule), so a factor f that first occurs in
+x+x at r is the window of phase r alone, and one not in x+x of none:
+_SplitContext.count(f) compares f with R's windows at |x|-m .. hi-lo-1
+and adds two arithmetic progressions.  In the boundary case
+p+s = |x|-2, hi = lo+1, so every length-(|x|-1) window lies in the head
+(j <= lo) or the tail (j >= hi) and is the prefix of a rotation of x,
+and the tail's 2|x|-cut2+s+2 > |x| of them hold every such prefix.  So
+note2's factors are the rotation prefixes that hold u[|x|-s:]·v[:p] (u
+and v as below).
 
 Configurations.  Rotate x by r and shift both cuts by -r: the record is
 the same bi-infinite word, x^∞ up to the junction and x^∞ jumped ahead by
@@ -217,20 +193,34 @@ W0 = y·y[:|x|-d]·y·y.  With xx = x+x and indices of x modulo |x|:
     Since v[:p] = u[:p], R = xx[a+1 : a+|x|]·xx[b : b+|x|-p-s-1] =
     u[p+1:]·u[:p]·v[p:|x|-s-1] is u[p+1:]·v[:|x|-s-1], the span of the
     split's anchored windows (Configurations), and in the boundary case
-    xx[a+2 : a+|x|] is u[|x|-s:]·v[:p].  So _SplitContext reads its
+    xx[a+2 : a+|x|] is u[|x|-s:]·v[:p].  So _SplitContext reads R, its
     anchored windows and note2's factors from _record as well.
-Besides the phases _gaps reads from x, the proof rests on a and a-length
-being mismatches, where p and s stop, and on length <= |x|-1.  _record
-checks all three in O(1), the record guard, and raises
-InternalBoundViolation, as core_lengths and the rotation test do for a
-split.  In _gaps' runs a-length is the mismatch b before the run, or
-ends[-1]-g, a mismatch since mismatches repeat with period g.  For a
-split's record, a is no mismatch when p understates lcp(v, u), and
-a-length = cut1-s-1 is none when s understates lcs(u, v).
-test_records_equal_their_contexts checks
-p = 0, s = length-1, R, note2 and the stats against WindowScan in
-tests/oracles.py, which reads every window of the prefix member's W0,
-on every record of binary |x| <= 14, ternary <= 9 and 4-letter <= 8.
+  - In phase.  u[:p] = v[:p] and u[|x|-s:] = v[|x|-s:], so the head
+    stretch W0[:lo+|x|-1] = x·x[:cut1]·v[:p] is x^∞[:|x|+cut1+p], and the
+    tail W0[hi:] = u[|x|-s:]·x[cut2:]·x·x is x^∞[|x|+cut2-s : 4|x|].  The
+    non-anchored windows, at j < lo and j >= hi, lie in them, so each is
+    a window of x^∞, a rotation of x, and the tail's 2|x|-cut2+s+1 > |x|
+    windows hold every rotation.  So the non-anchored factors are the |x|
+    rotations, dichotomy has no violation, and the distinct count is |x|
+    plus the anchored windows that do not occur in x+x.
+Besides the phases _gaps reads from x, the proof rests on four facts:
+a and a-length are mismatches, where p and s stop, the phases
+a-length+1 .. a-1 between them are not, and length <= |x|-1.  _record
+checks all four, the record guard: two letter compares, the bound, and
+one slice compare, xx[a+|x|-length+1 : a+|x|] = xx[b+|x|-length+1 : b+|x|].
+It raises InternalBoundViolation when one fails, and the run ends.  In
+_gaps' runs a-length is the mismatch before the run, or ends[-1]-g, a
+mismatch since mismatches repeat with period g, and no phase between is
+one.  For a split's record the four facts are p = lcp(v, u) and
+s = lcs(u, v): the slice compare says u[:p] = v[:p] and
+u[|x|-s:] = v[|x|-s:], so neither overstates the agreement, and the
+mismatches at a = cut1+p and a-length = cut1-s-1, u[p] != v[p] and
+u[|x|-s-1] != v[|x|-s-1], say that neither understates it.  These follow
+from x's letters for whatever p and s core_lengths gives, not from the
+theorem.  test_records_equal_their_contexts checks p = 0, s = length-1,
+R, note2 and the stats against WindowScan in tests/oracles.py, which
+reads every window of the prefix member's W0, on every record of binary
+|x| <= 14, ternary <= 9 and 4-letter <= 8.
 
 Gating claims are expected to hold (a failure fails the run); reported
 claims record their empirical status and never gate, because the
@@ -419,10 +409,15 @@ def estimated_checks(universe: Universe) -> int:
     return _split_count(universe) * sum(s - 1 for s in universe.e_sums)
 
 
+def _check_limit(name: str, value: int, least: int) -> None:
+    """Reject a limit below its least value."""
+    if value < least:
+        raise InvalidLimit(f"{name} must be >= {least}, got {value}")
+
+
 def _check_size(count: int, max_checks: int, what: str) -> None:
     """Reject max_checks < 0, and a universe whose count of specs exceeds it."""
-    if max_checks < 0:
-        raise InvalidLimit(f"max_checks must be >= 0, got {max_checks}")
+    _check_limit("max_checks", max_checks, 0)
     if count > max_checks:
         raise UniverseTooLarge(f"{count} {what} exceed the cap {max_checks}")
 
@@ -508,29 +503,26 @@ class _Stats(NamedTuple):
 
 
 class _SplitContext:
-    """One split's core and W0 windows, shared by every claim and e1+e2.
+    """One split's core and anchored windows, shared by every claim and e1+e2.
 
     Built from plain values (x, cut1, cut2); x is primitive and xx = x+x.
     u = xx[cut1:cut1+|x|] and v = xx[cut2:cut2+|x|] are the expected and
     the actual continuation past the junction, p = lcp(v, u) and
-    s = lcs(u, v) (core_lengths).  The windows come from word = W0 =
-    x·x1·x3·x·x, the split's shortest word (e1 = 1, e2 = MIN_E_SUM - 1),
-    whose junction is |x| + cut1: the windows at
-    lo = cut1+p+1 .. hi-1 = |x|+cut1-s-1 contain the core and are
-    anchored, the others are not.  The anchored ones and note2's factors
-    come from the split's own record, _record(x, cut2-cut1,
-    (cut1+p) mod |x|, p+s+1) (module docstring, Records); no window of W0
-    is sliced.  Beside core_lengths' bound, two guards refuse a core that
-    W0 does not have, each with InternalBoundViolation: the rotation test
-    of the module docstring a p or s that overstates the agreement, and
-    the record guard a p or s that understates it, since phase cut1+p or
-    cut1-s-1 is then no mismatch.  Once they hold, the
-    non-anchored windows are exactly the |x| rotations of x, so the stats,
-    dichotomy and distinct_count need no other window.  stats holds the
-    split's _Stats.
+    s = lcs(u, v) (core_lengths).  In the split's shortest word
+    W0 = x·x1·x3·x·x (e1 = 1, e2 = MIN_E_SUM - 1), whose junction is
+    |x| + cut1, the windows at lo = cut1+p+1 .. hi-1 = |x|+cut1-s-1
+    contain the core and are anchored, the others are not.  The split's
+    own record, _record(x, cut2-cut1, (cut1+p) mod |x|, p+s+1), gives
+    r = R = W0[lo : hi+|x|-1], the anchored windows and note2's factors
+    (module docstring, Records); W0 is not built.  Beside core_lengths'
+    bound, the record guard refuses, with InternalBoundViolation, a p or s
+    that overstates or understates the agreement of u and v.  Once it
+    holds, the non-anchored windows are exactly the |x| rotations of x,
+    so the stats, dichotomy and distinct_count need no other window.
+    stats holds the split's _Stats.
 
     >>> ctx = _SplitContext("aabab", 2, 4)  # core_lengths' example
-    >>> (ctx.p, ctx.s), (ctx.anchored, ctx.note2) == _record("aabab", 2, 4, 4)
+    >>> (ctx.p, ctx.s), (ctx.r, ctx.anchored, ctx.note2) == _record("aabab", 2, 4, 4)
     ((2, 1), True)
 
     A claim's per_sum reads the context and lists its violations as plain
@@ -550,29 +542,22 @@ class _SplitContext:
         self.xx = xx = x + x
         u, v = xx[cut1 : cut1 + n], xx[cut2 : cut2 + n]
         self.p, self.s = p, s = core_lengths(x, u, v)
-        self.word = word = x + x[:cut1] + x[cut2:] + xx
-        self.lo, self.hi = lo, hi = cut1 + p + 1, n + cut1 - s
-        x4 = xx + xx
-        if not (x4.startswith(word[: lo + n - 1]) and x4.endswith(word[hi:])):
-            raise InternalBoundViolation(
-                f"p = {p}, s = {s} fail the rotation test for x = {x!r},"
-                f" cuts ({cut1}, {cut2})"
-            )
+        self.lo, self.hi = cut1 + p + 1, n + cut1 - s
         d = cut2 - cut1
-        self.anchored, self.note2 = _record(x, d, (cut1 + p) % n, p + s + 1)
+        self.r, self.anchored, self.note2 = _record(x, d, (cut1 + p) % n, p + s + 1)
         self.stats = _Stats(1, len(self.anchored), n, d, len(self.note2))
 
     def count(self, f: str) -> int:
         """Occurrences in W0 of f, of length |x| or |x|-1 (phase counts)."""
-        word, n, m = self.word, self.n, len(f)
-        head, hi = self.lo + n - m, self.hi
-        hits = sum(word.startswith(f, j) for j in range(head, hi))
-        r = self.xx.find(f)
-        if r >= 0:
-            # head windows j of phase j mod |x| = r, and tail windows from
-            # the first j >= hi of phase (j-|W0|) mod |x| = r
-            tail = hi + (r + len(word) - hi) % n
-            hits += len(range(r, head, n)) + len(range(tail, len(word) - m + 1, n))
+        n, m, lo, hi = self.n, len(f), self.lo, self.hi
+        end = 4 * n - self.stats.x2_len  # |W0|
+        hits = sum(self.r.startswith(f, j) for j in range(n - m, hi - lo))
+        phase = self.xx.find(f)
+        if phase >= 0:
+            # head windows j < lo+|x|-m of phase j mod |x|, and tail windows
+            # from the first j >= hi of phase (j-|W0|) mod |x|
+            tail = hi + (phase + end - hi) % n
+            hits += len(range(phase, lo + n - m, n)) + len(range(tail, end - m + 1, n))
         return hits
 
 
@@ -620,23 +605,23 @@ def _unique(ctx: _SplitContext, s: int) -> list[tuple[str, int, int]]:
 def _note3(
     ctx: _SplitContext, s: int, wraparound: str = ""
 ) -> list[tuple[str, int, int]]:
-    # the non-anchored windows are the |x| rotations of x (rotation test)
+    # the non-anchored windows are the |x| rotations of x (Records)
     rotations = (ctx.xx[r : r + ctx.n] for r in range(ctx.n))
     return _mismatches(ctx, s, rotations, None, wraparound)
 
 
 _CLAIMS: dict[ClaimId, tuple[_Count, _PerSum | None]] = {
     # core_lengths raises InternalBoundViolation for p + s > |x| - 2 before
-    # a context exists, and in the count pass the record guard for a run of
-    # more than |x| - 1 phases, which is the same bound: no per_sum.
+    # a context exists, and the record guard, in the walk and in the count
+    # pass, for a run of more than |x| - 1 phases, the same bound: no
+    # per_sum.
     ClaimId.DFT_BOUND: (lambda t, s: t.splits, None),
     ClaimId.THEOREM1: (lambda t, s: t.anchored, _unique),
     ClaimId.THEOREM1_DELETION: (lambda t, s: t.anchored, _unique),
     # Every window of W is one assertion: (e1+e2)·|x| - |x2| + 1 of them.
-    # A context exists only once the rotation test holds, which makes every
-    # non-anchored window a rotation of x; in the count pass, a record's p
-    # and s are exact once the record guard holds (module docstring,
-    # Records), and so are its stretches in phase: no per_sum.
+    # A context exists, and a record's stats are read, only once the record
+    # guard holds, which makes p and s exact and every non-anchored window
+    # a rotation of x (module docstring, Records): no per_sum.
     ClaimId.DICHOTOMY: (lambda t, s: s * t.x_len - t.x2_len + t.splits, None),
     ClaimId.DISTINCT_COUNT: (lambda t, s: t.splits, _distinct_count),
     ClaimId.CORE_CYCLIC_UNIQUE: (
@@ -779,21 +764,32 @@ def _gaps(x: str, g: int, d: int) -> list[tuple[int, int]]:
     return [(a, a - b) for b, a in zip([ends[-1] - g, *ends], ends)]
 
 
-def _record(x: str, d: int, a: int, length: int) -> tuple[set[str], set[str]]:
-    """The anchored windows and note2's factors of the record of jump d
+def _record(x: str, d: int, a: int, length: int) -> tuple[str, set[str], set[str]]:
+    """R, the anchored windows and note2's factors of the record of jump d
     whose run of phases (_gaps) ends at phase a and has `length` phases:
-    the |x|-length windows of R, and in the boundary case length = |x|-1
-    the rotation prefixes that hold xx[a+2 : a+|x|] (module docstring,
-    Records).  Its prefix member's context has p = 0 and s = length-1.
+    R = xx[a+1 : a+|x|]·xx[b : b+|x|-length] with b = (a+d) mod |x|, its
+    |x|-length windows of length |x|, and in the boundary case
+    length = |x|-1 the rotation prefixes that hold xx[a+2 : a+|x|] (module
+    docstring, Records).  Its prefix member's context has p = 0 and
+    s = length-1.
 
-    The record guard raises InternalBoundViolation when the run breaks
-    p + s <= |x|-2, or its last phase a or the phase a-length before it is
-    no mismatch.
+    The record guard raises InternalBoundViolation unless the phases
+    a-length+1 .. a are one run: a and the phase a-length before them are
+    mismatches, the phases between are not, and length <= |x|-1, that is
+    p + s <= |x|-2.
 
-    >>> [sorted(f) for f in _record("aabab", 4, 2, 2)]  # R = abaa·aba
-    [['aaaba', 'abaaa', 'baaab'], []]
-    >>> [sorted(f) for f in _record("aabab", 2, 4, 4)]  # boundary: R = aaba·a
-    [['aabaa'], ['aaba', 'abaa', 'abab', 'baba']]
+    >>> r, anchored, note2 = _record("aabab", 4, 2, 2)  # R = abaa·aba
+    >>> r, sorted(anchored), sorted(note2)
+    ('abaaaba', ['aaaba', 'abaaa', 'baaab'], [])
+    >>> r, anchored, note2 = _record("aabab", 2, 4, 4)  # boundary: R = aaba·a
+    >>> r, sorted(anchored), sorted(note2)
+    ('aabaa', ['aabaa'], ['aaba', 'abaa', 'abab', 'baba'])
+
+    _gaps("aabb", 2, 2)'s two runs (0, 1) and (1, 1), joined into one:
+
+    >>> _record("aabb", 2, 1, 2)  # doctest: +ELLIPSIS
+    Traceback (most recent call last):
+    repcore.errors.InternalBoundViolation: the run of 2 phases ... at jump 2
     """
     n, xx = len(x), x + x
     b = (a + d) % n
@@ -812,12 +808,18 @@ def _record(x: str, d: int, a: int, length: int) -> tuple[set[str], set[str]]:
             f"phase {(a - length) % n} of x = {x!r} is no mismatch at jump {d},"
             f" before the run ending at phase {a}"
         )
+    # phases a-length+1 .. a-1
+    if xx[a + n - length + 1 : a + n] != xx[b + n - length + 1 : b + n]:
+        raise InternalBoundViolation(
+            f"the run of {length} phases ending at phase {a} of x = {x!r}"
+            f" holds a mismatch at jump {d}"
+        )
     r = xx[a + 1 : a + n] + xx[b : b + n - length]
     anchored = {r[j : j + n] for j in range(n - length)}
     if length < n - 1:
-        return anchored, set()
+        return r, anchored, set()
     sp = xx[a + 2 : a + n]
-    return anchored, {f for f in (xx[r : r + n - 1] for r in range(n)) if sp in f}
+    return r, anchored, {f for f in (xx[i : i + n - 1] for i in range(n)) if sp in f}
 
 
 def _totals(universe: Universe, part: int, parts: int) -> dict[bool, _Stats]:
@@ -841,7 +843,7 @@ def _totals(universe: Universe, part: int, parts: int) -> dict[bool, _Stats]:
         for d in range(1, n):
             anchored = note2 = 0
             for a, length in _gaps(x, g, d):
-                windows, factors = _record(x, d, a, length)
+                _, windows, factors = _record(x, d, a, length)
                 anchored += length * len(windows)
                 note2 += length * len(factors)
             col = (g, anchored, g * n, g * d, note2)
@@ -1058,10 +1060,9 @@ def run(
     when every part's share of the count pass exceeds MIN_SPLITS_PER_PART
     first-use prefix splits.
     """
-    if max_violations < 1:
-        raise InvalidLimit(f"max_violations must be >= 1, got {max_violations}")
-    if jobs < 1:
-        raise InvalidLimit(f"jobs must be >= 1, got {jobs}")
+    _check_limit("max_violations", max_violations, 1)
+    _check_limit("jobs", jobs, 1)
+    _check_limit("max_checks", max_checks, 0)
     if claims is None:
         claim_list = list(ClaimId)
     else:

@@ -218,10 +218,11 @@ class WindowScan:
     """A split's stats, dichotomy and distinct count read from all of W0's windows.
 
     The slow twin of repcore.verify._SplitContext: the same attributes and
-    count the claims' per_sums read, built with no rotation test.  p and s come from
-    lcp_naive and lcs_naive, W0 = x·x1·x3·x·x is sliced into every window,
-    the non-anchored windows are all of those outside lo..hi-1, and
-    dichotomy and distinct_count read them as the claims state them.
+    count the claims' per_sums read, built with no record and no guard.
+    p and s come from lcp_naive and lcs_naive, W0 = x·x1·x3·x·x (word) is
+    built and sliced into every window, the non-anchored windows are all of
+    those outside lo..hi-1, and dichotomy and distinct_count read them as
+    the claims state them.
     """
 
     def __init__(self, x, cut1, cut2):

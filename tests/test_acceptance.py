@@ -265,18 +265,24 @@ def test_criterion_8_locator_roundtrip_and_segments():
 
 
 def test_criterion_9_verify_output_deterministic_across_jobs(child_env):
+    # The default universe (1,438 first-use prefix splits) runs in one
+    # process at any --jobs; binary --forms both --max-x 10 (7,909) forks
+    # a second worker where two CPUs or more are usable, so its run crosses
+    # a worker boundary.
+    universes = [
+        ["--alphabet", "2", "--min-x", "2", "--max-x", "8",
+         "--e-sums", "3,4", "--forms", "prefix"],
+        ["--forms", "both", "--max-x", "10"],
+    ]
     with criterion(9, "verify --jobs 1 and --jobs 4 byte-identical"):
-        argv = [
-            sys.executable, "-m", "repcore", "verify",
-            "--alphabet", "2", "--min-x", "2", "--max-x", "8",
-            "--e-sums", "3,4", "--forms", "prefix", "--json",
-        ]
-        one = subprocess.run(
-            argv + ["--jobs", "1"], capture_output=True, env=child_env
-        )
-        four = subprocess.run(
-            argv + ["--jobs", "4"], capture_output=True, env=child_env
-        )
-        assert one.stdout and one.stdout == four.stdout
-        assert one.returncode == four.returncode
-        json.loads(one.stdout)
+        for args in universes:
+            argv = [sys.executable, "-m", "repcore", "verify", *args, "--json"]
+            one = subprocess.run(
+                argv + ["--jobs", "1"], capture_output=True, env=child_env
+            )
+            four = subprocess.run(
+                argv + ["--jobs", "4"], capture_output=True, env=child_env
+            )
+            assert one.stdout and one.stdout == four.stdout, args
+            assert one.returncode == four.returncode, args
+            json.loads(one.stdout)

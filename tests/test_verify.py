@@ -221,9 +221,12 @@ def test_negative_cap_is_an_invalid_limit():
             run(universe, max_checks=cap)
         with pytest.raises(InvalidLimit, match=f"^max_checks must be >= 0, got {cap}$"):
             next(enumerate_specs(universe, max_checks=cap))
-    # also where the universe would pass the default cap
+    # also where the universe would pass the default cap, and with no claim
+    # to evaluate
     with pytest.raises(InvalidLimit):
         run(Universe(2, 2, 3, (3,), "prefix"), max_checks=-1)
+    with pytest.raises(InvalidLimit, match="^max_checks must be >= 0, got -5$"):
+        run(Universe(), claims=(), max_checks=-5)
     # 0 is a cap, not a bad limit
     assert [r.status for r in run(universe, max_checks=0)] == ["not_applicable"] * 9
     assert list(enumerate_specs(universe, max_checks=0)) == []
@@ -491,10 +494,10 @@ def test_count_equals_the_window_scan():
 
 
 def test_fast_context_equals_the_window_scan():
-    # The rotation test (module docstring of repcore.verify) replaces the
-    # non-anchored window set in the stats, dichotomy and distinct_count:
-    # the non-anchored windows are the |x| rotations of x, and dichotomy
-    # has no per_sum.  oracles.WindowScan reads all of W0's windows.
+    # Once the record guard holds, the non-anchored windows are the |x|
+    # rotations of x (module docstring of repcore.verify, Records), which
+    # replaces their set in the stats, dichotomy and distinct_count, and
+    # dichotomy has no per_sum.  oracles.WindowScan reads all of W0's windows.
     splits = 0
     for k, max_x in [(2, 10), (3, 6)]:
         for n in range(1, max_x + 1):
@@ -518,31 +521,47 @@ def test_fast_context_equals_the_window_scan():
     assert _CLAIMS[ClaimId.DICHOTOMY][1] is None
 
 
-def test_rotation_test_fails_on_an_overstated_core(monkeypatch, capsys):
-    # With p one too large, the window that ends on the first mismatch past
-    # the junction counts as non-anchored; it is no rotation of x, so the
-    # rotation test fails and the context raises InternalBoundViolation, as
-    # core_lengths does for a broken bound.  The window scan, given the same
-    # core, reports that window as a dichotomy violation.
-    split = DeletionSplit("aabbb", 3, 4)
-    n = len(split.x)
-    xx = split.x * 2
-    p, s = core_lengths(split.x, xx[3 : 3 + n], xx[4 : 4 + n])
+@pytest.mark.parametrize(
+    "split, grown, match, window",
+    [
+        # W0 = aabbb·aab·b·aabbbaabbb; with p one too large the window
+        # W0[5:10] ends on W0[9], the first symbol past the junction (8) out
+        # of phase with x^∞, and the run ends at phase 0, no mismatch
+        (("aabbb", 3, 4), 0, "phase 0 .* is no mismatch at jump 1$", "aabba"),
+        # with s one too large the run starts at phase 1, so phase 0 before
+        # it is no mismatch
+        (("aabbb", 3, 4), 1, "phase 0 .* is no mismatch .* before the run", "abbaa"),
+        # both ends stay mismatches: the run takes in the mismatch past (p)
+        # or before (s) the real one, and only the slice compare of the
+        # phases between refuses it
+        (("aababb", 2, 4), 0, "holds a mismatch", "bbaabb"),
+        (("aababb", 2, 4), 1, "holds a mismatch", "aabbaa"),
+    ],
+    ids=["aabbb-p", "aabbb-s", "aababb-p", "aababb-s"],
+)
+def test_record_guard_fails_on_an_overstated_core(
+    split, grown, match, window, monkeypatch, capsys
+):
+    # With p or s one too large, the split's record takes in a phase where
+    # x^∞ and its |x2|-shift differ, and the record guard raises
+    # InternalBoundViolation before a context exists.  The window scan,
+    # given the same core, reports a window out of phase with x^∞ as a
+    # non-anchored dichotomy violation.
+    x, cut1, cut2 = split
+    n, xx = len(x), x * 2
+    p, s = core_lengths(x, xx[cut1 : cut1 + n], xx[cut2 : cut2 + n])
     assert p + s < n - 2
 
     def overstated(x, u, v):
         p, s = core_lengths(x, u, v)
-        return p + 1, s
+        return p + 1 - grown, s + grown
 
     monkeypatch.setattr(repcore.verify, "core_lengths", overstated)
-    with pytest.raises(InternalBoundViolation, match="rotation test"):
-        _SplitContext(split.x, split.cut1, split.cut2)
-    monkeypatch.setattr(oracles, "lcp_naive", lambda a, b: p + 1)
-    monkeypatch.setattr(oracles, "lcs_naive", lambda a, b: s)
-    slow = oracles.WindowScan(split.x, split.cut1, split.cut2)
-    # W0 = aabbb·aab·b·aabbbaabbb; the window W0[5:10] ends on W0[9], the
-    # first symbol past the junction (8) out of phase with x^∞
-    assert slow.dichotomy(3) == [("aabba", 1, 0)]
+    with pytest.raises(InternalBoundViolation, match=match):
+        _SplitContext(x, cut1, cut2)
+    monkeypatch.setattr(oracles, "lcp_naive", lambda a, b: p + 1 - grown)
+    monkeypatch.setattr(oracles, "lcs_naive", lambda a, b: s + grown)
+    assert oracles.WindowScan(x, cut1, cut2).dichotomy(3) == [(window, 1, 0)]
     # the same patch ends a verify run with one diagnostic line, exit 2
     for fmt in ([], ["--json"]):
         code = repcore.cli.main(["verify", "--max-x", "5", *fmt])
@@ -553,9 +572,8 @@ def test_rotation_test_fails_on_an_overstated_core(monkeypatch, capsys):
 
 
 def test_record_guard_fails_on_an_understated_core(monkeypatch, capsys):
-    # With p one too small the stretches stay in phase, so the rotation test
-    # holds; but the split's record then ends its run at phase cut1+p, where
-    # x^∞ and its |x2|-shift agree, and the record guard raises
+    # With p one too small the split's record ends its run at phase cut1+p,
+    # where x^∞ and its |x2|-shift agree, and the record guard raises
     # InternalBoundViolation.  In x = aab, cuts (1, 3), p = lcp(aab, aba) = 1.
     def understated(x, u, v):
         p, s = core_lengths(x, u, v)
@@ -576,11 +594,11 @@ def test_record_guard_fails_on_an_understated_core(monkeypatch, capsys):
 
 
 def test_record_guard_fails_on_an_understated_suffix(monkeypatch, capsys):
-    # With s one too small the stretches stay in phase too, and the split's
-    # record ends its run at phase cut1+p, a mismatch; but the run then
-    # starts one phase late, past phase cut1-s-1 of the real run, where x^∞
-    # and its |x2|-shift agree, and the record guard raises
-    # InternalBoundViolation.  In x = aab, cuts (1, 2), s = lcs(aba, baa) = 1.
+    # With s one too small the split's record ends its run at phase
+    # cut1+p, a mismatch; but the run then starts one phase late, past
+    # phase cut1-s-1 of the real run, where x^∞ and its |x2|-shift agree,
+    # and the record guard raises InternalBoundViolation.  In x = aab, cuts
+    # (1, 2), s = lcs(aba, baa) = 1.
     def understated(x, u, v):
         p, s = core_lengths(x, u, v)
         return p, (s - 1 if s > 0 else s)
@@ -685,7 +703,7 @@ GAP_UNIVERSES = [
 
 def record_stats(x, d, a, length):
     """The _Stats of one split of the record, read from its four integers."""
-    anchored, note2 = _record(x, d, a, length)
+    _, anchored, note2 = _record(x, d, a, length)
     return _Stats(1, len(anchored), len(x), d, len(note2))
 
 
@@ -727,9 +745,9 @@ def test_every_phase_has_its_records_stats(universe):
 def test_records_equal_their_contexts(k, max_x, records):
     # Every record's four integers give what oracles.WindowScan reads from
     # all of its prefix member's W0 windows, with no guard and no record:
-    # p = 0, s = length-1, the anchored windows of R, note2's factors and
-    # the stats; and the prefix member's context, through core_lengths, has
-    # that p and s.  87,095 records in all.
+    # p = 0, s = length-1, R = W0[lo : hi+|x|-1], the anchored windows of
+    # R, note2's factors and the stats; and the prefix member's context,
+    # through core_lengths, has that p and s.  87,095 records in all.
     seen = boundary = 0
     for x, g, _ in _classes(Universe(k, 1, max_x, (3,), "both")):
         n = len(x)
@@ -739,7 +757,8 @@ def test_records_equal_their_contexts(k, max_x, records):
                 ctx, slow = _SplitContext(y, n - d, n), oracles.WindowScan(y, n - d, n)
                 key = (x, d, a, length)
                 assert (ctx.p, ctx.s) == (slow.p, slow.s) == (0, length - 1), key
-                assert _record(*key) == (slow.anchored, slow.note2), key
+                r = slow.word[slow.lo : slow.hi + n - 1]
+                assert _record(*key) == (r, slow.anchored, slow.note2), key
                 assert record_stats(*key) == slow.stats, key
                 seen += 1
                 boundary += bool(slow.note2)
@@ -747,32 +766,55 @@ def test_records_equal_their_contexts(k, max_x, records):
     assert 0 < boundary < records
 
 
+def each_run(broken):
+    """A change to _gaps' list of runs that changes every run alike."""
+    return lambda runs, g, n: [broken(a, length, g, n) for a, length in runs]
+
+
+def joined(runs, g, n):
+    """_gaps' runs with the first two adjacent ones that fit within the
+    bound joined into one, across the mismatch between them."""
+    for i, ((_, first), (a, second)) in enumerate(zip(runs, runs[1:])):
+        if first + second <= n - 1:
+            return runs[:i] + [(a, first + second)] + runs[i + 2 :]
+    return runs
+
+
 @pytest.mark.parametrize(
     "broken, match",
     [
         # the run one phase longer: "ab" has one record, of 1 = |x|-1 phases
-        (lambda a, length, g, n: (a, length + 1), r"run of 2 phases breaks p \+ s"),
+        (
+            each_run(lambda a, length, g, n: (a, length + 1)),
+            r"run of 2 phases breaks p \+ s",
+        ),
         # the run's phase before its last: no mismatch where a run has two
-        (lambda a, length, g, n: ((a - 1) % g, length), "is no mismatch"),
+        (each_run(lambda a, length, g, n: ((a - 1) % g, length)), "is no mismatch"),
         # the run starting one phase early, within the bound: the phase
         # before it is no mismatch where the run before has two phases
-        (lambda a, length, g, n: (a, min(length + 1, n - 1)), "is no mismatch"),
+        (
+            each_run(lambda a, length, g, n: (a, min(length + 1, n - 1))),
+            "is no mismatch",
+        ),
         # the run starting one phase late, as an understated s makes it: the
         # phase before it is no mismatch where the run has two phases
-        (lambda a, length, g, n: (a, length - 1), "is no mismatch"),
+        (each_run(lambda a, length, g, n: (a, length - 1)), "is no mismatch"),
+        # two runs joined: both ends are mismatches, and only the slice
+        # compare of the phases between refuses the run
+        (joined, "holds a mismatch"),
     ],
-    ids=["too-long", "no-mismatch", "starts-early", "starts-late"],
+    ids=["too-long", "no-mismatch", "starts-early", "starts-late", "joined"],
 )
 def test_record_guard_ends_the_run(broken, match, monkeypatch, capsys):
     # The count pass builds no context, so the record guard stands in for
-    # core_lengths' bound and the rotation test: a run that breaks
-    # p + s <= |x|-2, or that does not end at a mismatch or start just past
-    # one, raises InternalBoundViolation, and a verify run ends with one
+    # core_lengths' bound: a run that breaks p + s <= |x|-2, that does not
+    # end at a mismatch or start just past one, or that holds a mismatch
+    # between, raises InternalBoundViolation, and a verify run ends with one
     # diagnostic line and exit 2.
     gaps = repcore.verify._gaps
 
     def broken_gaps(x, g, d):
-        return [broken(a, length, g, len(x)) for a, length in gaps(x, g, d)]
+        return broken(gaps(x, g, d), g, len(x))
 
     monkeypatch.setattr(repcore.verify, "_gaps", broken_gaps)
     with pytest.raises(InternalBoundViolation, match=match):
@@ -1143,11 +1185,11 @@ def test_eval_chunk_builds_no_per_split_objects(contexts, monkeypatch):
     # configurations read 648 records): no context, no core_lengths and no
     # rotation.  A chunk builds one context per split it walks for rows,
     # through core_lengths; the walk stops once no claim has room.  No
-    # context holds a list, set or histogram of W0's windows, whichever
-    # claims count occurrences: it reads its anchored windows and note2's
+    # context holds W0 or a list, set or histogram of its windows, whichever
+    # claims count occurrences: it reads R, its anchored windows and note2's
     # rotation prefixes from its own record, one more _record call.
     def clear():
-        names = {"windows", "hist", "non_anchored", "short"}
+        names = {"windows", "hist", "non_anchored", "short", "word"}
         assert not [ctx for ctx in contexts if names & vars(ctx).keys()]
         contexts.clear()
         lengths.clear()
