@@ -8,27 +8,31 @@ W0 = x·x1·x3·x·x (e1 = 1, e2 = MIN_E_SUM - 1), into one context of plain
 values.  A table maps each claim to two functions.  Its count is
 arithmetic in a few per-split stats (how many distinct windows are
 anchored, |x2|, |x|, note2's factor count), which are the same on every
-split of a configuration and of a record (below), so a chunk sums them
-per split form, read from each record's four integers with no context,
-and counts every claim once at the end.  Its per_sum lists a spec's
-mismatches; specs with the same e1+e2 have the same counts, so it runs
-once per exponent sum, and only while the claim can still report rows.
-dft_bound and dichotomy have no per_sum: core_lengths refuses a split
-that breaks the bound, and the record guard refuses four integers that
-are not one run of phases between two mismatches, within the bound.
-The count pass puts every record through it, and the walk every split's
-own record before the split's context exists, which certifies the
-split's p and s (Records, below).  Each worker runs one chunk: the
-configuration classes are dealt out among the chunks by the index of
-their Lyndon representative, and a worker enumerates its share itself.
-run() forks a further worker only when the count pass pays for it: every
-part's share of the pass's size must exceed MIN_SPLITS_PER_PART.  The
-size is the universe's count of first-use prefix splits, in closed form
+split of a configuration and of a record (below), so the count pass sums
+them per split form, read from each record's four integers with no
+context, and every claim is counted once from the sums.  Its per_sum
+lists a spec's mismatches; specs with the same e1+e2 have the same
+counts, so it runs once per exponent sum, and only while the claim can
+still report rows.  dft_bound and dichotomy have no per_sum:
+core_lengths refuses a split that breaks the bound, and the record guard
+refuses four integers that are not one run of phases between two
+mismatches, within the bound.  The count pass puts every record through
+it, and the walk every split's own record before the split's context
+exists, which certifies the split's p and s (Records, below).
+
+A run counts, then walks.  Every part counts: the configuration classes
+are dealt out among the parts by the index of their Lyndon
+representative, and each part enumerates its share itself.  run() forks
+a further part only when the count pass pays for it: every part's share
+of the pass's size must exceed MIN_SPLITS_PER_PART.  The size is the
+universe's count of first-use prefix splits, in closed form
 (_split_count); each configuration has one, so it is the classes'
-configurations, each class's times its mirror pairs.  For the rows, the
-chunk of part 0 alone walks every split in canonical order
-with one list of the claims that can still report rows, each with the
-two forms it is stated for, and stops when the list is empty.
+configurations, each class's times its mirror pairs.  Once every part's
+sums are in, the calling process alone walks for the rows: every split
+in canonical order, with one list of the claims that can still report
+rows, each with the forms it is stated for, and it stops when the list
+is empty.  Only a claim with a per_sum and a non-zero count starts on
+the list.
 
 Renaming the letters of x injectively keeps every claim's status, count
 and factor pattern, since each claim reads only which positions of W hold
@@ -61,16 +65,16 @@ identity (σ = id) row of that split and of every earlier split.  So the
 first K = max_violations rows of the universe are among the first K
 identity rows and the renamings of the splits those rows belong to: once
 K identity rows are held, the renamed rows of the last split held, even
-of one cut short, sort after all of them.  Part 0 visits every
+of one cut short, sort after all of them.  The walk visits every
 first-use split in canonical order and lists each split's identity rows
 in row order, so its lists are sorted, and a row not produced yet (of the
 split in hand or a later split) sorts after every row held.  So it keeps
 the universe's first K identity rows per claim, holds no orbit, and once
-a claim holds K rows calls its per_sum no more.  A claim stated for no
-form the universe holds never lists a row.  So when every other claim
-holds its K rows, no split still to come can add a row that ranks, and
-the walk stops; the counts do not need it.  run() renames only the
-splits of part 0's rows, lazily, merges the renamed streams in plain
+a claim holds K rows calls its per_sum no more.  A claim whose count is
+zero has no assertion, so it never lists a row.  So when every other
+claim holds its K rows, no split still to come can add a row that ranks,
+and the walk stops; the counts do not need it.  run() renames only the
+splits of the walk's rows, lazily, merges the renamed streams in plain
 tuple order and builds a Witness only for the rows it reports.
 
 Count rule: a window f of length |x| or |x|-1 occurs
@@ -123,7 +127,7 @@ stats.  |x| and |x2| are fixed, and p and s are read from u and v.  The
 anchored windows are the length-|x| windows of W0[lo : hi+|x|-1] =
 u[p+1:]·v[:|x|-s-1], which reads only u and v, and note2's factors are
 the rotation prefixes that hold u[|x|-s:]·v[:p] (phase counts), which
-rotating x keeps.  Renaming keeps the stats too, so a chunk counts per
+rotating x keeps.  Renaming keeps the stats too, so a part counts per
 class of words closed under rotation and renaming.  Its representative x
 is the first-use word that no first-use renaming of a rotation of x
 sorts before; a first-use renaming never sorts after the word it
@@ -470,18 +474,9 @@ def enumerate_specs(
                     yield InterruptSpec(split, e1, e2)
 
 
-def _stated_for(claim: ClaimId, prefix_form: bool) -> bool:
-    """Whether the claim is stated for the prefix form (or the deletion form)."""
-    if claim is ClaimId.THEOREM1:
-        return prefix_form
-    if claim is ClaimId.THEOREM1_DELETION:
-        return not prefix_form
-    return True
-
-
 def applies(claim: ClaimId, spec: InterruptSpec) -> bool:
     """Whether the claim is stated for the spec's form."""
-    return _stated_for(claim, spec.split.is_prefix_form)
+    return spec.split.is_prefix_form in _CLAIMS[claim][2]
 
 
 class _Stats(NamedTuple):
@@ -561,17 +556,18 @@ class _SplitContext:
         return hits
 
 
-# Each claim is a table entry (count, per_sum).  count(t, s) is the number
-# of assertions the claim evaluates on a spec with e1+e2 = s, for a split
-# with stats t; it is linear in t, so a chunk applies it to the sum of its
-# splits' stats.  per_sum(ctx, s) lists the (factor, expected, actual)
-# violations of such a spec, in factor order; a chunk calls it for a split
-# stated for the claim while it has room for the claim's rows, and
-# check_claim for its one spec.  A per_sum of None lists nothing.
-# A cyclic claim is its linear twin with wraparound = ctx.xx[1:-1].
+# Each claim is a table entry (count, per_sum, forms).  count(t, s) is the
+# number of assertions the claim evaluates on a spec with e1+e2 = s, for a
+# split with stats t; it is linear in t, so the walk applies it to the
+# universe's sum of stats.  per_sum(ctx, s) lists the (factor, expected,
+# actual) violations of such a spec, in factor order; the walk calls it for
+# a split stated for the claim while it has room for the claim's rows, and
+# check_claim for its one spec.  A per_sum of None lists nothing.  forms
+# holds the split forms the claim is stated for (False: deletion, True:
+# prefix).  A cyclic claim is its linear twin with wraparound = ctx.xx[1:-1].
 _Count = Callable[[_Stats, int], int]
 _PerSum = Callable[[_SplitContext, int], list[tuple[str, int, int]]]
-# Per claim: (assertions evaluated, violation rows), for a chunk or a run.
+# Per claim: (assertions evaluated, violation rows), for the walk or a run.
 _Chunk = dict[ClaimId, tuple[int, list[tuple]]]
 
 
@@ -610,32 +606,39 @@ def _note3(
     return _mismatches(ctx, s, rotations, None, wraparound)
 
 
-_CLAIMS: dict[ClaimId, tuple[_Count, _PerSum | None]] = {
+_CLAIMS: dict[ClaimId, tuple[_Count, _PerSum | None, tuple[bool, ...]]] = {
     # core_lengths raises InternalBoundViolation for p + s > |x| - 2 before
     # a context exists, and the record guard, in the walk and in the count
     # pass, for a run of more than |x| - 1 phases, the same bound: no
     # per_sum.
-    ClaimId.DFT_BOUND: (lambda t, s: t.splits, None),
-    ClaimId.THEOREM1: (lambda t, s: t.anchored, _unique),
-    ClaimId.THEOREM1_DELETION: (lambda t, s: t.anchored, _unique),
+    ClaimId.DFT_BOUND: (lambda t, s: t.splits, None, (False, True)),
+    ClaimId.THEOREM1: (lambda t, s: t.anchored, _unique, (True,)),
+    ClaimId.THEOREM1_DELETION: (lambda t, s: t.anchored, _unique, (False,)),
     # Every window of W is one assertion: (e1+e2)·|x| - |x2| + 1 of them.
     # A context exists, and a record's stats are read, only once the record
     # guard holds, which makes p and s exact and every non-anchored window
     # a rotation of x (module docstring, Records): no per_sum.
-    ClaimId.DICHOTOMY: (lambda t, s: s * t.x_len - t.x2_len + t.splits, None),
-    ClaimId.DISTINCT_COUNT: (lambda t, s: t.splits, _distinct_count),
+    ClaimId.DICHOTOMY: (
+        lambda t, s: s * t.x_len - t.x2_len + t.splits,
+        None,
+        (False, True),
+    ),
+    ClaimId.DISTINCT_COUNT: (lambda t, s: t.splits, _distinct_count, (False, True)),
     ClaimId.CORE_CYCLIC_UNIQUE: (
         lambda t, s: t.anchored,
         lambda ctx, s: _mismatches(ctx, s, ctx.anchored, 1, ctx.xx[1:-1]),
+        (False, True),
     ),
     ClaimId.NOTE2_LINEAR: (
         lambda t, s: t.note2,
         lambda ctx, s: _mismatches(ctx, s, ctx.note2),
+        (False, True),
     ),
-    ClaimId.NOTE3_LINEAR: (lambda t, s: t.x_len, _note3),
+    ClaimId.NOTE3_LINEAR: (lambda t, s: t.x_len, _note3, (False, True)),
     ClaimId.NOTE3_CYCLIC: (
         lambda t, s: t.x_len,
         lambda ctx, s: _note3(ctx, s, ctx.xx[1:-1]),
+        (False, True),
     ),
 }
 
@@ -651,7 +654,7 @@ def check_claim(claim: ClaimId, spec: InterruptSpec) -> SpecCheck:
         raise NotApplicable(f"{claim.value} does not apply to this split form")
     split, s = spec.split, spec.e1 + spec.e2
     ctx = _SplitContext(split.x, split.cut1, split.cut2)
-    count, per_sum = _CLAIMS[claim]
+    count, per_sum, _ = _CLAIMS[claim]
     violations = per_sum(ctx, s) if per_sum else []
     return SpecCheck(count(ctx.stats, s), tuple(Witness(spec, *v) for v in violations))
 
@@ -853,38 +856,43 @@ def _totals(universe: Universe, part: int, parts: int) -> dict[bool, _Stats]:
     return {form: _Stats(*total) for form, total in totals.items()}
 
 
-def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
+def _eval_chunk(
+    universe: Universe,
+    claims: list[ClaimId],
+    max_violations: int,
+    totals: dict[bool, _Stats],
+) -> _Chunk:
     """Per claim: (assertions evaluated, the universe's first max_violations
-    identity rows for part 0, no rows for any other part).
+    identity rows).
 
-    args is (universe, part, parts, claims, max_violations).  The counts
-    come from _totals over the configuration classes dealt to part `part`
-    of `parts`: each claim's count is arithmetic in the per-form sums of
-    their stats, and depends only on e1+e2.
+    totals is the universe's sum of stats per form (_eval_parts): each
+    claim's count is arithmetic in the sums of the forms it is stated for,
+    and depends only on e1+e2.
 
-    Part 0 finds the rows: it walks the first-use words of _word_cuts in
-    canonical order, each with all of its splits and every (e1, e2) of the
-    universe, standing for every split of its orbit.  Each split costs one
-    _SplitContext and is checked against each claim with room that is
-    stated for its form.  The claims with room are those with a per_sum
-    and stated for a form the universe holds.  The chunk renames nothing,
-    so its rows are identity rows (σ = id), and come in row order.  A claim
-    calls per_sum once per exponent sum until it holds max_violations rows,
-    and then has no room; by the module docstring no row after those can
-    rank.  The walk stops when no claim has room.  _merge_chunks renames
-    the rows that rank.
+    Then the walk finds the rows: it visits the first-use words of
+    _word_cuts in canonical order, each with all of its splits and every
+    (e1, e2) of the universe, standing for every split of its orbit.  Each
+    split costs one _SplitContext and is checked against each claim with
+    room that is stated for its form.  The claims with room are those with
+    a per_sum and a non-zero count.  The walk renames nothing, so its rows
+    are identity rows (σ = id), and come in row order.  A claim calls
+    per_sum once per exponent sum until it holds max_violations rows, and
+    then has no room; by the module docstring no row after those can rank.
+    The walk stops when no claim has room.  _merge_chunks renames the rows
+    that rank.
     """
-    universe, part, parts, claims, max_violations = args
-    sums, forms = universe.e_sums, _forms(universe)
+    sums = universe.e_sums
     pairs = []  # exponent_pairs(sums), built for the first row found
-    held = {c: [] for c in claims}
-    # (per_sum, rows, stated for (deletion, prefix)) per claim with room in
-    # part 0; a claim leaves once it holds max_violations rows
-    room = []
+    # (per_sum, rows, forms) per claim with room; a claim leaves once it
+    # holds max_violations rows
+    checked, held, room = {}, {}, []
     for c in claims:
-        per_sum, stated = _CLAIMS[c][1], (_stated_for(c, False), _stated_for(c, True))
-        if part == 0 and per_sum is not None and any(stated[f] for f in forms):
-            room.append((per_sum, held[c], stated))
+        count, per_sum, forms = _CLAIMS[c]
+        stated = [t for form, t in totals.items() if form in forms]
+        checked[c] = sum((s - 1) * count(t, s) for t in stated for s in sums)
+        held[c] = []
+        if per_sum and checked[c]:
+            room.append((per_sum, held[c], forms))
     for x, cuts in _word_cuts(universe):
         if not room:
             break
@@ -894,8 +902,8 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
                 break
             key, ctx = (n, x, cut1, cut2), _SplitContext(x, cut1, cut2)
             for entry in room[:]:
-                per_sum, kept, stated = entry
-                if not stated[cut2 == n]:
+                per_sum, kept, forms = entry
+                if (cut2 == n) not in forms:
                     continue
                 found = {s: per_sum(ctx, s) for s in sums}
                 if not any(found.values()):
@@ -904,12 +912,6 @@ def _eval_chunk(args: tuple[Universe, int, int, list[ClaimId], int]) -> _Chunk:
                 kept += _rows(key, pairs, found, max_violations - len(kept))
                 if len(kept) >= max_violations:
                     room.remove(entry)
-    checked = dict.fromkeys(claims, 0)
-    for form, t in _totals(universe, part, parts).items():
-        for c in claims:
-            if _stated_for(c, form):
-                count = _CLAIMS[c][0]
-                checked[c] += sum((s - 1) * count(t, s) for s in sums)
     return {c: (checked[c], held[c]) for c in claims}
 
 
@@ -943,48 +945,50 @@ def _workers(universe: Universe, jobs: int) -> int:
     return len(list(islice(_lyndon_words(universe), cap))) or 1
 
 
-def _send_chunk(send: Connection, task: tuple) -> None:
-    """A worker process's whole job: send the task's chunk, or the exception
-    _eval_chunk raised, to the parent."""
+def _send_totals(send: Connection, universe: Universe, part: int, parts: int) -> None:
+    """A child process's whole job: send _totals of its part, or the
+    exception it raised, to the parent."""
     try:
-        chunk = _eval_chunk(task)
+        totals = _totals(universe, part, parts)
     except Exception as exc:
-        chunk = exc
-    send.send(chunk)
+        totals = exc
+    send.send(totals)
 
 
-def _eval_parts(tasks: list[tuple]) -> list[_Chunk]:
-    """_eval_chunk of every task, in order: the first here, each other one in
-    a child process.
+def _eval_parts(universe: Universe, parts: int) -> dict[bool, _Stats]:
+    """The universe's sum of stats per form: _totals of every part of
+    `parts`, part 0 here and each other one in a child process.
 
-    Under the fork start method a child gets its task through the fork, so
-    nothing is pickled on the way in; it sends its chunk back once, through
-    a one-way pipe.  A child's exception is raised again here, and a child
-    that exits without sending raises RuntimeError naming its part and exit
+    Under the fork start method a child gets (universe, part, parts)
+    through the fork, so nothing is pickled on the way in; it sends its
+    _totals back once, through a one-way pipe, while this process counts
+    part 0.  A child's exception is raised again here, and a child that
+    exits without sending raises RuntimeError naming its part and exit
     code.  If anything fails, the children are terminated; every child is
     joined before this returns.
     """
     children = []
     try:
-        for task in tasks[1:]:
+        for part in range(1, parts):
             recv, send = Pipe(duplex=False)
-            child = Process(target=_send_chunk, args=(send, task), daemon=True)
+            args = (send, universe, part, parts)
+            child = Process(target=_send_totals, args=args, daemon=True)
             child.start()
             send.close()  # so that a child's death reads as EOFError
             children.append((child, recv))
-        chunks = [_eval_chunk(tasks[0])]
+        totals = [_totals(universe, 0, parts)]
         for part, (child, recv) in enumerate(children, 1):
             try:
-                chunk = recv.recv()
+                got = recv.recv()
             except EOFError:
                 child.join()
                 raise RuntimeError(
-                    f"verify part {part} of {len(tasks)} exited with code"
-                    f" {child.exitcode} before sending its chunk"
+                    f"verify part {part} of {parts} exited with code"
+                    f" {child.exitcode} before sending its totals"
                 ) from None
-            if isinstance(chunk, Exception):
-                raise chunk
-            chunks.append(chunk)
+            if isinstance(got, Exception):
+                raise got
+            totals.append(got)
     except BaseException:
         for child, _ in children:
             child.terminate()
@@ -993,25 +997,26 @@ def _eval_parts(tasks: list[tuple]) -> list[_Chunk]:
         for child, recv in children:
             child.join()
             recv.close()
-    return chunks
+    return {
+        form: _Stats(*map(sum, zip(*(t[form] for t in totals))))
+        for form in _forms(universe)
+    }
 
 
-def _merge_chunks(
-    parts: list[_Chunk], max_violations: int, alphabet_size: int
-) -> _Chunk:
+def _merge_chunks(chunk: _Chunk, max_violations: int, alphabet_size: int) -> _Chunk:
     """Per claim: (assertions evaluated, the universe's first max_violations rows).
 
-    parts are _eval_chunk results, whose counts add up.  Part 0's lists are
-    the universe's first max_violations identity rows, in row order, and
-    by the ordering argument in the module docstring the rows to report
-    are among those and their splits' renamings.  Each such split
-    streams its rows renamed into each word of its orbit: renamings yields
-    (σ(x), σ) in σ(x) order, x first, and rows of two σ differ first at
-    σ(x), so sorting each σ's rows puts the stream in row order.  The
-    streams merge lazily, and a stream draws its next renaming only once
-    the merge has taken every row of the one before; with one
-    never-advanced tee per x, shared by every claim and split, at most
-    max_violations + 1 renamings of a word are drawn.
+    chunk is _eval_chunk's result.  Its lists are the universe's first
+    max_violations identity rows, in row order, and by the ordering
+    argument in the module docstring the rows to report are among those
+    and their splits' renamings.  Each such split streams its rows renamed
+    into each word of its orbit: renamings yields (σ(x), σ) in σ(x) order,
+    x first, and rows of two σ differ first at σ(x), so sorting each σ's
+    rows puts the stream in row order.  The streams merge lazily, and a
+    stream draws its next renaming only once the merge has taken every row
+    of the one before; with one never-advanced tee per x, shared by every
+    claim and split, at most max_violations + 1 renamings of a word are
+    drawn.
     """
     orbit = cache(lambda x: tee(renamings(x, alphabet_size), 1)[0])
 
@@ -1023,10 +1028,10 @@ def _merge_chunks(
             )
 
     merged = {}
-    for c, (_, held) in parts[0].items():
+    for c, (checked, held) in chunk.items():
         splits = [list(rows) for _, rows in groupby(held, key=lambda r: r[:4])]
         first = islice(merge(*map(renamed, splits)), max_violations)
-        merged[c] = (sum(p[c][0] for p in parts), list(first))
+        merged[c] = (checked, list(first))
     return merged
 
 
@@ -1041,17 +1046,21 @@ def run(
 
     Output is deterministic and identical for any job count: every spec is
     counted once, through its configuration, and its rows are found unless
-    they cannot rank.  Each worker runs one chunk, part `part` of `workers`
-    (_classes deals the configuration classes out by the index of their
-    Lyndon representative), so the parent holds no spec.  The calling
-    process runs part 0 itself, which also walks the splits for rows, and
-    forks one child for each further part, which gets its five small values
-    through the fork and sends back only its counts; one worker starts no
-    process.  Part 0 keeps only the first max_violations identity rows per
-    claim, so memory is bounded by what is reported.  _merge_chunks renames
-    their splits and keeps the first max_violations rows of the whole
-    universe.  Only those rows become Witnesses, and each reported split
-    and spec is one object, shared by every claim that reports it.
+    they cannot rank.  A run counts, then walks.  Each part counts the
+    configuration classes _classes deals to it, part `part` of `workers`
+    (by the index of their Lyndon representative), so no process holds a
+    spec.  The calling process counts part 0 itself and forks one child for
+    each further part, which gets (universe, part, workers) through the
+    fork and sends back only its sums of stats; one worker starts no
+    process.  Once every part's sums are in, the calling process alone
+    walks the splits for rows (_eval_chunk), and keeps only the first
+    max_violations identity rows per claim, so memory is bounded by what is
+    reported.  _merge_chunks renames their splits and keeps the first
+    max_violations rows of the whole universe.  Only those rows become
+    Witnesses, and each reported split and spec is one object, shared by
+    every claim that reports it.
+
+    claims are ClaimIds or their names; an unknown name raises ValueError.
 
     jobs is an upper bound (_workers): there are at most as many workers as
     usable CPUs and as Lyndon words to deal out, so at most one process per
@@ -1063,11 +1072,8 @@ def run(
     _check_limit("max_violations", max_violations, 1)
     _check_limit("jobs", jobs, 1)
     _check_limit("max_checks", max_checks, 0)
-    if claims is None:
-        claim_list = list(ClaimId)
-    else:
-        wanted = set(claims)
-        claim_list = [c for c in ClaimId if c in wanted]
+    wanted = set(ClaimId if claims is None else map(ClaimId, claims))
+    claim_list = [c for c in ClaimId if c in wanted]
     if not claim_list:
         return []
     _check_size(
@@ -1075,19 +1081,15 @@ def run(
         max_checks,
         "specs to evaluate (one per letter-renaming orbit)",
     )
-    workers = _workers(universe, jobs)
-    tasks = [
-        (universe, part, workers, claim_list, max_violations)
-        for part in range(workers)
-    ]
-    chunks = _eval_parts(tasks)
+    totals = _eval_parts(universe, _workers(universe, jobs))
+    chunk = _eval_chunk(universe, claim_list, max_violations, totals)
     split_of, spec_of = cache(DeletionSplit), cache(InterruptSpec)
 
     def witness(_n, sx, cut1, cut2, e1, e2, *violation) -> Witness:
         return Witness(spec_of(split_of(sx, cut1, cut2), e1, e2), *violation)
 
     reports = []
-    merged = _merge_chunks(chunks, max_violations, universe.alphabet_size)
+    merged = _merge_chunks(chunk, max_violations, universe.alphabet_size)
     for c, (checked, rows) in merged.items():
         violations = [witness(*row) for row in rows]
         if checked == 0:

@@ -349,7 +349,7 @@ def run_full(universe, claims=None, max_violations=10, jobs=1, max_checks=None):
             for c in claim_list:
                 if not applies(c, specs[0]):
                     continue
-                count, per_sum = _CLAIMS[c]
+                count, per_sum, _ = _CLAIMS[c]
                 checked[c] += sum(count(ctx.stats, e1 + e2) for e1, e2 in pairs)
                 for spec in specs:
                     # a claim with no per_sum (dft_bound) lists nothing

@@ -394,12 +394,13 @@ def test_broken_dft_bound_ends_verify_with_exit_2(capsys, monkeypatch):
 
 def test_verify_cap_rejects_before_any_work(capsys, monkeypatch):
     # 5 letters, --forms both --max-x 12 exceeds the default --max-checks:
-    # the run ends in one diagnostic line before a chunk is evaluated, a
-    # process started or a word enumerated.
+    # the run ends in one diagnostic line before a part is counted, a
+    # split walked, a process started or a word enumerated.
     def no_work(*args, **kwargs):
         raise AssertionError("work started on a rejected universe")
 
     monkeypatch.setattr(repcore.verify, "Process", no_work)
+    monkeypatch.setattr(repcore.verify, "_totals", no_work)
     monkeypatch.setattr(repcore.verify, "_eval_chunk", no_work)
     monkeypatch.setattr(repcore.verify, "first_use_words", no_work)
     for fmt in ([], ["--json"]):

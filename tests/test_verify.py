@@ -301,6 +301,20 @@ def test_run_empty_claims():
     assert run(Universe(2, 2, 3, (3,), "prefix"), claims=()) == []
 
 
+@pytest.mark.parametrize(
+    "claims", [["theorem_1"], ["theorem1", "bogus"]], ids=["one", "one-of-two"]
+)
+def test_run_rejects_an_unknown_claim(claims):
+    # A name that is no ClaimId raises ValueError naming it: left out, it
+    # would make an empty run, whose verdict passes, or drop one claim.
+    with pytest.raises(ValueError, match=f"^'{claims[-1]}' is not a valid ClaimId$"):
+        run(Universe(), claims=claims)
+    # the limits are checked first, and a known name is its ClaimId
+    with pytest.raises(InvalidLimit):
+        run(Universe(), claims=claims, jobs=0)
+    assert run(Universe(), claims=["theorem1"]) == run(Universe(), [ClaimId.THEOREM1])
+
+
 def test_run_small_universe_statuses():
     u = Universe(2, 2, 3, (3,), "prefix")
     reports = {r.claim: r for r in run(u)}
@@ -512,7 +526,7 @@ def test_fast_context_equals_the_window_scan():
                         assert slow.dichotomy(s) == []
                         want = slow.distinct_count(s)
                         assert _distinct_count(fast, s) == want, (x, cut1, cut2, s)
-                        for c, (_, per_sum) in _CLAIMS.items():
+                        for c, (_, per_sum, _) in _CLAIMS.items():
                             if per_sum is not None:
                                 want = per_sum(slow, s)
                                 assert per_sum(fast, s) == want, (x, cut1, cut2, c, s)
@@ -913,7 +927,7 @@ RETENTION_UNIVERSE = Universe(2, 2, 4, (3, 4), "both")
 
 
 def first_use_splits(universe):
-    """The first-use splits in canonical order, as _eval_chunk visits them."""
+    """The first-use splits in canonical order, as _eval_chunk walks them."""
     return [
         DeletionSplit(x, cut1, cut2)
         for n in range(universe.min_x, universe.max_x + 1)
@@ -933,9 +947,9 @@ def split_key(split):
 
 
 def chunk_model(universe, k):
-    """What _eval_chunk((universe, 0, parts, claims, k)) keeps, by check_claim.
+    """What _eval_chunk(universe, claims, k, totals) keeps, by check_claim.
 
-    Part 0 walks every first-use split.  Per claim: (the splits whose
+    The walk visits every first-use split.  Per claim: (the splits whose
     per_sum it calls, the universe's first k identity rows, and how many
     first-use splits have a spec the claim is stated for).  A claim calls
     per_sum for a split stated for it until it holds k rows.  A claim with
@@ -987,26 +1001,40 @@ def test_retention_universe_fails_late(full):
     first = full[ClaimId.THEOREM1_DELETION][1][0]
     assert specs.index(first.spec) == 45
     assert len(words) == 10 and words.index(first.spec.split.x) == 2
-    parts = [_eval_chunk((u, part, 3, list(ClaimId), 3)) for part in range(3)]
-    # part 0 keeps the universe's first rows, and the other parts none
+    # the three parts only count, and their sums are the universe's; the
+    # walk keeps the universe's first rows
+    totals = _totals(u, 0, 1)
+    assert dealt_totals(u, 3) == totals
+    chunk = _eval_chunk(u, list(ClaimId), 3, totals)
     model = chunk_model(u, 3)
     for c in ClaimId:
-        assert parts[0][c][1] == model[c][1], c
-        assert parts[1][c][1] == parts[2][c][1] == [], c
-    assert parts[0][ClaimId.THEOREM1_DELETION][1][0] == row(first)
+        assert chunk[c][1] == model[c][1], c
+    assert chunk[ClaimId.THEOREM1_DELETION][1][0] == row(first)
+
+
+def dealt_totals(u, parts):
+    """The sum, per form, of the _totals of every part of `parts`."""
+    summed = {}
+    for part in range(parts):
+        for form, t in _totals(u, part, parts).items():
+            summed[form] = _Stats(*map(sum, zip(summed.get(form, (0,) * 5), t)))
+    return summed
 
 
 def check_merges_at_every_cut(u, k):
-    # Part 0 finds every row and the other parts only count, so the merged
-    # result does not depend on the part count.
+    # The parts only count and the walk has no part: for every dealing the
+    # parts' summed counts are the universe's, so the merged result does
+    # not depend on the part count.
     claims = list(ClaimId)
-    whole = _merge_chunks([_eval_chunk((u, 0, 1, claims, k))], k, u.alphabet_size)
+    totals = _totals(u, 0, 1)
+    whole = _merge_chunks(_eval_chunk(u, claims, k, totals), k, u.alphabet_size)
     every = as_rows(spec_by_spec(u))
     assert whole == {c: (checked, rows[:k]) for c, (checked, rows) in every.items()}
     for n_parts in range(1, len(words_with_splits(u)) + 1):
-        parts = [_eval_chunk((u, p, n_parts, claims, k)) for p in range(n_parts)]
-        assert all(not rows for p in parts[1:] for _, rows in p.values()), n_parts
-        assert _merge_chunks(parts, k, u.alphabet_size) == whole, n_parts
+        dealt = dealt_totals(u, n_parts)
+        assert dealt == totals, n_parts
+        chunk = _eval_chunk(u, claims, k, dealt)
+        assert _merge_chunks(chunk, k, u.alphabet_size) == whole, n_parts
     note3 = whole[ClaimId.NOTE3_LINEAR][1]
     if k > len(note3):
         # concatenating each split's renamed rows would not do: a renamed
@@ -1017,7 +1045,7 @@ def check_merges_at_every_cut(u, k):
 
 
 def test_eval_chunk_merges_at_every_cut():
-    # Nine (e1, e2) per split; part 0 holds every split of every word and
+    # Nine (e1, e2) per split; the walk holds every split of every word and
     # every (e1, e2) of its splits.  Renamed rows of a later split can sort
     # first, so the renamed streams merge in row order, not by
     # concatenation.
@@ -1036,7 +1064,7 @@ def test_eval_chunk_merges_deletion_pairs_at_every_cut(k):
 
 @pytest.mark.parametrize("k", [1, 3, 16, 10**6])
 def test_eval_chunk_merges_ternary_orbits_at_every_cut(k):
-    # Six renamings per orbit, and with k below the witness count part 0
+    # Six renamings per orbit, and with k below the witness count the walk
     # stops at its k-th identity row.  At k = 16 the note3_linear list of
     # the split (x = abcb, cut 1) ends inside the renamed spec x = acbc,
     # whose factors the renaming reorders.
@@ -1055,8 +1083,8 @@ def per_sum_calls(monkeypatch):
 
         return count, per_sum and per_sum_counted
 
-    for c, (count, per_sum) in list(_CLAIMS.items()):
-        monkeypatch.setitem(_CLAIMS, c, counted(c, count, per_sum))
+    for c, (count, per_sum, forms) in list(_CLAIMS.items()):
+        monkeypatch.setitem(_CLAIMS, c, (*counted(c, count, per_sum), forms))
     return calls
 
 
@@ -1076,64 +1104,75 @@ def contexts(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 2, 5, 16, 10**6])
 def test_eval_chunk_keeps_its_first_k_identity_rows(k, per_sum_calls):
-    # Part 0 holds no orbit.  Per claim its rows are the universe's first
+    # The walk holds no orbit.  Per claim its rows are the universe's first
     # min(k, all) identity rows (σ = id), in canonical order, and the
     # claim's per_sum is not called for a split once k rows are held
-    # (chunk_model), whatever the part count.  A split has five (e1, e2)
-    # here, so k = 2 and 16 cut inside one.
+    # (chunk_model).  A split has five (e1, e2) here, so k = 2 and 16 cut
+    # inside one.
     u = Universe(3, 1, 4, (3, 4), "both")
     assert words_with_splits(u)[1:4] == ["aab", "aba", "abb"]
     model = chunk_model(u, k)  # check_claim calls per_sum too
     cut_short = set()
-    for parts in (1, 2, 3):
-        per_sum_calls.clear()
-        chunk = _eval_chunk((u, 0, parts, list(ClaimId), k))
-        for c in ClaimId:
-            called, rows, applicable = model[c]
-            assert chunk[c][1] == rows, (parts, c)
-            assert {sp for cl, sp in per_sum_calls if cl is c} == called, (parts, c)
-            # every row is of a split whose per_sum was called
-            assert {r[:4] for r in rows} <= set(map(split_key, called)), (parts, c)
-            if _CLAIMS[c][1] is None:
-                assert not called and not rows, (parts, c)
-            elif len(called) < applicable:
-                cut_short.add(c)
+    per_sum_calls.clear()
+    chunk = _eval_chunk(u, list(ClaimId), k, _totals(u, 0, 1))
+    for c in ClaimId:
+        called, rows, applicable = model[c]
+        assert chunk[c][1] == rows, c
+        assert {sp for cl, sp in per_sum_calls if cl is c} == called, c
+        # every row is of a split whose per_sum was called
+        assert {r[:4] for r in rows} <= set(map(split_key, called)), c
+        if _CLAIMS[c][1] is None:
+            assert not called and not rows, c
+        elif len(called) < applicable:
+            cut_short.add(c)
     # a small k stops most claims early, and no claim has 10**6 rows
     assert len(cut_short) >= 6 if k < 10**6 else not cut_short
 
 
 @pytest.mark.parametrize("k", [1, 5, 10**6])
 def test_eval_chunk_lists_are_sorted_short_and_its_own(k):
-    # _merge_chunks takes part 0's lists as they come, so each must already
-    # be in row order, hold at most k rows, and hold only identity rows of
-    # the universe's first-use splits; the other parts hold no row.
+    # _merge_chunks takes the walk's lists as they come, so each must
+    # already be in row order, hold at most k rows, and hold only identity
+    # rows of the universe's first-use splits.
     u = Universe(3, 1, 4, (3, 4), "both")
     own = set(map(split_key, first_use_splits(u)))
-    for parts in (1, 2, 3):
-        for part in range(parts):
-            chunk = _eval_chunk((u, part, parts, list(ClaimId), k))
-            for c, (_, rows) in chunk.items():
-                assert rows == sorted(rows), (part, parts, c)
-                assert len(rows) <= (k if part == 0 else 0), (part, parts, c)
-                assert {r[:4] for r in rows} <= own, (part, parts, c)
+    chunk = _eval_chunk(u, list(ClaimId), k, _totals(u, 0, 1))
+    for c, (_, rows) in chunk.items():
+        assert rows == sorted(rows), c
+        assert len(rows) <= k, c
+        assert {r[:4] for r in rows} <= own, c
 
 
-def test_child_parts_only_count(per_sum_calls, contexts):
-    # Parts 1 and up send back counts alone: no row, no per_sum call and no
-    # context, whatever k is; so what a child pickles back does not grow
-    # with k.
+def test_child_parts_only_count(
+    fan_out, two_workers, per_sum_calls, contexts, monkeypatch
+):
+    # A child gets (universe, part, parts) and sends back its _totals alone:
+    # while the children run, no per_sum is called and no context is built,
+    # and k, which reaches no child, does not change what a child sends.
+    monkeypatch.setattr(repcore.verify, "_usable_cpus", lambda: 3)
+    send_totals = repcore.verify._send_totals
+
+    def child(send, *task):
+        before = (len(per_sum_calls), len(contexts))
+        send_totals(send, *task)
+        assert (len(per_sum_calls), len(contexts)) == before, task
+
+    monkeypatch.setattr(repcore.verify, "_send_totals", child)
     u = Universe(2, 2, 8, (3, 4), "both")
     for parts in (2, 3):
-        for part in range(1, parts):
-            sizes = set()
-            for k in (1, 10, 10**6):
-                chunk = _eval_chunk((u, part, parts, list(ClaimId), k))
-                assert all(rows == [] for _, rows in chunk.values()), (part, k)
-                assert any(checked for checked, _ in chunk.values()), (part, k)
-                assert per_sum_calls == [], (part, parts, k)
-                assert contexts == [], (part, parts, k)
-                sizes.add(len(pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL)))
-            assert len(sizes) == 1, (part, parts, sizes)
+        sent = set()
+        for k in (1, 10, 10**6):
+            fan_out.processes.clear()
+            run(u, max_violations=k, jobs=parts)
+            assert per_sum_calls and contexts  # the caller walked
+            assert [p.args[1:] for p in fan_out.processes] == [
+                (u, part, parts) for part in range(1, parts)
+            ], k
+            for p in fan_out.processes:
+                assert p.sent == [_totals(*p.args[1:])], (p.args[1:], k)
+                assert any(t.splits for t in p.sent[0].values()), (p.args[1:], k)
+            sent.add(pickle.dumps([p.sent for p in fan_out.processes]))
+        assert len(sent) == 1, parts
 
 
 @pytest.mark.parametrize("k, max_x", [(2, 10), (3, 6)], ids=["binary", "ternary"])
@@ -1177,14 +1216,15 @@ def test_eval_chunk_builds_no_per_split_objects(contexts, monkeypatch):
 
     for name in ("DeletionSplit", "InterruptSpec", "core", "anchor_windows"):
         monkeypatch.setattr(repcore.verify, name, counting(name))
-    part = _eval_chunk((u, 0, 1, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
+    totals = _totals(u, 0, 1)
+    part = _eval_chunk(u, list(ClaimId), DEFAULT_MAX_VIOLATIONS, totals)
     assert any(rows for _, rows in part.values())
     assert calls == Counter()
 
     # The count pass reads each record from its four integers (the 1,284
     # configurations read 648 records): no context, no core_lengths and no
-    # rotation.  A chunk builds one context per split it walks for rows,
-    # through core_lengths; the walk stops once no claim has room.  No
+    # rotation.  The walk builds one context per split it visits for rows,
+    # through core_lengths, and stops once no claim has room.  No
     # context holds W0 or a list, set or histogram of its windows, whichever
     # claims count occurrences: it reads R, its anchored windows and note2's
     # rotation prefixes from its own record, one more _record call.
@@ -1216,16 +1256,19 @@ def test_eval_chunk_builds_no_per_split_objects(contexts, monkeypatch):
     assert (len(contexts), len(lengths), len(records)) == (0, 0, record_total)
     clear()
     # dft_bound and dichotomy list no row, so no split is walked at all
-    part = _eval_chunk((u, 0, 1, [ClaimId.DFT_BOUND, ClaimId.DICHOTOMY], 10))
+    part = _eval_chunk(u, [ClaimId.DFT_BOUND, ClaimId.DICHOTOMY], 10, totals)
     assert part[ClaimId.DICHOTOMY][0] > 0
-    assert (len(contexts), len(lengths)) == (0, 0)
+    assert (len(contexts), len(lengths), len(records)) == (0, 0, 0)
     clear()
-    part = _eval_chunk((u, 0, 1, [ClaimId.DISTINCT_COUNT], DEFAULT_MAX_VIOLATIONS))
+    # each run below counts, then walks
+    part = _eval_chunk(
+        u, [ClaimId.DISTINCT_COUNT], DEFAULT_MAX_VIOLATIONS, _totals(u, 0, 1)
+    )
     assert part[ClaimId.DISTINCT_COUNT][1]
     assert 0 < len(contexts) < splits
     assert len(records) == record_total + len(contexts)
     clear()
-    _eval_chunk((u, 0, 1, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
+    _eval_chunk(u, list(ClaimId), DEFAULT_MAX_VIOLATIONS, _totals(u, 0, 1))
     assert (len(contexts), len(lengths), len(records)) == (9, 9, record_total + 9)
     # A both universe has the same configurations and records; the walk
     # visits 25 of its 6,722 first-use splits.
@@ -1234,7 +1277,7 @@ def test_eval_chunk_builds_no_per_split_objects(contexts, monkeypatch):
     assert len(configuration_stats(both)) == configurations
     assert record_count(both) == record_total
     clear()
-    _eval_chunk((both, 0, 1, list(ClaimId), DEFAULT_MAX_VIOLATIONS))
+    _eval_chunk(both, list(ClaimId), DEFAULT_MAX_VIOLATIONS, _totals(both, 0, 1))
     assert (len(contexts), len(lengths), len(records)) == (25, 25, record_total + 25)
     # dealt to two parts, the records are counted once between them
     clear()
@@ -1273,7 +1316,7 @@ def test_eval_chunk_keeps_first_k_witnesses(full, k):
     # At k = 10 the two differ (theorem1's sixth witness is renamed), so a
     # chunk that kept its splits' renamed rows would fail here.
     u = RETENTION_UNIVERSE
-    part = _eval_chunk((u, 0, 1, list(ClaimId), k))
+    part = _eval_chunk(u, list(ClaimId), k, _totals(u, 0, 1))
     assert set(part) == set(ClaimId)
     for c in ClaimId:
         checked, kept = part[c]
@@ -1359,8 +1402,8 @@ def test_eval_chunk_equals_check_claim_spec_by_spec(universe):
     # lists the mismatches once per e1+e2, shared by every spec with that
     # sum; the parent renames them into every word of the split's orbit.
     # check_claim evaluates one spec of one word at a time.
-    whole = _eval_chunk((universe, 0, 1, list(ClaimId), 10**6))
-    expanded = _merge_chunks([whole], 10**6, universe.alphabet_size)
+    whole = _eval_chunk(universe, list(ClaimId), 10**6, _totals(universe, 0, 1))
+    expanded = _merge_chunks(whole, 10**6, universe.alphabet_size)
     assert expanded == as_rows(spec_by_spec(universe))
 
 
@@ -1380,16 +1423,25 @@ def test_run_reports_first_k_of_full_list(full, jobs, k, two_workers):
 
 
 class InlineProcess:
-    """Stands in for multiprocessing.Process: records its task and, when
-    started, runs its target in this process.  The target sends the chunk
-    into the real pipe, and run() receives it as it would from a child."""
+    """Stands in for multiprocessing.Process: records its args and, when
+    started, runs its target in this process, marked as the running child
+    in seen.child.  The target sends into the real pipe, and run() receives
+    it as it would from a child; sent lists what it sent."""
 
-    def __init__(self, target, args, daemon):
-        self.target, self.args = target, args
-        self.task = args[-1]
+    def __init__(self, seen, target, args, daemon):
+        self.seen, self.target, self.args, self.sent = seen, target, args, []
 
     def start(self):
-        self.target(*self.args)
+        send, *task = self.args
+        def recorded(obj):
+            self.sent.append(obj)
+            send.send(obj)
+
+        self.seen.child = self
+        try:
+            self.target(SimpleNamespace(send=recorded), *task)
+        finally:
+            self.seen.child = None
 
     def join(self):
         pass
@@ -1400,47 +1452,74 @@ class InlineProcess:
 
 @pytest.fixture
 def fan_out(monkeypatch):
-    """Every InlineProcess that run() starts (processes) and every task
-    _eval_chunk runs in this process (evaluated): the caller's part 0 and
-    the inline children's parts."""
-    seen = SimpleNamespace(processes=[], evaluated=[])
-    eval_chunk = repcore.verify._eval_chunk
+    """Every InlineProcess that run() starts (processes), and every call of
+    _totals and _eval_chunk, in order (calls): (name, args, the
+    InlineProcess it ran in, or None in the caller).  counted() lists the
+    (part, parts) of each _totals call: the caller's part 0 and the inline
+    children's parts."""
+    seen = SimpleNamespace(processes=[], calls=[], child=None)
 
     def inline_process(**kwargs):
-        seen.processes.append(InlineProcess(**kwargs))
+        seen.processes.append(InlineProcess(seen, **kwargs))
         return seen.processes[-1]
 
-    def recorded(task):
-        seen.evaluated.append(task)
-        return eval_chunk(task)
+    def recorded(name):
+        original = getattr(repcore.verify, name)
+
+        def call(*args):
+            seen.calls.append((name, args, seen.child))
+            return original(*args)
+
+        return call
+
+    def counted():
+        return [args[1:] for name, args, _ in seen.calls if name == "_totals"]
 
     assert repcore.verify.Process is multiprocessing.Process
     monkeypatch.setattr(repcore.verify, "Process", inline_process)
-    monkeypatch.setattr(repcore.verify, "_eval_chunk", recorded)
+    for name in ("_totals", "_eval_chunk"):
+        monkeypatch.setattr(repcore.verify, name, recorded(name))
+    seen.counted = counted
     return seen
+
+
+def test_run_counts_every_part_then_walks_once(fan_out, two_workers, monkeypatch):
+    # Every part's _totals call, the children's and then the caller's part
+    # 0, comes before one _eval_chunk call, made in the calling process with
+    # the universe's sums; each child sends exactly its part's _totals.
+    monkeypatch.setattr(repcore.verify, "_usable_cpus", lambda: 3)
+    u = Universe(2, 2, 6, (3, 4), "both")
+    assert _workers(u, 3) == 3
+    reports = run(u, max_violations=5, jobs=3)
+    children = fan_out.processes
+    assert fan_out.calls == [
+        ("_totals", (u, 1, 3), children[0]),
+        ("_totals", (u, 2, 3), children[1]),
+        ("_totals", (u, 0, 3), None),
+        ("_eval_chunk", (u, list(ClaimId), 5, _totals(u, 0, 1)), None),
+    ]
+    assert [p.args[1:] for p in children] == [(u, 1, 3), (u, 2, 3)]
+    for p in children:
+        assert p.sent == [_totals(*p.args[1:])], p.args
+    assert reports == run(u, max_violations=5, jobs=1)
 
 
 def test_run_starts_at_most_one_worker_per_cpu(fan_out, two_workers, monkeypatch):
     monkeypatch.setattr(repcore.verify, "_usable_cpus", lambda: 3)
     u = Universe(2, 2, 4, (3, 4), "both")
     one = run(u, jobs=1)
-    assert fan_out.processes == []  # one job evaluates in process
-    assert [task[1:3] for task in fan_out.evaluated] == [(0, 1)]
-    fan_out.evaluated.clear()
+    assert fan_out.processes == []  # one job counts in process
+    assert fan_out.counted() == [(0, 1)]
+    fan_out.calls.clear()
     assert run(u, jobs=10**6) == one
-    # one chunk per worker, parts 0..2 of 3, not one per job asked for: the
-    # caller runs part 0 and starts a process for each of the other two
-    tasks = sorted(fan_out.evaluated, key=lambda task: task[1])
-    assert [(part, parts) for _, part, parts, _, _ in tasks] == [
-        (0, 3),
-        (1, 3),
-        (2, 3),
-    ]
-    assert [p.task for p in fan_out.processes] == tasks[1:]
-    for task in tasks:
-        assert task[0] == u and task[3:] == (list(ClaimId), 10)
+    # one part per worker, parts 0..2 of 3, not one per job asked for: the
+    # caller counts part 0 and starts a process for each of the other two
+    assert sorted(fan_out.counted()) == [(0, 3), (1, 3), (2, 3)]
+    assert [p.args[1:] for p in fan_out.processes] == [(u, 1, 3), (u, 2, 3)]
+    walks = [args for name, args, _ in fan_out.calls if name == "_eval_chunk"]
+    assert [walk[:3] for walk in walks] == [(u, list(ClaimId), 10)]
     # between them the parts count every configuration class once
-    dealt = [c for _, part, parts, _, _ in tasks for c in _classes(u, part, parts)]
+    dealt = [c for part, parts in fan_out.counted() for c in _classes(u, part, parts)]
     assert sorted(dealt, key=lambda c: (len(c[0]), c[0])) == list(_classes(u))
     # with one usable CPU the run stays in process
     monkeypatch.setattr(repcore.verify, "_usable_cpus", lambda: 1)
@@ -1470,8 +1549,8 @@ def test_usable_cpus_are_the_affinity_mask(monkeypatch, child_env):
 
 
 def test_run_ships_small_chunks_and_holds_no_specs(fan_out, two_workers, monkeypatch):
-    # Workers enumerate their own splits: each task is the universe, a part,
-    # the claims and the witness limit, whatever the universe's size.
+    # Workers enumerate their own splits: a child gets the universe and its
+    # part, and sends back its sums of stats, whatever the universe's size.
     u = Universe(2, 2, 8, (3, 4), "both")
     one = run(u, jobs=1)
 
@@ -1483,9 +1562,9 @@ def test_run_ships_small_chunks_and_holds_no_specs(fan_out, two_workers, monkeyp
     assert fan_out.processes == []
     assert run(u, jobs=2) == one
     assert len(fan_out.processes) == 1
-    assert len(fan_out.evaluated) > 1
-    for task in fan_out.evaluated:
-        assert len(pickle.dumps(task, pickle.HIGHEST_PROTOCOL)) < 1000, task
+    for p in fan_out.processes:
+        for shipped in (p.args[1:], p.sent):
+            assert len(pickle.dumps(shipped, pickle.HIGHEST_PROTOCOL)) < 1000, shipped
 
 
 @pytest.mark.parametrize(
@@ -1515,9 +1594,9 @@ def test_run_starts_no_worker_that_gets_no_word(
     one = run(universe, jobs=1)
     assert run(universe, jobs=jobs) == one
     assert len(fan_out.processes) == workers - 1
-    assert {task[2] for task in fan_out.evaluated} == {1, workers}
+    assert {parts for _, parts in fan_out.counted()} == {1, workers}
     # every part of a fan-out is dealt at least one Lyndon word
-    for _, part, parts, *_ in fan_out.evaluated:
+    for part, parts in fan_out.counted():
         assert parts == 1 or lyndon[part::parts], (part, parts)
 
 
@@ -1530,7 +1609,7 @@ def test_run_at_jobs_2_stays_in_process_below_the_gate(fan_out, monkeypatch):
     assert _split_count(replace(u, forms="prefix")) == 1_438
     assert run(u, jobs=2) == run(u, jobs=1)
     assert fan_out.processes == []
-    assert [task[1:3] for task in fan_out.evaluated] == [(0, 1), (0, 1)]
+    assert fan_out.counted() == [(0, 1), (0, 1)]
 
 
 @pytest.mark.parametrize("max_x", [6, 9, 10])
@@ -1563,7 +1642,7 @@ def test_run_forks_one_process_per_part_the_size_pays_for(max_x, fan_out, monkey
 
 needs_fork = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="a patched _eval_chunk reaches a worker only through fork",
+    reason="a patched _totals reaches a worker only through fork",
 )
 
 
@@ -1584,15 +1663,15 @@ def deadline(seconds):
 
 
 def failing_part(monkeypatch, fail):
-    """Patch _eval_chunk so that part 1 calls fail(); the other parts run."""
-    eval_chunk = repcore.verify._eval_chunk
+    """Patch _totals so that part 1 calls fail(); the other parts count."""
+    totals = repcore.verify._totals
 
-    def patched(task):
-        if task[1] == 1:
+    def patched(universe, part, parts):
+        if part == 1:
             fail()
-        return eval_chunk(task)
+        return totals(universe, part, parts)
 
-    monkeypatch.setattr(repcore.verify, "_eval_chunk", patched)
+    monkeypatch.setattr(repcore.verify, "_totals", patched)
 
 
 @needs_fork
