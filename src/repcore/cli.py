@@ -4,8 +4,8 @@ Exit codes: 0 success (for verify: all gating claims hold), 1 a gating claim
 fails (with --strict-notes: any claim fails) or parse finds no parse, 2 usage
 or domain error.
 Each subcommand computes its result once and returns (exit code, JSON
-document, text lines); main prints the document (--json) or the lines on
-stdout.  Diagnostics go to stderr.
+document builder, text lines); main prints the document (--json), built
+only then, or the lines on stdout.  Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -14,10 +14,12 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from itertools import chain
+from typing import Callable, Iterable
 
 from .errors import RepcoreError
 from .interrupts import FORMS, CoreReport, DeletionSplit, InterruptSpec, build, core
-from .locate import parses, periodic_segments
+from .locate import SegmentReport, parses, periodic_segments
 from .verify import (
     DEFAULT_MAX_CHECKS,
     DEFAULT_MAX_VIOLATIONS,
@@ -29,8 +31,10 @@ from .verify import (
 )
 from .words import cyclic_occurrences, occurrences, parse_word
 
-# What a subcommand returns: exit code, JSON document, text lines.
-_Result = tuple[int, dict, list[str]]
+# What a subcommand returns: exit code, a zero-argument callable that
+# builds the JSON document (main calls it only under --json), and the text
+# lines (main reads them once, only without --json).
+_Result = tuple[int, Callable[[], dict], Iterable[str]]
 
 
 def spec_json(spec: InterruptSpec) -> dict:
@@ -66,6 +70,24 @@ def witness_json(w: Witness) -> dict:
         "factor": w.factor,
         "expected": w.expected,
         "actual": w.actual,
+    }
+
+
+def scan_json(x: str, report: SegmentReport) -> dict:
+    """x and the report's segments and jumps, field by field (no asdict)."""
+    return {
+        "x": x,
+        "segments": [
+            {"start": s.start, "end": s.end, "phase": s.phase} for s in report.segments
+        ],
+        "jumps": [
+            {
+                "left_end": j.left_end,
+                "right_start": j.right_start,
+                "deleted_mod": j.deleted_mod,
+            }
+            for j in report.jumps
+        ],
     }
 
 
@@ -133,12 +155,12 @@ def _cmd_core(args, parser) -> _Result:
     report = core(spec)
     doc = core_json(spec, report)
     lines = [f"{key}: {value}" for key, value in doc.items()]
-    return 0, doc, [*lines, f"u: {report.u}", f"v: {report.v}"]
+    return 0, lambda: doc, [*lines, f"u: {report.u}", f"v: {report.v}"]
 
 
 def _cmd_build(args, parser) -> _Result:
     word = build(_spec_from_args(args, parser))
-    return 0, {"word": word}, [word]
+    return 0, lambda: {"word": word}, [word]
 
 
 def _cmd_occurrences(args, parser) -> _Result:
@@ -147,7 +169,7 @@ def _cmd_occurrences(args, parser) -> _Result:
     finder = cyclic_occurrences if args.cyclic else occurrences
     positions = finder(pattern, text)
     doc = {"pattern": pattern, "cyclic": bool(args.cyclic), "positions": positions}
-    return 0, doc, [str(pos) for pos in positions]
+    return 0, lambda: doc, [str(pos) for pos in positions]
 
 
 def _cmd_verify(args, parser) -> _Result:
@@ -167,18 +189,21 @@ def _cmd_verify(args, parser) -> _Result:
         max_checks=args.max_checks,
     )
     ok = verdict(reports, strict_notes=args.strict_notes)
-    doc = {
-        "universe": asdict(universe),
-        "claims": [
-            {
-                "id": rep.claim.value,
-                "status": rep.status,
-                "checked": rep.checked,
-                "counterexamples": [witness_json(w) for w in rep.counterexamples],
-            }
-            for rep in reports
-        ],
-    }
+
+    def doc() -> dict:
+        return {
+            "universe": asdict(universe),
+            "claims": [
+                {
+                    "id": rep.claim.value,
+                    "status": rep.status,
+                    "checked": rep.checked,
+                    "counterexamples": [witness_json(w) for w in rep.counterexamples],
+                }
+                for rep in reports
+            ],
+        }
+
     lines = []
     for rep in reports:
         lines.append(f"{rep.claim.value}: {rep.status} (checked {rep.checked})")
@@ -190,25 +215,32 @@ def _cmd_verify(args, parser) -> _Result:
 def _cmd_parse(args, parser) -> _Result:
     word = parse_word(args.word)
     found = parses(word, forms=args.forms)
-    doc = {"word": word, "parses": [core_json(p.spec, p.core) for p in found]}
     lines = [
         f"{p.spec} core={p.core.core} at [{p.core.core_start},{p.core.core_end})"
         for p in found
     ]
-    return (0 if found else 1), doc, lines
+    return (
+        (0 if found else 1),
+        lambda: {"word": word, "parses": [core_json(p.spec, p.core) for p in found]},
+        lines,
+    )
 
 
 def _cmd_scan(args, parser) -> _Result:
     x = parse_word(args.x)
     text = _text_from_args(args, parser)
     report = periodic_segments(text, x)
-    lines = [f"segment {s.start} {s.end} phase={s.phase}" for s in report.segments]
-    lines.extend(
-        f"jump left_end={j.left_end} right_start={j.right_start}"
-        f" deleted_mod={j.deleted_mod}"
-        for j in report.jumps
+    # made as main prints them: text mode never holds every line at once,
+    # and --json makes none
+    lines = chain(
+        (f"segment {s.start} {s.end} phase={s.phase}" for s in report.segments),
+        (
+            f"jump left_end={j.left_end} right_start={j.right_start}"
+            f" deleted_mod={j.deleted_mod}"
+            for j in report.jumps
+        ),
     )
-    return 0, {"x": x, **asdict(report)}, lines
+    return 0, lambda: scan_json(x, report), lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 2
     if args.json:
-        print(json.dumps(doc, sort_keys=True))
+        print(json.dumps(doc(), sort_keys=True))
     else:
         for line in lines:
             print(line)

@@ -227,9 +227,11 @@ def periodic_segments(text: str, x: str) -> SegmentReport:
     first |x| symbols occur in x + x, at offset f.  Segments come out sorted
     by start; consecutive pairs get a PhaseJump record.
 
-    Those positions come from period_breaks, so a stretch with period |x|
-    costs one block compare per block; a text that breaks in most blocks
-    (random text, or a wrong |x|) costs what a symbol-by-symbol scan does.
+    Those positions come from period_breaks, so a stretch of length L with
+    period |x| costs O(log L) block compares while blocks double (up to
+    65,536 symbols, then one compare per 65,536), and each break a walk of
+    at most 256 symbols in C; a text that breaks in most blocks (random
+    text, or a wrong |x|) costs what a symbol-by-symbol scan does.
     """
     n = len(x)
     if n == 0 or not is_primitive(x):

@@ -1037,7 +1037,7 @@ def _merge_chunks(chunk: _Chunk, max_violations: int, alphabet_size: int) -> _Ch
 
 def run(
     universe: Universe,
-    claims: Iterable[ClaimId] | None = None,
+    claims: Iterable[ClaimId | str] | str | None = None,
     max_violations: int = DEFAULT_MAX_VIOLATIONS,
     jobs: int = 1,
     max_checks: int = DEFAULT_MAX_CHECKS,
@@ -1061,6 +1061,8 @@ def run(
     every claim that reports it.
 
     claims are ClaimIds or their names; an unknown name raises ValueError.
+    One claim may be given alone: a str (a ClaimId is one too) is one
+    claim, not a list of letters.  None means every claim.
 
     jobs is an upper bound (_workers): there are at most as many workers as
     usable CPUs and as Lyndon words to deal out, so at most one process per
@@ -1072,6 +1074,8 @@ def run(
     _check_limit("max_violations", max_violations, 1)
     _check_limit("jobs", jobs, 1)
     _check_limit("max_checks", max_checks, 0)
+    if isinstance(claims, str):
+        claims = [claims]
     wanted = set(ClaimId if claims is None else map(ClaimId, claims))
     claim_list = [c for c in ClaimId if c in wanted]
     if not claim_list:

@@ -16,9 +16,11 @@ from .errors import EmptyPattern, EmptyWord, InvalidWord, PatternLongerThanText
 
 LETTERS = string.ascii_lowercase
 _DROP_LETTERS = str.maketrans("", "", LETTERS)
-# Symbols period_breaks compares with one slice equality before it looks
-# at single symbols.  A larger block skips a periodic stretch in fewer
-# steps but walks more symbols around each break.
+# period_breaks' smallest block: after each break its block compares start
+# at _BLOCK symbols and double up to _BLOCK * _BLOCK (so no slice of a long
+# text is large), and an unequal block is bisected to at most _BLOCK symbols
+# that are walked one by one.  A larger _BLOCK takes fewer compares per
+# stretch but walks more symbols around each break.
 _BLOCK = 256
 # Symbols lcp and lcs compare one at a time before they switch to blocks:
 # on short words (core() calls them on rotations of x) a loop is cheaper.
@@ -232,12 +234,18 @@ def _agree(
 def period_breaks(text: str, n: int) -> Iterator[int]:
     """Positions k < |text| - n with text[k] != text[k + n], ascending.
 
-    These are the places where period n breaks.  The text is compared
-    with itself shifted by n in blocks of _BLOCK symbols, each with one
-    slice equality; only an unequal block is walked symbol by symbol (in
-    C, through map and compress).  A stretch with period n thus costs one
-    block compare per block, while a text that breaks in most blocks costs
-    about what a symbol-by-symbol scan does.
+    These are the places where period n breaks.  The text is compared with
+    itself shifted by n in blocks, one slice compare (in C) each, galloping
+    as _agree does for lcp: the first block holds _BLOCK symbols, and each
+    equal block doubles the next, up to _BLOCK * _BLOCK symbols.  An unequal
+    block is bisected to its first unequal piece of at most _BLOCK symbols;
+    only that piece is walked symbol by symbol (in C, through map and
+    compress), and the blocks restart after it at _BLOCK symbols.  A stretch
+    of length L with period n thus costs O(log(L / _BLOCK)) compares, plus
+    one per _BLOCK * _BLOCK symbols past the cap; each break adds at most
+    log2(_BLOCK) + 1 compares and a walk of at most _BLOCK symbols.  A text
+    that breaks in most blocks costs about what a symbol-by-symbol scan
+    does.
 
     >>> list(period_breaks("abaabab", 2))
     [1, 2]
@@ -247,11 +255,26 @@ def period_breaks(text: str, n: int) -> Iterator[int]:
     if n < 1:
         raise ValueError(f"period must be positive, got {n}")
     last = len(text) - n
-    for a in range(0, last, _BLOCK):
-        b = min(a + _BLOCK, last)
-        left, right = text[a:b], text[a + n : b + n]
-        if left != right:
-            yield from compress(count(a), map(ne, left, right))
+    a, size = 0, _BLOCK
+    while a < last:
+        b = a + size
+        if b > last:
+            b = last
+        # text[a:b] == text[a + n : b + n], slicing only one side
+        if text.startswith(text[a + n : b + n], a):
+            a = b
+            if size < _BLOCK * _BLOCK:
+                size *= 2
+            continue
+        # symbols < a agree with their shift and some symbol in a..b-1 does not
+        while b - a > _BLOCK:
+            mid = (a + b) // 2
+            if text.startswith(text[a + n : mid + n], a):
+                a = mid
+            else:
+                b = mid
+        yield from compress(count(a), map(ne, text[a:b], text[a + n : b + n]))
+        a, size = b, _BLOCK
 
 
 def is_primitive(w: str) -> bool:

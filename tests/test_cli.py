@@ -1,7 +1,9 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -9,6 +11,7 @@ import repcore.cli
 import repcore.interrupts
 import repcore.verify
 from repcore.cli import main
+from repcore.locate import periodic_segments
 
 from oracles import run_full
 
@@ -85,6 +88,12 @@ def test_every_subcommand_takes_json(capsys, name):
     doc = json.loads(out)
     assert isinstance(doc, dict)
     assert out == json.dumps(doc, sort_keys=True) + "\n"
+    # a subcommand hands main a builder, which main calls only under --json
+    args = repcore.cli.build_parser().parse_args(SUBCOMMANDS[name])
+    result, build_doc, lines = args.func(args, args.parser)
+    assert (result, json.dumps(build_doc(), sort_keys=True) + "\n") == (code, out)
+    text = "".join(f"{line}\n" for line in lines)
+    assert run_cli(capsys, *SUBCOMMANDS[name]) == (code, text, "")
 
 
 def test_core_cut_pair_flags(capsys):
@@ -167,6 +176,50 @@ def test_scan_text_and_json(capsys):
         ],
         "jumps": [{"left_end": 2, "right_start": 2, "deleted_mod": 1}],
     }
+
+
+@pytest.mark.parametrize("kind", ["random", "periodic"])
+def test_scan_outputs_equal_the_report_fields(capsys, monkeypatch, tmp_path, kind):
+    rng = random.Random(20261021)
+    if kind == "random":
+        x, text = "ab", "".join(rng.choice("ab") for _ in range(20_000))
+    else:
+        # x repeated from a random phase, cut after whole copies: a deletion
+        # at each junction, stretches of 300 to 40,000 symbols
+        x = "aabababbab"
+        text = "".join(
+            (x * rng.randint(30, 4000))[rng.randrange(len(x)) :] for _ in range(10)
+        )
+    path = tmp_path / "text.txt"
+    path.write_text(text)
+    argv = ["scan", "--x", x, "--text-file", str(path)]
+    report = periodic_segments(text, x)
+    assert len(report.segments) > 5
+    expected = [f"segment {s.start} {s.end} phase={s.phase}\n" for s in report.segments]
+    expected += [
+        f"jump left_end={j.left_end} right_start={j.right_start}"
+        f" deleted_mod={j.deleted_mod}\n"
+        for j in report.jumps
+    ]
+    doc = {"x": x, **asdict(report)}
+    assert run_cli(capsys, *argv, "--json") == (
+        0, json.dumps(doc, sort_keys=True) + "\n", ""
+    )
+    # text mode builds no document
+    monkeypatch.setattr(repcore.cli, "scan_json", _unbuilt)
+    assert run_cli(capsys, *argv) == (0, "".join(expected), "")
+
+
+def test_verify_text_mode_builds_no_document(capsys, monkeypatch):
+    argv = ["verify", "--max-x", "4", "--claims", "note3_linear"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.count("expected=") == 10
+    monkeypatch.setattr(repcore.cli, "witness_json", _unbuilt)
+    assert run_cli(capsys, *argv) == (code, out, "")
+
+
+def _unbuilt(*_):
+    raise AssertionError("text mode built the --json document")
 
 
 def test_verify_small_json_and_exit_codes(capsys):

@@ -312,7 +312,13 @@ def test_run_rejects_an_unknown_claim(claims):
     # the limits are checked first, and a known name is its ClaimId
     with pytest.raises(InvalidLimit):
         run(Universe(), claims=claims, jobs=0)
-    assert run(Universe(), claims=["theorem1"]) == run(Universe(), [ClaimId.THEOREM1])
+    one = run(Universe(), [ClaimId.THEOREM1])
+    assert run(Universe(), claims=["theorem1"]) == one
+    # one claim alone, by name or ClaimId, is that claim, not its letters
+    assert run(Universe(), claims="theorem1") == one
+    assert run(Universe(), claims=ClaimId.THEOREM1) == one
+    with pytest.raises(ValueError, match="^'bogus' is not a valid ClaimId$"):
+        run(Universe(), claims="bogus")
 
 
 def test_run_small_universe_statuses():

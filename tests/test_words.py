@@ -302,6 +302,91 @@ def test_period_breaks_at_block_edges():
                 assert list(period_breaks(noise, n)) == period_breaks_naive(noise, n)
 
 
+def _planted(rng, n, length, breaks):
+    """A text of the given length with period n except at the given positions.
+
+    breaks ascend, each k with 0 <= k < length - n; text[k + n] is set to a
+    symbol other than text[k], and the text goes on with period n after it.
+    """
+    text = "".join(rng.choice("abc") for _ in range(n))
+    for k in breaks:
+        tail = text[-n:]
+        text += (tail * ((k + n - len(text)) // n + 1))[: k + n - len(text)]
+        text += "bca"["abc".index(text[k])]
+    tail = text[-n:]
+    return text + (tail * ((length - len(text)) // n + 1))[: length - len(text)]
+
+
+# Where period_breaks' blocks start in a stretch from 0: the block sizes
+# double from _BLOCK, so block i starts at _BLOCK * (2**i - 1), up to the
+# cap of _BLOCK * _BLOCK symbols (i = 8) and one capped block past it (i = 9).
+_GALLOP_STARTS = [_BLOCK * (2**i - 1) for i in range(10)]
+_PERIODS = (1, _BLOCK, _BLOCK + 1, 300)
+
+
+def test_period_breaks_gallop_edges():
+    assert _BLOCK * (2**8) == _BLOCK * _BLOCK  # block 8 is the first capped one
+    rng = random.Random(20261021)
+    for n in _PERIODS:
+        for start in _GALLOP_STARTS:
+            for k in (start - 1, start, start + 1):
+                if k < 0:
+                    continue
+                # the break in the last comparable position, then with a
+                # stretch past it that gallops up to the cap again
+                for length in (k + n + 1, k + n + 1 + 70_000):
+                    text = _planted(rng, n, length, [k])
+                    assert list(period_breaks(text, n)) == [k], (n, k, length)
+
+
+def test_period_breaks_on_texts_ending_on_a_block_start():
+    rng = random.Random(20261022)
+    for n in _PERIODS:
+        for last in _GALLOP_STARTS[1:]:
+            length = last + n
+            assert list(period_breaks(_planted(rng, n, length, []), n)) == []
+            for k in {0, last // 2, last - _BLOCK - 1, last - _BLOCK, last - 1} - {-1}:
+                text = _planted(rng, n, length, [k])
+                assert list(period_breaks(text, n)) == [k], (n, last, k)
+
+
+def test_period_breaks_with_two_breaks_in_one_bisected_block():
+    rng = random.Random(20261023)
+    # the block of 4,096 symbols from 3,840 is the first unequal one; it is
+    # bisected to the 256-symbol piece from 4,608, or its first half's
+    big = _GALLOP_STARTS[4]
+    for n in _PERIODS:
+        for offsets in (
+            (768 + 10, 768 + 200),  # both in one final piece
+            (768, 768 + 1),  # adjacent
+            (768, 768 + _BLOCK - 1),  # the piece's first and last symbol
+            (100, 3000),  # in two halves of the block
+            (2047, 2048),  # on both sides of the first bisection
+        ):
+            breaks = [big + d for d in offsets]
+            text = _planted(rng, n, big + 9000 + n, breaks)
+            assert list(period_breaks(text, n)) == breaks, (n, offsets)
+            assert period_breaks_naive(text, n) == breaks
+
+
+def test_period_breaks_on_seeded_texts_with_spread_breaks():
+    rng = random.Random(20261024)
+    for n in (*_PERIODS, 8, 10):
+        for gap in (64, 300, 1200, 5000):
+            breaks, k = [], rng.randint(0, gap)
+            while k < 150_000:
+                breaks.append(k)
+                k += rng.randint(64, gap)
+            text = _planted(rng, n, 150_000 + n + rng.randint(1, 2000), breaks)
+            assert list(period_breaks(text, n)) == breaks, (n, gap)
+            # flipped symbols break twice, n apart; the oracle counts them
+            flipped = list(text[:40_000])
+            for j in rng.sample(range(40_000), 20):
+                flipped[j] = rng.choice("abc")
+            flipped = "".join(flipped)
+            assert list(period_breaks(flipped, n)) == period_breaks_naive(flipped, n)
+
+
 def test_period_breaks_rejects_a_period_below_one():
     for n in (0, -1):
         with pytest.raises(ValueError):
