@@ -30,7 +30,10 @@ from .errors import (
 )
 from .words import is_primitive, lcp, lcs, rotate
 
-FORMS = ("prefix", "deletion", "both")
+# The one description of the split forms: each --forms value maps to the
+# is_prefix_form values (cut2 == |x|) of the splits it holds.  iter_splits,
+# locate.parses and the verifier read their forms from here.
+FORMS = {"prefix": (True,), "deletion": (False,), "both": (False, True)}
 MIN_E_SUM = 3  # e1 + e2: the smallest repetition the model admits
 
 
@@ -262,16 +265,12 @@ def anchor_windows(
 def iter_splits(n: int, forms: str = "both") -> Iterator[tuple[int, int]]:
     """Valid (cut1, cut2) pairs for |x| = n in ascending order.
 
-    forms: "prefix" keeps cut2 == n, "deletion" keeps cut2 < n, "both" all.
+    forms is a key of FORMS: "prefix" keeps cut2 == n, "deletion" keeps
+    cut2 < n, "both" all.
     """
     if forms not in FORMS:
-        raise ValueError(f"forms must be one of {FORMS}, got {forms!r}")
+        raise ValueError(f"forms must be one of {tuple(FORMS)}, got {forms!r}")
     for cut1 in range(n + 1):
         for cut2 in range(cut1 + 1, n + 1):
-            if cut1 == 0 and cut2 == n:
-                continue
-            if forms == "prefix" and cut2 != n:
-                continue
-            if forms == "deletion" and cut2 == n:
-                continue
-            yield cut1, cut2
+            if (cut2 == n) in FORMS[forms] and (cut1, cut2) != (0, n):
+                yield cut1, cut2

@@ -98,7 +98,7 @@ def parses(word: str, forms: str = "both") -> list[Parse]:
     once.
     """
     if forms not in FORMS:
-        raise ValueError(f"forms must be one of {FORMS}, got {forms!r}")
+        raise ValueError(f"forms must be one of {tuple(FORMS)}, got {forms!r}")
     total = len(word)
     if total < 3:
         raise WordTooShort(f"|word| = {total} < 3")
@@ -121,12 +121,11 @@ def parses(word: str, forms: str = "both") -> list[Parse]:
         # the ones before it, puts cut1 in ascending order.
         e_sum = (total + gap) // n - 1
         cuts = range(n - gap + 1)  # the cut1 values; the last is the prefix form
-        cuts = {"both": cuts, "prefix": cuts[-1:], "deletion": cuts[:-1]}[forms]
         lo, hi = max(n, total - tail), min(head, total - n) + 1
         wrap = lo - lo % n + n
         for j in chain(range(wrap, hi), range(lo, min(wrap, hi))):
             e1, cut1 = divmod(j, n)
-            if cut1 not in cuts:
+            if cut1 not in cuts or (cut1 + gap == n) not in FORMS[forms]:
                 continue
             spec = InterruptSpec(DeletionSplit(x, cut1, cut1 + gap), e1, e_sum - e1)
             found.append(Parse(spec, _core(spec, word)))

@@ -96,6 +96,23 @@ number of distinct windows do not depend on (e1, e2) either.
 test_check_claim_equals_naive_oracle and
 test_check_claim_equals_naive_oracle_on_long_x check this against the
 slicing oracle evaluate_naive in tests/oracles.py.
+So a split's violating factors do not depend on e1+e2; only the counts
+of some of them do.
+  - theorem1, theorem1_deletion and core_cyclic_unique expect each
+    anchored window once.  One that is a rotation of x occurs at least
+    twice in W0: once as an anchored window, and once more in the tail
+    W0[hi:], whose non-anchored windows hold every rotation (Records: in
+    phase).  So it violates at every sum.  An anchored window that is no
+    rotation is not in x+x, nor in the cyclic wraparound x+x less its
+    ends, so its count is count_W0(f) at every sum.
+  - note2_linear, note3_linear and note3_cyclic expect e1+e2, and every
+    factor they list is a rotation of x or the prefix of one, so it lies
+    in x+x: its expected and its actual count both grow by one per added
+    copy of x, and their difference is the same at every sum.
+  - distinct_count reads no sum, and dft_bound and dichotomy list
+    nothing.
+test_violating_factors_do_not_depend_on_the_sum checks this on every
+split of binary |x| <= 8 and ternary |x| <= 6.
 
 Phase counts.  A split's context reads only its anchored windows, at
 lo = cut1+p+1 .. hi-1 = |x|+cut1-s-1 in W0, from R = W0[lo : hi+|x|-1],
@@ -475,8 +492,11 @@ def enumerate_specs(
 
 
 def applies(claim: ClaimId, spec: InterruptSpec) -> bool:
-    """Whether the claim is stated for the spec's form."""
-    return spec.split.is_prefix_form in _CLAIMS[claim][2]
+    """Whether the claim, a ClaimId or its name, is stated for the spec's form.
+
+    An unknown claim name raises ValueError, as in run().
+    """
+    return spec.split.is_prefix_form in _CLAIMS[ClaimId(claim)][2]
 
 
 class _Stats(NamedTuple):
@@ -563,8 +583,10 @@ class _SplitContext:
 # actual) violations of such a spec, in factor order; the walk calls it for
 # a split stated for the claim while it has room for the claim's rows, and
 # check_claim for its one spec.  A per_sum of None lists nothing.  forms
-# holds the split forms the claim is stated for (False: deletion, True:
-# prefix).  A cyclic claim is its linear twin with wraparound = ctx.xx[1:-1].
+# holds the split forms the claim is stated for, as is_prefix_form values
+# (False: deletion, True: prefix), the encoding of interrupts.FORMS, whose
+# rows give the forms a universe holds.  A cyclic claim is its linear twin
+# with wraparound = ctx.xx[1:-1].
 _Count = Callable[[_Stats, int], int]
 _PerSum = Callable[[_SplitContext, int], list[tuple[str, int, int]]]
 # Per claim: (assertions evaluated, violation rows), for the walk or a run.
@@ -644,12 +666,13 @@ _CLAIMS: dict[ClaimId, tuple[_Count, _PerSum | None, tuple[bool, ...]]] = {
 
 
 def check_claim(claim: ClaimId, spec: InterruptSpec) -> SpecCheck:
-    """Evaluate one claim on one spec.
+    """Evaluate one claim, a ClaimId or its name, on one spec.
 
-    Raises NotApplicable when the claim is stated for the other split form.
-    A zero-checks result means the spec does not qualify (note2 outside the
-    boundary case).
+    Raises NotApplicable when the claim is stated for the other split form,
+    and ValueError for an unknown claim name.  A zero-checks result means
+    the spec does not qualify (note2 outside the boundary case).
     """
+    claim = ClaimId(claim)
     if not applies(claim, spec):
         raise NotApplicable(f"{claim.value} does not apply to this split form")
     split, s = spec.split, spec.e1 + spec.e2
@@ -657,12 +680,6 @@ def check_claim(claim: ClaimId, spec: InterruptSpec) -> SpecCheck:
     count, per_sum, _ = _CLAIMS[claim]
     violations = per_sum(ctx, s) if per_sum else []
     return SpecCheck(count(ctx.stats, s), tuple(Witness(spec, *v) for v in violations))
-
-
-def _forms(universe: Universe) -> tuple[bool, ...]:
-    """The split forms the universe holds (False: deletion, True: prefix)."""
-    forms = {"prefix": (True,), "deletion": (False,), "both": (False, True)}
-    return forms[universe.forms]
 
 
 def _first_use(w: str) -> str:
@@ -840,7 +857,7 @@ def _totals(universe: Universe, part: int, parts: int) -> dict[bool, _Stats]:
     pairs (module docstring).
     """
     k = universe.alphabet_size
-    totals = {form: [0] * len(_Stats._fields) for form in _forms(universe)}
+    totals = {form: [0] * len(_Stats._fields) for form in FORMS[universe.forms]}
     for x, g, pairs in _classes(universe, part, parts):
         n, size = len(x), perm(k, len(set(x))) * pairs
         for d in range(1, n):
@@ -999,7 +1016,7 @@ def _eval_parts(universe: Universe, parts: int) -> dict[bool, _Stats]:
             recv.close()
     return {
         form: _Stats(*map(sum, zip(*(t[form] for t in totals))))
-        for form in _forms(universe)
+        for form in FORMS[universe.forms]
     }
 
 

@@ -273,13 +273,24 @@ def test_verify_text_verdict(capsys):
     assert out.strip().endswith("verdict: PASS")
 
 
-def test_verify_jobs_identical_output(capsys):
+def test_verify_jobs_identical_output(capsys, monkeypatch, two_workers):
+    # the universe is far below the fork gate: two_workers makes --jobs 4
+    # deal out two parts and fork for the second
     args = [
         "verify", "--alphabet", "2", "--min-x", "2", "--max-x", "4",
         "--e-sums", "3", "--forms", "both", "--json",
     ]
+    parts = []
+    eval_parts = repcore.verify._eval_parts
+
+    def recorded(universe, n):
+        parts.append(n)
+        return eval_parts(universe, n)
+
+    monkeypatch.setattr(repcore.verify, "_eval_parts", recorded)
     _, out1, _ = run_cli(capsys, *args, "--jobs", "1")
     _, out4, _ = run_cli(capsys, *args, "--jobs", "4")
+    assert parts == [1, 2]
     assert out1 == out4
 
 

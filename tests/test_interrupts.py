@@ -13,6 +13,7 @@ from repcore import (
     occurrences,
 )
 from repcore.interrupts import (
+    FORMS,
     Conjugate,
     CoreAnchored,
     classify_window,
@@ -249,3 +250,21 @@ def test_iter_splits_forms():
     assert (0, 3) not in list(iter_splits(3, "both"))
     with pytest.raises(ValueError):
         list(iter_splits(3, "bogus"))
+    # every 0 <= cut1 < cut2 <= n but (0, n), which deletes all of x, in
+    # ascending order; prefix keeps cut2 == n and deletion cut2 < n
+    for n in range(1, 9):
+        pairs = [
+            (cut1, cut2)
+            for cut1 in range(n + 1)
+            for cut2 in range(cut1 + 1, n + 1)
+            if (cut1, cut2) != (0, n)
+        ]
+        want = {
+            "prefix": [(cut1, cut2) for cut1, cut2 in pairs if cut2 == n],
+            "deletion": [(cut1, cut2) for cut1, cut2 in pairs if cut2 < n],
+            "both": pairs,
+        }
+        assert list(want) == list(FORMS)
+        for forms in FORMS:
+            assert list(iter_splits(n, forms)) == want[forms]
+

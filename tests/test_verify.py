@@ -62,6 +62,7 @@ from repcore.verify import (
     verdict,
 )
 from repcore.words import (
+    LETTERS,
     count_primitive_words,
     first_use_words,
     is_primitive,
@@ -319,6 +320,16 @@ def test_run_rejects_an_unknown_claim(claims):
     assert run(Universe(), claims=ClaimId.THEOREM1) == one
     with pytest.raises(ValueError, match="^'bogus' is not a valid ClaimId$"):
         run(Universe(), claims="bogus")
+    # check_claim and applies say the same, and take a known name
+    spec = prefix_spec("ab", 1, 1, 2)
+    with pytest.raises(ValueError, match="^'bogus' is not a valid ClaimId$"):
+        check_claim("bogus", spec)
+    with pytest.raises(ValueError, match="^'bogus' is not a valid ClaimId$"):
+        applies("bogus", spec)
+    assert check_claim("theorem1", spec) == check_claim(ClaimId.THEOREM1, spec)
+    assert not applies("theorem1_deletion", spec)
+    with pytest.raises(NotApplicable, match="^theorem1_deletion does not apply"):
+        check_claim("theorem1_deletion", spec)
 
 
 def test_run_small_universe_statuses():
@@ -465,6 +476,25 @@ def random_specs(count, seed):
         e1 = rng.randint(1, s - 1)
         specs.append(InterruptSpec(DeletionSplit(x, cut1, cut2), e1, s - e1))
     return specs
+
+
+@pytest.mark.parametrize("k, max_x", [(2, 8), (3, 6)], ids=["binary-x8", "ternary-x6"])
+def test_violating_factors_do_not_depend_on_the_sum(k, max_x):
+    # module docstring, count rule: every per_sum lists the same factors at
+    # every e1+e2, on every split of both forms
+    for n in range(2, max_x + 1):
+        for x in map("".join, product(LETTERS[:k], repeat=n)):
+            if not is_primitive(x):
+                continue
+            for cut1, cut2 in iter_splits(n, "both"):
+                ctx = _SplitContext(x, cut1, cut2)
+                for claim, (_, per_sum, _) in _CLAIMS.items():
+                    if per_sum is None:
+                        continue
+                    first, *rest = (
+                        [f for f, _, _ in per_sum(ctx, s)] for s in (3, 4, 7)
+                    )
+                    assert rest == [first, first], (claim, x, cut1, cut2)
 
 
 def test_check_claim_equals_naive_oracle_on_long_x():
